@@ -76,6 +76,11 @@ def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
     return out
 
 
+def _is_int(value) -> bool:
+    """True for an integer; bool is excluded although it subclasses int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated pipeline configuration built from nested key/value data."""
@@ -157,7 +162,7 @@ class ExperimentConfig:
         scan = self.data["scan"]
         period = self.data["source"]["pump_wavelength_m"]
         span = scan["span_periods"] * period
-        return np.linspace(0.0, span, int(scan["n_points"]), endpoint=False)
+        return np.linspace(0.0, span, scan["n_points"], endpoint=False)
 
     # validation ---------------------------------------------------------
 
@@ -194,10 +199,18 @@ class ExperimentConfig:
                 f"electrical delay {tac.electrical_delay} s plus delta_L/c = "
                 f"{split} s exceeds the TAC range {tac.range} s"
             )
-        if self.data["scan"]["n_points"] < 8:
+        n_points = self.data["scan"]["n_points"]
+        if not _is_int(n_points):
+            raise ConfigError(f"scan.n_points must be an integer, got {n_points!r}")
+        if n_points < 8:
             raise ConfigError("scan needs at least 8 points")
         if self.data["scan"]["span_periods"] < 1.0:
             raise ConfigError("scan must span at least one fringe period")
+        seed = self.data["run"]["seed"]
+        if not _is_int(seed) or seed < 0:
+            raise ConfigError(
+                f"run.seed must be a nonnegative integer, got {seed!r}"
+            )
         _ = detector
         return warnings
 

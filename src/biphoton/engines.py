@@ -9,6 +9,7 @@ Three mutually checkable routes to the same observables:
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -97,6 +98,16 @@ def normalization_check(profile: SpectralProfile, tol: float = 1e-9) -> float:
     return total
 
 
+@functools.lru_cache(maxsize=64)
+def _check_normalized(profile: SpectralProfile) -> None:
+    """:func:`normalization_check` once per distinct (frozen, hashable) profile.
+
+    A failing check raises, and lru_cache does not store exceptions, so a
+    profile that is not normalized is rejected on every call.
+    """
+    normalization_check(profile)
+
+
 def residual_integral(profile: SpectralProfile, dl: float) -> float:
     """Mean of cos((k_pump - 2 k1) * delta_L) over the signal spectrum.
 
@@ -118,7 +129,7 @@ def quantum_rate_narrow(
     integral collapses: rate = rc0 * p_central evaluated at the spectrum
     center; for T = 0.5 this is (rc0/4)(1 - mu cos(k_p delta_L)).
     """
-    normalization_check(profile)
+    _check_normalized(profile)
     k1 = profile.k_center
     k2 = profile.k_pump - k1
     p_c, _, _ = class_probabilities_pair(k1, k2, geometry)
@@ -131,7 +142,7 @@ def side_class_rate(
     rates: SourceRates,
 ) -> float:
     """Summed rate of the two side classes, s^-1, by quadrature over k1."""
-    normalization_check(profile)
+    _check_normalized(profile)
     kp = profile.k_pump
 
     def sides(k):

@@ -40,6 +40,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"tac": {"range_s": 11e-9}})
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, 3.0, True, "7", None])
+    def test_seed_must_be_nonnegative_integer(self, seed):
+        with pytest.raises(ConfigError, match="run.seed"):
+            ExperimentConfig.from_dict({"run": {"seed": seed}})
+
+    @pytest.mark.parametrize("n_points", [8.7, 12.0, True, "12"])
+    def test_n_points_must_be_integer(self, n_points):
+        with pytest.raises(ConfigError, match="scan.n_points"):
+            ExperimentConfig.from_dict({"scan": {"n_points": n_points}})
+
     def test_hash_stable_and_sensitive(self):
         a = ExperimentConfig.default().config_hash()
         b = ExperimentConfig.default().config_hash()
@@ -105,6 +115,17 @@ class TestCliCommands:
     def test_invalid_config_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, {"tac": {"range_s": 11e-9}})
         assert main(["histogram", "--config", cfg]) == 2
+
+    def test_negative_seed_exit_code(self, capsys):
+        assert main(["compare", "--seed", "-1"]) == 2
+        assert "run.seed" in capsys.readouterr().err
+
+    def test_fractional_n_points_exit_code(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"scan": {"n_points": 8.7}})
+        out = tmp_path / "out"
+        assert main(["fringes", "--config", cfg, "--out", str(out)]) == 2
+        assert "scan.n_points" in capsys.readouterr().err
+        assert not list(out.glob("*"))
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_RUN)

@@ -15,6 +15,7 @@ from biphoton import (
     quantum_rate_narrow,
     quantum_rate_wide,
 )
+from biphoton import engines
 from biphoton.engines import (
     TRUTH_BACKGROUND,
     TRUTH_BUNDLE,
@@ -26,7 +27,9 @@ from biphoton.engines import (
     side_class_rate,
 )
 from biphoton.errors import ConfigError, DomainError
+from biphoton.spectral import sample_signal
 from conftest import phase_geometry
+from oracle import class_probabilities_pair_oracle
 
 LCOH = 100e-6
 
@@ -99,6 +102,33 @@ class TestQuantumRates:
                     assert quantum_rate_narrow(profile, g, rates) >= 0.0
                     assert quantum_rate_wide(profile, g, rates) >= 0.0
                     assert classical_rate(profile, g, rates) >= 0.0
+
+
+class TestNormalizationCheck:
+    # a delta_k no other test uses, so no earlier call has cached its check
+    def test_runs_once_per_profile(self, k_pump, geometry, rates, monkeypatch):
+        calls = []
+        original = engines.normalization_check
+
+        def counting(profile):
+            calls.append(profile)
+            return original(profile)
+
+        monkeypatch.setattr(engines, "normalization_check", counting)
+        for _ in range(3):
+            # equal but distinct instances share one cache entry
+            profile = SpectralProfile(k_pump=k_pump, delta_k=1.0 / 123e-6)
+            quantum_rate_wide(profile, geometry, rates)
+        assert len(calls) == 1
+
+    def test_unnormalized_pdf_still_raises(self, k_pump, geometry, rates, monkeypatch):
+        profile = SpectralProfile(k_pump=k_pump, delta_k=1.0 / 321e-6)
+        pdf = SpectralProfile.pdf
+        monkeypatch.setattr(SpectralProfile, "pdf", lambda self, k: 1.5 * pdf(self, k))
+        # a failed check is not cached: every call raises
+        for rate in (quantum_rate_narrow, side_class_rate, quantum_rate_wide):
+            with pytest.raises(DomainError, match="not normalized"):
+                rate(profile, geometry, rates)
 
 
 class TestResidualIntegral:
@@ -198,6 +228,35 @@ class TestEventGeneration:
             n_a = int(np.sum((stream.detector == 0) & signal))
             expected = rates.pair_rate * 0.05
             assert abs(n_a - expected) < 5 * math.sqrt(expected)
+
+    def test_outcomes_match_oracle_on_same_stream(self, profile, k_pump):
+        # the codes the eight-term oracle's probabilities give on the same
+        # RNG stream: signal wavenumbers first, then one uniform per pair
+        geom = InterferometerGeometry(
+            path_short=0.5,
+            path_long_base=1.05,
+            splitter_transmittance=0.4,
+            mode_overlap=0.8,
+        )
+        geom = phase_geometry(geom, k_pump, 2.0)
+        rates = SourceRates(pair_rate=1.0e5, rc0=6.0e4)
+        n = 2000
+        codes = sample_pair_outcomes(
+            profile, geom, rates, n, np.random.default_rng(77)
+        )
+
+        rng = np.random.default_rng(77)
+        k1 = sample_signal(profile, rng, n)
+        u = rng.random(n)
+        expected = []
+        for k, x in zip(k1, u):
+            p_c, p_sl, p_ls = class_probabilities_pair_oracle(
+                k, profile.k_pump - k, geom
+            )
+            edges = np.cumsum(np.array([p_c, p_sl, p_ls]) * rates.pair_scale)
+            expected.append(int(np.searchsorted(edges, x, side="right")))
+        assert codes.tolist() == expected
+        assert set(expected) == {0, 1, 2, 3}
 
     def test_background_only(self, geometry, profile, rng):
         rates = SourceRates(pair_rate=0.0, rc0=0.0, singles_background=5e4)

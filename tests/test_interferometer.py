@@ -14,13 +14,14 @@ from biphoton import (
 )
 from biphoton.errors import DomainError
 from biphoton.interferometer import (
+    _fmod_2pi,
     class_probabilities_pair,
-    coincidence_terms,
     fringe_phase,
     offset_for_phase,
-    state_norm,
 )
+from biphoton.spectral import TWO_PI
 from conftest import phase_geometry
+from oracle import class_probabilities_pair_oracle, coincidence_terms, state_norm
 
 K_427NM = 14714719.688945167
 
@@ -42,6 +43,46 @@ class TestDeltaL:
         g = geometry.with_offset(1e-9)
         dphi = float(fringe_phase(k_pump, g)) - float(fringe_phase(k_pump, geometry))
         assert dphi == pytest.approx(k_pump * 1e-9, rel=1e-12)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestPhaseReduction:
+    def test_fmod_2pi_bitwise_on_arrays(self):
+        rng = np.random.default_rng(5)
+        n = 10**5
+        phases = (K_427NM / 2 + rng.uniform(-3e4, 3e4, n)) * 0.55
+        # exact multiples and their neighbours, where the rounded quotient
+        # can cross an integer
+        multiples = rng.integers(0, 3 * 10**6, n) * TWO_PI
+        near = [multiples]
+        for direction in (np.inf, -np.inf):
+            x = multiples
+            for _ in range(3):
+                x = np.nextafter(x, direction)
+                near.append(x)
+        wide = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 25, n)
+        special = np.array([0.0, -0.0, TWO_PI, -TWO_PI, 5e-324])
+        x = np.concatenate([phases, *near, wide, special])
+        assert _same_bits(_fmod_2pi(x), np.fmod(x, TWO_PI))
+
+    def test_blocked_reduction_matches_unblocked(self, geometry):
+        # 50000 phases take the blocked path, each 10000-phase row does not
+        rng = np.random.default_rng(9)
+        k = K_427NM / 2 + rng.uniform(-3e4, 3e4, (5, 10000))
+        blocked = fringe_phase(k, geometry)
+        assert blocked.shape == k.shape
+        rows = np.array([fringe_phase(row, geometry) for row in k])
+        assert _same_bits(blocked, rows)
+
+    @given(x=st.floats(-1e30, 1e30))
+    @settings(max_examples=300, deadline=None)
+    def test_fmod_2pi_bitwise_on_scalars(self, x):
+        x = np.float64(x)
+        assert _same_bits(_fmod_2pi(x), np.fmod(x, TWO_PI))
 
 
 class TestDetectorAmplitudes:
@@ -196,17 +237,39 @@ class TestCoincidenceClasses:
     )
     @settings(max_examples=200, deadline=None)
     def test_probabilities_nonnegative(self, t, mu, phase, dk):
-        geom = InterferometerGeometry(
-            path_short=0.5,
-            path_long_base=1.05,
-            splitter_transmittance=t,
-            mode_overlap=mu,
-        )
-        geom = geom.with_offset(offset_for_phase(K_427NM, geom, phase))
-        k1 = K_427NM / 2 + dk * 1e4
-        k2 = K_427NM - k1
+        geom, k1, k2 = _pair_setup(t, mu, phase, dk)
         p_c, p_sl, p_ls = class_probabilities_pair(k1, k2, geom)
         assert p_c >= 0.0
         assert p_sl >= 0.0
         assert p_ls >= 0.0
         assert p_c + p_sl + p_ls <= 1.0 + 1e-12
+
+    @given(
+        t=st.floats(0.05, 0.95),
+        mu=st.floats(0.0, 1.0),
+        phase=st.floats(0.0, 2 * math.pi, exclude_max=True),
+        dk=st.floats(-3.0, 3.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_eight_term_oracle(self, t, mu, phase, dk):
+        # the closed form against the amplitude sum it replaces
+        geom, k1, k2 = _pair_setup(t, mu, phase, dk)
+        kernel = class_probabilities_pair(k1, k2, geom)
+        oracle = class_probabilities_pair_oracle(k1, k2, geom)
+        for p, q in zip(kernel, oracle):
+            assert abs(float(p) - q) <= 1e-12
+            assert p >= 0.0
+        assert sum(kernel) <= 1.0 + 1e-12
+
+
+def _pair_setup(t, mu, phase, dk):
+    """Geometry at pump fringe phase ``phase`` and a pair dk * 1e4 off degeneracy."""
+    geom = InterferometerGeometry(
+        path_short=0.5,
+        path_long_base=1.05,
+        splitter_transmittance=t,
+        mode_overlap=mu,
+    )
+    geom = geom.with_offset(offset_for_phase(K_427NM, geom, phase))
+    k1 = K_427NM / 2 + dk * 1e4
+    return geom, k1, K_427NM - k1
