@@ -16,7 +16,6 @@ from .analysis import (  # noqa: F401
     VisibilityReport,
     classify_regime,
     fit_visibility,
-    run_fringe_scan,
     volts_to_offset,
 )
 from .detection import (  # noqa: F401
@@ -36,19 +35,12 @@ from .engines import (  # noqa: F401
     quantum_rate_wide,
 )
 from .interferometer import (  # noqa: F401
-    CoincidenceClass,
-    CoincidenceClassSet,
     InterferometerGeometry,
-    coincidence_classes,
     delta_L,
-    detector_amplitudes,
 )
 from .spectral import (  # noqa: F401
     SpectralProfile,
     SpectralShape,
-    WavenumberPair,
     coherence_length,
-    sample_pair,
     wavelength_to_wavenumber,
-    wavenumber_to_wavelength,
 )

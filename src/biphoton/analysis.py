@@ -25,7 +25,7 @@ from .detection import (
     histogram_from_clicks,
 )
 from .engines import SourceRates, generate_events
-from .errors import BoundaryError, ConfigError, DomainError, FitError
+from .errors import BoundaryError, DomainError, FitError
 from .interferometer import InterferometerGeometry, delta_L
 from .spectral import TWO_PI, SpectralProfile
 
@@ -201,34 +201,6 @@ def gate_scan(
         duration=corpus[0].duration if corpus else 0.0,
         window_width=window_width,
     )
-
-
-def run_fringe_scan(
-    profile: SpectralProfile,
-    geometry: InterferometerGeometry,
-    rates: SourceRates,
-    detector_a: DetectorModel,
-    detector_b: DetectorModel,
-    tac: TacConfig,
-    offsets,
-    window_width: float,
-    duration: float,
-    seed: int,
-) -> FringeScan:
-    """Acquire and gate a fringe scan in one go."""
-    offsets = np.asarray(offsets, dtype=float)
-    period = TWO_PI / profile.k_pump
-    if offsets.size < 8:
-        raise ConfigError(f"need at least 8 scan points, got {offsets.size}")
-    if offsets.max() - offsets.min() < period:
-        raise ConfigError(
-            f"scan span {offsets.max() - offsets.min()} is below one fringe "
-            f"period ({period}); the fit would be unidentifiable"
-        )
-    corpus = acquire_scan_corpus(
-        profile, geometry, rates, detector_a, detector_b, tac, offsets, duration, seed
-    )
-    return gate_scan(corpus, tac, window_width)
 
 
 def _fringe_model(x, baseline, vis, phase, period):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -50,6 +49,8 @@ def _load_config(args) -> ExperimentConfig:
         data = json.loads(json.dumps(cfg.data))
         data["run"]["seed"] = args.seed
         cfg = ExperimentConfig.from_dict(data)
+    for warning in cfg.validate():
+        print(f"warning: {warning}", file=sys.stderr)
     return cfg
 
 
@@ -86,10 +87,20 @@ def _write_json(path: Path, payload: dict, config_hash: str, force: bool) -> Non
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def _check_windows(windows_s, tac) -> None:
+    """Refuse, before any acquisition, each window gate_count would refuse."""
+    for width in windows_s:
+        lo = tac.electrical_delay - width / 2.0
+        hi = tac.electrical_delay + width / 2.0
+        if not (width > 0 and lo >= 0.0 and hi <= tac.range):
+            raise ConfigError(
+                f"--window {width * 1e9:g} ns must be positive and keep "
+                f"[{lo}, {hi}] s inside the TAC range [0, {tac.range}] s"
+            )
+
+
 def cmd_histogram(args) -> int:
     cfg = _load_config(args)
-    for warning in cfg.validate():
-        print(f"warning: {warning}", file=sys.stderr)
     out = _out_dir(args)
     rng = np.random.default_rng(cfg.data["run"]["seed"])
     events = generate_events(
@@ -105,13 +116,12 @@ def cmd_histogram(args) -> int:
 
 def cmd_fringes(args) -> int:
     cfg = _load_config(args)
-    for warning in cfg.validate():
-        print(f"warning: {warning}", file=sys.stderr)
-    out = _out_dir(args)
+    tac = cfg.tac()
     windows_s = [w * 1e-9 for w in (args.window or [5.0, 1.0])]
+    _check_windows(windows_s, tac)
+    out = _out_dir(args)
     profile = cfg.profile()
     geometry = cfg.geometry()
-    tac = cfg.tac()
     corpus = acquire_scan_corpus(
         profile,
         geometry,

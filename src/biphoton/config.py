@@ -4,6 +4,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -155,7 +156,7 @@ class ExperimentConfig:
         return TacConfig(
             electrical_delay=t["electrical_delay_s"],
             range=t["range_s"],
-            n_channels=int(t["n_channels"]),
+            n_channels=t["n_channels"],
         )
 
     def scan_offsets(self) -> np.ndarray:
@@ -169,11 +170,22 @@ class ExperimentConfig:
     def validate(self) -> list[str]:
         """Raise ConfigError on fatal problems; return non-fatal warnings."""
         warnings: list[str] = []
+        for section in ("run", "scan"):
+            duration = self.data[section]["duration_s"]
+            number = _is_int(duration) or isinstance(duration, float)
+            if not (number and 0.0 <= duration < math.inf):
+                raise ConfigError(
+                    f"{section}.duration_s must be a finite nonnegative number, "
+                    f"got {duration!r}"
+                )
+        n_channels = self.data["tac"]["n_channels"]
+        if not _is_int(n_channels):
+            raise ConfigError(f"tac.n_channels must be an integer, got {n_channels!r}")
         try:
             profile = self.profile()
             geometry = self.geometry()
             rates = self.rates()
-            detector = self.detector()
+            self.detector()
             tac = self.tac()
             rates.pair_scale
         except ConfigError:
@@ -211,7 +223,6 @@ class ExperimentConfig:
             raise ConfigError(
                 f"run.seed must be a nonnegative integer, got {seed!r}"
             )
-        _ = detector
         return warnings
 
     # serialization ------------------------------------------------------

@@ -80,28 +80,6 @@ class TacHistogram:
             for c, n in zip(self.bin_centers, self.counts):
                 fh.write(f"{float(c)!r},{int(n)}\n")
 
-    @classmethod
-    def from_csv(cls, path) -> "TacHistogram":
-        centers, counts = [], []
-        duration = 0.0
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line.startswith("# duration_s="):
-                    duration = float(line.split("=", 1)[1])
-                elif line.startswith("#") or line.startswith("bin_center_s"):
-                    continue
-                else:
-                    c, n = line.split(",")
-                    centers.append(float(c))
-                    counts.append(int(n))
-        centers = np.array(centers)
-        width = centers[1] - centers[0]
-        edges = np.concatenate([centers - width / 2, [centers[-1] + width / 2]])
-        return cls(
-            bin_edges=edges, counts=np.array(counts, dtype=np.int64), duration=duration
-        )
-
 
 def detect_clicks(
     times: np.ndarray, model: DetectorModel, rng: np.random.Generator

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
 
 from .errors import ConfigError, DomainError
 from .interferometer import (
@@ -31,10 +30,6 @@ TRUTH_SIDE_SL = 1
 TRUTH_SIDE_LS = 2
 TRUTH_BUNDLE = 3
 TRUTH_BACKGROUND = 4
-
-TRUTH_NAMES = ("central", "side_sl", "side_ls", "bundle", "background")
-
-DETECTOR_NAMES = ("A", "B")
 
 
 @dataclass(frozen=True)
@@ -290,29 +285,6 @@ class EventStream:
     def times_for(self, detector: int) -> np.ndarray:
         return self.time[self.detector == detector]
 
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("time_s,detector,truth_class\n")
-            for t, d, tr in zip(self.time, self.detector, self.truth):
-                fh.write(f"{float(t)!r},{DETECTOR_NAMES[d]},{TRUTH_NAMES[tr]}\n")
-
-    @classmethod
-    def from_csv(cls, path, duration: float) -> "EventStream":
-        times, dets, truths = [], [], []
-        with open(path) as fh:
-            next(fh)
-            for line in fh:
-                t, d, tr = line.strip().split(",")
-                times.append(float(t))
-                dets.append(DETECTOR_NAMES.index(d))
-                truths.append(TRUTH_NAMES.index(tr))
-        return cls(
-            time=np.array(times, dtype=float),
-            detector=np.array(dets, dtype=np.uint8),
-            truth=np.array(truths, dtype=np.uint8),
-            duration=duration,
-        )
-
 
 def generate_events(
     profile: SpectralProfile,
@@ -377,33 +349,6 @@ def generate_events(
     time = np.concatenate(times) if times else np.empty(0)
     det = np.concatenate(dets) if dets else np.empty(0, dtype=np.uint8)
     truth = np.concatenate(truths) if truths else np.empty(0, dtype=np.uint8)
-    order = np.argsort(time, kind="stable")
-    return EventStream(
-        time=time[order], detector=det[order], truth=truth[order], duration=duration
-    )
-
-
-def generate_events_chunked(
-    profile: SpectralProfile,
-    geometry: InterferometerGeometry,
-    rates: SourceRates,
-    duration: float,
-    seed: int,
-    n_chunks: int = 1,
-) -> EventStream:
-    """Chunked generation with per-chunk derived seeds; deterministic for a
-    fixed (seed, n_chunks)."""
-    if n_chunks < 1:
-        raise DomainError("n_chunks must be >= 1")
-    chunk = duration / n_chunks
-    streams = []
-    for i in range(n_chunks):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        s = generate_events(profile, geometry, rates, chunk, rng)
-        streams.append((s, i * chunk))
-    time = np.concatenate([s.time + t0 for s, t0 in streams])
-    det = np.concatenate([s.detector for s, _ in streams])
-    truth = np.concatenate([s.truth for s, _ in streams])
     order = np.argsort(time, kind="stable")
     return EventStream(
         time=time[order], detector=det[order], truth=truth[order], duration=duration

@@ -12,32 +12,19 @@ assignments of a coherent amplitude sum within the assignment.  The mode
 overlap ``mu`` scales interference cross terms between different path groups.
 That sum reduces to two real cosines per pair, of the sum and the difference
 of the two photons' fringe phases, which :func:`class_probabilities_pair`
-evaluates directly.  :func:`detector_amplitudes` gives the single-photon
-amplitudes the eight terms are built from; the eight-term sum itself lives in
-``tests/oracle.py`` as the reference the closed form is tested against.
+evaluates directly.  The eight-term sum itself, with the single-photon port
+amplitudes it is built from, lives in ``tests/oracle.py`` as the reference
+the closed form is tested against.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
-from enum import Enum
 
 import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT
 
 from .errors import DomainError
-from .spectral import TWO_PI, WavenumberPair
-
-
-class PathLabel(Enum):
-    S = "S"
-    L = "L"
-
-
-class CoincidenceClass(Enum):
-    CENTRAL = "central"     # (S,S) + (L,L), dt = 0
-    SHORT_LONG = "side_sl"  # A via S, B via L, dt = +delta_L/c
-    LONG_SHORT = "side_ls"  # A via L, B via S, dt = -delta_L/c
+from .spectral import TWO_PI
 
 
 @dataclass(frozen=True)
@@ -141,14 +128,6 @@ def _product_mod_2pi(k, length):
     return out.reshape(k.shape)
 
 
-def path_phase(k, geometry: InterferometerGeometry, path: PathLabel):
-    """k * (path length), reduced so the scan offset contributes exactly."""
-    if path is PathLabel.S:
-        return _product_mod_2pi(k, geometry.path_short)
-    base = _product_mod_2pi(k, geometry.path_long_base)
-    return base + np.multiply(k, geometry.path_long_offset)
-
-
 def fringe_phase(k, geometry: InterferometerGeometry):
     """Phase k * delta_L, safe for nanometre offsets on metre-scale arms."""
     base = _product_mod_2pi(k, geometry.path_long_base - geometry.path_short)
@@ -162,63 +141,6 @@ def offset_for_phase(
     zero = geometry.with_offset(0.0)
     residual = (target_phase - float(fringe_phase(k, zero))) % TWO_PI
     return residual / k
-
-
-@dataclass(frozen=True)
-class DetectorAmplitudes:
-    """Single-photon amplitudes at the two output ports, per arm."""
-
-    a_short: complex
-    a_long: complex
-    b_short: complex
-    b_long: complex
-
-    def as_tuple(self) -> tuple[complex, complex, complex, complex]:
-        return (self.a_short, self.a_long, self.b_short, self.b_long)
-
-
-def detector_amplitudes(k: float, geometry: InterferometerGeometry) -> DetectorAmplitudes:
-    """Amplitudes for one photon of wavenumber k reaching port A/B via S/L.
-
-    Symmetric beam-splitter convention with the minus sign on the (B, L)
-    element; for T = 0.5 the four magnitudes are 1/2.  Unitary for any T:
-    the squared magnitudes sum to 1.
-    """
-    if k <= 0:
-        raise DomainError(f"wavenumber must be positive, got {k}")
-    t = geometry.splitter_transmittance
-    cross = math.sqrt(t * (1.0 - t))
-    ph_s = np.exp(1j * path_phase(k, geometry, PathLabel.S))
-    ph_l = np.exp(1j * path_phase(k, geometry, PathLabel.L))
-    return DetectorAmplitudes(
-        a_short=cross * ph_s,
-        a_long=cross * ph_l,
-        b_short=t * ph_s,
-        b_long=-(1.0 - t) * ph_l,
-    )
-
-
-@dataclass(frozen=True)
-class CoincidenceClassSet:
-    """Per-pair class probabilities and their arrival-time signatures."""
-
-    p_central: float
-    p_short_long: float
-    p_long_short: float
-    dt_central: float
-    dt_short_long: float
-    dt_long_short: float
-
-    @property
-    def p_total(self) -> float:
-        return self.p_central + self.p_short_long + self.p_long_short
-
-    def probability(self, cls: CoincidenceClass) -> float:
-        return {
-            CoincidenceClass.CENTRAL: self.p_central,
-            CoincidenceClass.SHORT_LONG: self.p_short_long,
-            CoincidenceClass.LONG_SHORT: self.p_long_short,
-        }[cls]
 
 
 def class_probabilities_pair(k1, k2, geometry: InterferometerGeometry):
@@ -251,20 +173,4 @@ def class_probabilities_pair(k1, k2, geometry: InterferometerGeometry):
         np.maximum(p_c, 0.0),
         np.maximum(w_sl * side, 0.0),
         np.maximum(w_ls * side, 0.0),
-    )
-
-
-def coincidence_classes(
-    pair: WavenumberPair, geometry: InterferometerGeometry
-) -> CoincidenceClassSet:
-    """Group the eight output terms into the three arrival-time classes."""
-    p_c, p_sl, p_ls = class_probabilities_pair(pair.k1, pair.k2, geometry)
-    dt = delta_L(geometry) / SPEED_OF_LIGHT
-    return CoincidenceClassSet(
-        p_central=float(p_c),
-        p_short_long=float(p_sl),
-        p_long_short=float(p_ls),
-        dt_central=0.0,
-        dt_short_long=+dt,
-        dt_long_short=-dt,
     )

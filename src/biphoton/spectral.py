@@ -79,22 +79,6 @@ class SpectralProfile:
         )
 
 
-@dataclass(frozen=True)
-class WavenumberPair:
-    """Signal/idler wavenumbers with k1 + k2 = k_pump held bit-exactly."""
-
-    k1: float
-    k2: float
-
-    @classmethod
-    def from_signal(cls, k1: float, k_pump: float) -> "WavenumberPair":
-        k2 = k_pump - k1
-        # one sweep of re-derivation keeps the float sum exact
-        if k1 + k2 != k_pump:
-            k1 = k_pump - k2
-        return cls(k1=k1, k2=k2)
-
-
 def coherence_length(profile: SpectralProfile) -> float:
     """Coherence length 1/delta_k of the down-converted field (m)."""
     if profile.delta_k <= 0:
@@ -107,13 +91,6 @@ def wavelength_to_wavenumber(wavelength: float) -> float:
     if wavelength <= 0:
         raise DomainError(f"wavelength must be positive, got {wavelength}")
     return TWO_PI / wavelength
-
-
-def wavenumber_to_wavelength(k: float) -> float:
-    """Inverse of :func:`wavelength_to_wavenumber`."""
-    if k <= 0:
-        raise DomainError(f"wavenumber must be positive, got {k}")
-    return TWO_PI / k
 
 
 def sample_signal(
@@ -147,9 +124,3 @@ def sample_signal(
         out[n_filled : n_filled + draw.size] = draw
         n_filled += draw.size
     return out
-
-
-def sample_pair(profile: SpectralProfile, rng: np.random.Generator) -> WavenumberPair:
-    """Draw one signal/idler pair; k2 is derived so the sum is bit-exact."""
-    k1 = float(sample_signal(profile, rng, 1)[0])
-    return WavenumberPair.from_signal(k1, profile.k_pump)

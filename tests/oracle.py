@@ -1,17 +1,66 @@
 """Eight-term amplitude sum: the reference the closed-form kernel is checked against.
 
-Every term is built from :func:`biphoton.detector_amplitudes`, one pair at a
-time, exactly as the post-selected output state is written down: for each
+Every term is built from :func:`detector_amplitudes`, one pair at a time,
+exactly as the post-selected output state is written down: for each
 photon-to-port assignment, the four path terms SS, LL, SL and LS.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
-from biphoton import WavenumberPair, detector_amplitudes
-from biphoton.interferometer import InterferometerGeometry, PathLabel
+from biphoton.errors import DomainError
+from biphoton.interferometer import InterferometerGeometry, _product_mod_2pi
+
+
+class PathLabel(Enum):
+    S = "S"
+    L = "L"
+
+
+def path_phase(k, geometry: InterferometerGeometry, path: PathLabel):
+    """k * (path length), reduced so the scan offset contributes exactly."""
+    if path is PathLabel.S:
+        return _product_mod_2pi(k, geometry.path_short)
+    base = _product_mod_2pi(k, geometry.path_long_base)
+    return base + np.multiply(k, geometry.path_long_offset)
+
+
+@dataclass(frozen=True)
+class DetectorAmplitudes:
+    """Single-photon amplitudes at the two output ports, per arm."""
+
+    a_short: complex
+    a_long: complex
+    b_short: complex
+    b_long: complex
+
+    def as_tuple(self) -> tuple[complex, complex, complex, complex]:
+        return (self.a_short, self.a_long, self.b_short, self.b_long)
+
+
+def detector_amplitudes(k: float, geometry: InterferometerGeometry) -> DetectorAmplitudes:
+    """Amplitudes for one photon of wavenumber k reaching port A/B via S/L.
+
+    Symmetric beam-splitter convention with the minus sign on the (B, L)
+    element; for T = 0.5 the four magnitudes are 1/2.  Unitary for any T:
+    the squared magnitudes sum to 1.
+    """
+    if k <= 0:
+        raise DomainError(f"wavenumber must be positive, got {k}")
+    t = geometry.splitter_transmittance
+    cross = math.sqrt(t * (1.0 - t))
+    ph_s = np.exp(1j * path_phase(k, geometry, PathLabel.S))
+    ph_l = np.exp(1j * path_phase(k, geometry, PathLabel.L))
+    return DetectorAmplitudes(
+        a_short=cross * ph_s,
+        a_long=cross * ph_l,
+        b_short=t * ph_s,
+        b_long=-(1.0 - t) * ph_l,
+    )
 
 
 @dataclass(frozen=True)
@@ -37,12 +86,12 @@ def _assignment_terms(ka: float, kb: float, geometry: InterferometerGeometry):
     )
 
 
-def _assignments(pair: WavenumberPair):
-    return ((pair.k1, pair.k2), (pair.k2, pair.k1))
+def _assignments(k1: float, k2: float):
+    return ((k1, k2), (k2, k1))
 
 
 def coincidence_terms(
-    pair: WavenumberPair, geometry: InterferometerGeometry
+    k1: float, k2: float, geometry: InterferometerGeometry
 ) -> list[CoincidenceTerm]:
     """The eight amplitude terms, ordered by assignment then path group."""
     paths = (
@@ -52,7 +101,7 @@ def coincidence_terms(
         (PathLabel.L, PathLabel.S),
     )
     terms = []
-    for ka, kb in _assignments(pair):
+    for ka, kb in _assignments(k1, k2):
         for (pa, pb), amp in zip(paths, _assignment_terms(ka, kb, geometry)):
             terms.append(
                 CoincidenceTerm(
@@ -74,7 +123,7 @@ def class_probabilities_pair_oracle(
     """
     mu = geometry.mode_overlap
     p_c = p_sl = p_ls = 0.0
-    for ka, kb in _assignments(WavenumberPair(k1=k1, k2=k2)):
+    for ka, kb in _assignments(k1, k2):
         t_ss, t_ll, t_sl, t_ls = _assignment_terms(ka, kb, geometry)
         p_c += (
             abs(t_ss) ** 2
@@ -89,7 +138,7 @@ def class_probabilities_pair_oracle(
     return max(p_c, 0.0), max(p_sl, 0.0), max(p_ls, 0.0)
 
 
-def state_norm(pair: WavenumberPair, geometry: InterferometerGeometry) -> float:
+def state_norm(k1: float, k2: float, geometry: InterferometerGeometry) -> float:
     """Squared norm of the full eight-term output state.
 
     The two photon-to-port assignments add incoherently; within each, all
@@ -99,7 +148,7 @@ def state_norm(pair: WavenumberPair, geometry: InterferometerGeometry) -> float:
     """
     mu = geometry.mode_overlap
     norm = 0.0
-    for ka, kb in _assignments(pair):
+    for ka, kb in _assignments(k1, k2):
         terms = np.array(_assignment_terms(ka, kb, geometry))
         incoherent = float(np.sum(np.abs(terms) ** 2))
         coherent = float(np.abs(np.sum(terms)) ** 2)

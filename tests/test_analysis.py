@@ -7,15 +7,12 @@ from scipy.constants import c
 from biphoton import (
     DetectorModel,
     FringeScan,
-    InterferometerGeometry,
     PztCalibration,
     Regime,
-    SourceRates,
     TacConfig,
     Verdict,
     classify_regime,
     fit_visibility,
-    run_fringe_scan,
     volts_to_offset,
 )
 from biphoton.analysis import (
@@ -24,7 +21,7 @@ from biphoton.analysis import (
     flatness_pvalue,
     gate_scan,
 )
-from biphoton.errors import BoundaryError, ConfigError, DomainError, FitError
+from biphoton.errors import BoundaryError, DomainError, FitError
 
 PUMP = 427e-9
 IDEAL = DetectorModel(timing_jitter_sigma=300e-12, dead_time=0.0, efficiency=1.0)
@@ -157,25 +154,12 @@ class TestVerdictSoundness:
 
 
 class TestScanPipeline:
-    def test_span_validation(self, profile, geometry, rates):
-        offsets = np.linspace(0.0, 0.4 * PUMP, 10)
-        with pytest.raises(ConfigError):
-            run_fringe_scan(
-                profile, geometry, rates, IDEAL, IDEAL, TAC, offsets, 1e-9, 0.01, 1
-            )
-
-    def test_point_count_validation(self, profile, geometry, rates):
-        offsets = np.linspace(0.0, 2 * PUMP, 5)
-        with pytest.raises(ConfigError):
-            run_fringe_scan(
-                profile, geometry, rates, IDEAL, IDEAL, TAC, offsets, 1e-9, 0.01, 1
-            )
-
     def test_end_to_end_fringe(self, profile, geometry, rates):
         offsets = np.linspace(0.0, 2 * PUMP, 16, endpoint=False)
-        scan = run_fringe_scan(
-            profile, geometry, rates, IDEAL, IDEAL, TAC, offsets, 1e-9, 0.02, 42
+        corpus = acquire_scan_corpus(
+            profile, geometry, rates, IDEAL, IDEAL, TAC, offsets, 0.02, 42
         )
+        scan = gate_scan(corpus, TAC, 1e-9)
         report = fit_visibility(
             scan, known_period=PUMP, regime=classify_regime(1e-9, geometry)
         )

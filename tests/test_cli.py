@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from biphoton import cli
 from biphoton.cli import main
 from biphoton.config import DEFAULTS, ExperimentConfig
 from biphoton.errors import ConfigError
@@ -49,6 +50,16 @@ class TestConfig:
     def test_n_points_must_be_integer(self, n_points):
         with pytest.raises(ConfigError, match="scan.n_points"):
             ExperimentConfig.from_dict({"scan": {"n_points": n_points}})
+
+    @pytest.mark.parametrize(
+        "scan",
+        [{"n_points": 5}, {"span_periods": 0.4}],
+        ids=["n_points", "span_periods"],
+    )
+    def test_scan_limits_enforced(self, scan):
+        # at least 8 points over at least one fringe period
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict({"scan": scan})
 
     def test_hash_stable_and_sensitive(self):
         a = ExperimentConfig.default().config_hash()
@@ -126,6 +137,50 @@ class TestCliCommands:
         assert main(["fringes", "--config", cfg, "--out", str(out)]) == 2
         assert "scan.n_points" in capsys.readouterr().err
         assert not list(out.glob("*"))
+
+    @pytest.mark.parametrize(
+        "command, overrides, key",
+        [
+            ("histogram", {"run": {"duration_s": -1}}, "run.duration_s"),
+            ("fringes", {"scan": {"duration_s": -0.01}}, "scan.duration_s"),
+            ("histogram", {"run": {"duration_s": "1"}}, "run.duration_s"),
+            ("histogram", {"tac": {"n_channels": 4096.7}}, "tac.n_channels"),
+        ],
+        ids=["negative_run", "negative_scan", "string_run", "fractional_channels"],
+    )
+    def test_bad_value_exit_code(self, tmp_path, capsys, command, overrides, key):
+        cfg = write_config(tmp_path, overrides)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("window", ["30", "0", "-1"])
+    def test_window_checked_before_acquisition(
+        self, tmp_path, capsys, monkeypatch, window
+    ):
+        def no_acquisition(*args, **kwargs):
+            raise AssertionError("acquired a corpus for an invalid window")
+
+        monkeypatch.setattr(cli, "acquire_scan_corpus", no_acquisition)
+        out = tmp_path / "out"
+        argv = ["fringes", "--out", str(out), "--window", "1", f"--window={window}"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --window") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_compare_prints_config_warning_once(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, {**SMALL_RUN, "geometry": {"path_long_base_m": 0.501}}
+        )
+        out = tmp_path / "out"
+        assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert err.count("warning:") == 1
+        assert "coherence length" in err
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_RUN)

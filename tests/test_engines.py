@@ -5,7 +5,6 @@ import pytest
 from scipy import stats
 
 from biphoton import (
-    EventStream,
     InterferometerGeometry,
     SourceRates,
     SpectralProfile,
@@ -18,10 +17,8 @@ from biphoton import (
 from biphoton import engines
 from biphoton.engines import (
     TRUTH_BACKGROUND,
-    TRUTH_BUNDLE,
     classical_bracket,
     expected_class_probabilities,
-    generate_events_chunked,
     residual_integral,
     sample_pair_outcomes,
     side_class_rate,
@@ -264,19 +261,3 @@ class TestEventGeneration:
         assert np.all(stream.truth == TRUTH_BACKGROUND)
         n_a = np.sum(stream.detector == 0)
         assert abs(n_a - 5e3) < 5 * math.sqrt(5e3)
-
-    def test_chunked_deterministic(self, profile, geometry, rates):
-        a = generate_events_chunked(profile, geometry, rates, 0.02, seed=5, n_chunks=4)
-        b = generate_events_chunked(profile, geometry, rates, 0.02, seed=5, n_chunks=4)
-        assert np.array_equal(a.time, b.time)
-        assert np.array_equal(a.detector, b.detector)
-        assert np.array_equal(a.truth, b.truth)
-
-    def test_csv_round_trip(self, profile, geometry, rates, rng, tmp_path):
-        stream = generate_events(profile, geometry, rates, 0.002, rng)
-        path = tmp_path / "events.csv"
-        stream.to_csv(path)
-        back = EventStream.from_csv(path, duration=stream.duration)
-        assert np.array_equal(back.time, stream.time)
-        assert np.array_equal(back.detector, stream.detector)
-        assert np.array_equal(back.truth, stream.truth)

@@ -5,13 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biphoton import (
-    InterferometerGeometry,
-    WavenumberPair,
-    coincidence_classes,
-    delta_L,
-    detector_amplitudes,
-)
+from biphoton import InterferometerGeometry, delta_L
 from biphoton.errors import DomainError
 from biphoton.interferometer import (
     _fmod_2pi,
@@ -19,9 +13,14 @@ from biphoton.interferometer import (
     fringe_phase,
     offset_for_phase,
 )
-from biphoton.spectral import TWO_PI
+from biphoton.spectral import TWO_PI, sample_signal
 from conftest import phase_geometry
-from oracle import class_probabilities_pair_oracle, coincidence_terms, state_norm
+from oracle import (
+    class_probabilities_pair_oracle,
+    coincidence_terms,
+    detector_amplitudes,
+    state_norm,
+)
 
 K_427NM = 14714719.688945167
 
@@ -119,12 +118,15 @@ class TestDetectorAmplitudes:
             detector_amplitudes(0.0, geometry)
 
 
+def _draw_pair(profile, rng):
+    """One signal wavenumber from the spectrum and its idler partner."""
+    k1 = float(sample_signal(profile, rng, 1)[0])
+    return k1, profile.k_pump - k1
+
+
 class TestCoincidenceTerms:
     def test_eight_terms_magnitude_quarter(self, profile, geometry, rng):
-        from biphoton import sample_pair
-
-        pair = sample_pair(profile, rng)
-        terms = coincidence_terms(pair, geometry)
+        terms = coincidence_terms(*_draw_pair(profile, rng), geometry)
         assert len(terms) == 8
         for term in terms:
             assert abs(term.amplitude) == pytest.approx(0.25, rel=1e-12)
@@ -132,56 +134,35 @@ class TestCoincidenceTerms:
 
 class TestCoincidenceClasses:
     def test_central_null_at_zero_phase(self, profile, geometry, k_pump, rng):
-        from biphoton import sample_pair
-
         g = phase_geometry(geometry, k_pump, 0.0)
-        pair = sample_pair(profile, rng)
-        classes = coincidence_classes(pair, g)
-        assert classes.p_central == pytest.approx(0.0, abs=1e-12)
-        assert classes.p_short_long > 0 or classes.p_long_short > 0
-
-    def test_time_signatures(self, profile, geometry, rng):
-        from biphoton import sample_pair
-        from scipy.constants import c
-
-        classes = coincidence_classes(sample_pair(profile, rng), geometry)
-        dt = delta_L(geometry) / c
-        assert classes.dt_central == 0.0
-        assert classes.dt_short_long == pytest.approx(+dt, rel=1e-12)
-        assert classes.dt_long_short == pytest.approx(-dt, rel=1e-12)
+        p_c, p_sl, p_ls = class_probabilities_pair(*_draw_pair(profile, rng), g)
+        assert p_c == pytest.approx(0.0, abs=1e-12)
+        assert p_sl > 0 or p_ls > 0
 
     def test_mu_zero_is_phase_independent(self, profile, k_pump, rng):
-        from biphoton import sample_pair
-
         geom = InterferometerGeometry(
             path_short=0.5, path_long_base=1.05, mode_overlap=0.0
         )
-        pair = sample_pair(profile, rng)
+        k1, k2 = _draw_pair(profile, rng)
         values = []
         for phase in np.linspace(0, 2 * math.pi, 7):
             g = phase_geometry(geom, k_pump, phase)
-            values.append(coincidence_classes(pair, g).p_central)
+            values.append(float(class_probabilities_pair(k1, k2, g)[0]))
         assert np.ptp(values) < 1e-12
         # incoherent sum of the two same-path groups: 2 * (1/16 + 1/16)
         assert values[0] == pytest.approx(0.25, rel=1e-9)
 
     def test_exchange_symmetry(self, profile, geometry, rng):
-        from biphoton import sample_pair
-
-        pair = sample_pair(profile, rng)
-        swapped = WavenumberPair(k1=pair.k2, k2=pair.k1)
-        a = coincidence_classes(pair, geometry)
-        b = coincidence_classes(swapped, geometry)
-        assert a.p_central == pytest.approx(b.p_central, rel=1e-12, abs=1e-15)
-        assert a.p_short_long == pytest.approx(b.p_short_long, rel=1e-12, abs=1e-15)
-        assert a.p_long_short == pytest.approx(b.p_long_short, rel=1e-12, abs=1e-15)
+        k1, k2 = _draw_pair(profile, rng)
+        a = class_probabilities_pair(k1, k2, geometry)
+        b = class_probabilities_pair(k2, k1, geometry)
+        for p, q in zip(a, b):
+            assert float(p) == pytest.approx(float(q), rel=1e-12, abs=1e-15)
 
     def test_side_classes_flat_over_pair_average(self, profile, geometry, k_pump, rng):
         # after averaging over sampled pairs the side-class probability is
         # insensitive to a wavelength-scale scan of the long arm
         n = 10**5
-        from biphoton.spectral import sample_signal
-
         k1 = sample_signal(profile, rng, n)
         k2 = profile.k_pump - k1
         means = []
@@ -193,26 +174,22 @@ class TestCoincidenceClasses:
         assert np.ptp(means) < 5 * stderr
 
     def test_norm_reproduces_wide_window_bracket(self, profile, geometry, k_pump, rng):
-        from biphoton import sample_pair
-
         for phase in np.linspace(0.0, 2 * math.pi, 9):
             g = phase_geometry(geometry, k_pump, phase)
             dl = delta_L(g)
-            pair = sample_pair(profile, rng)
+            k1, k2 = _draw_pair(profile, rng)
             bracket = (
                 1.0
                 - 0.5 * math.cos(float(fringe_phase(k_pump, g)))
-                - 0.5 * math.cos((k_pump - 2.0 * pair.k1) * dl)
+                - 0.5 * math.cos((k_pump - 2.0 * k1) * dl)
             )
-            assert 2.0 * state_norm(pair, g) == pytest.approx(bracket, abs=1e-12)
+            assert 2.0 * state_norm(k1, k2, g) == pytest.approx(bracket, abs=1e-12)
 
     def test_class_ratio_phase_averaged(self, profile, geometry, k_pump, rng):
         # central : (side_sl + side_ls) averages to 1 : 1 over one period once
         # the side residual has washed out (delta_L >> coherence length); the
         # spectral average over sampled pairs supplies the washing-out
         n = 200_000
-        from biphoton.spectral import sample_signal
-
         k1 = sample_signal(profile, rng, n)
         k2 = profile.k_pump - k1
         phases = np.linspace(0.0, 2 * math.pi, 48, endpoint=False)
