@@ -87,9 +87,26 @@ def _write_json(path: Path, payload: dict, config_hash: str, force: bool) -> Non
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def _window_tag(width_s: float) -> str:
+    """Name of a window in output file names and printed lines."""
+    return f"{width_s * 1e9:g}ns"
+
+
 def _check_windows(windows_s, tac) -> None:
-    """Refuse, before any acquisition, each window gate_count would refuse."""
+    """Refuse, before any acquisition, each window gate_count would refuse.
+
+    Windows whose tags coincide would write the same output files, the later
+    silently overwriting the earlier, so they are refused too.
+    """
+    seen = {}
     for width in windows_s:
+        tag = _window_tag(width)
+        if tag in seen:
+            raise ConfigError(
+                f"--window {width * 1e9:.12g} ns and --window {seen[tag] * 1e9:.12g} ns "
+                f"share the output tag {tag}; give distinct windows"
+            )
+        seen[tag] = width
         lo = tac.electrical_delay - width / 2.0
         hi = tac.electrical_delay + width / 2.0
         if not (width > 0 and lo >= 0.0 and hi <= tac.range):
@@ -136,7 +153,7 @@ def cmd_fringes(args) -> int:
     chash = cfg.config_hash()
     period = cfg.data["source"]["pump_wavelength_m"]
     for window in windows_s:
-        tag = f"{window * 1e9:g}ns"
+        tag = _window_tag(window)
         scan = gate_scan(corpus, tac, window)
         scan_path = out / f"fringes_scan_{tag}.csv"
         _guard_overwrite(scan_path, chash, args.force)

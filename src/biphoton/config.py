@@ -82,6 +82,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    """True for an int or float config value; bool and strings are excluded."""
+    return _is_int(value) or isinstance(value, float)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated pipeline configuration built from nested key/value data."""
@@ -172,8 +177,7 @@ class ExperimentConfig:
         warnings: list[str] = []
         for section in ("run", "scan"):
             duration = self.data[section]["duration_s"]
-            number = _is_int(duration) or isinstance(duration, float)
-            if not (number and 0.0 <= duration < math.inf):
+            if not (_is_number(duration) and 0.0 <= duration < math.inf):
                 raise ConfigError(
                     f"{section}.duration_s must be a finite nonnegative number, "
                     f"got {duration!r}"
@@ -216,8 +220,12 @@ class ExperimentConfig:
             raise ConfigError(f"scan.n_points must be an integer, got {n_points!r}")
         if n_points < 8:
             raise ConfigError("scan needs at least 8 points")
-        if self.data["scan"]["span_periods"] < 1.0:
-            raise ConfigError("scan must span at least one fringe period")
+        span = self.data["scan"]["span_periods"]
+        if not (_is_number(span) and 1.0 <= span < math.inf):
+            raise ConfigError(
+                "scan.span_periods must be a finite number of at least one "
+                f"fringe period, got {span!r}"
+            )
         seed = self.data["run"]["seed"]
         if not _is_int(seed) or seed < 0:
             raise ConfigError(

@@ -18,6 +18,13 @@ from .errors import DomainError, PreconditionError
 from .engines import EventStream
 
 
+def _require_finite(**values) -> None:
+    """Reject NaN and infinite parameters, which every comparison lets through."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DetectorModel:
     """Timing jitter (Gaussian sigma), dead time, and quantum efficiency."""
@@ -27,6 +34,11 @@ class DetectorModel:
     efficiency: float = 1.0
 
     def __post_init__(self) -> None:
+        _require_finite(
+            timing_jitter_sigma=self.timing_jitter_sigma,
+            dead_time=self.dead_time,
+            efficiency=self.efficiency,
+        )
         if self.timing_jitter_sigma < 0 or self.dead_time < 0:
             raise DomainError("jitter and dead time must be nonnegative")
         if not 0.0 <= self.efficiency <= 1.0:
@@ -42,6 +54,11 @@ class TacConfig:
     n_channels: int = 4096
 
     def __post_init__(self) -> None:
+        _require_finite(
+            electrical_delay=self.electrical_delay,
+            range=self.range,
+            n_channels=self.n_channels,
+        )
         if self.range <= 0:
             raise DomainError("TAC range must be positive")
         if self.n_channels < 2:
@@ -81,12 +98,43 @@ class TacHistogram:
                 fh.write(f"{float(c)!r},{int(n)}\n")
 
 
+def _non_paralysable(times: np.ndarray, dead_time: float) -> np.ndarray:
+    """Sorted click times a non-paralysable detector of this dead time keeps.
+
+    A click is kept when ``t - last >= dead_time``, ``last`` being the last
+    kept click.  Every click whose gap to its predecessor reaches the dead
+    time is kept in bulk, since ``last`` can be no later than the
+    predecessor.  A click closer than that to its predecessor and also
+    closer than the dead time to the last bulk-kept click is dropped
+    outright.  Only the rest, late clicks in clusters of three or more, are
+    decided one at a time, in order.
+    """
+    free = np.ones(times.size, dtype=bool)
+    free[1:] = np.diff(times) >= dead_time
+    last_free = times[np.maximum.accumulate(np.where(free, np.arange(times.size), 0))]
+    kept = free.copy()
+    ambiguous = np.flatnonzero(~free & (times - last_free >= dead_time))
+    last_ambiguous = -math.inf
+    for i, t, t_free in zip(
+        ambiguous.tolist(), times[ambiguous].tolist(), last_free[ambiguous].tolist()
+    ):
+        if t - max(t_free, last_ambiguous) >= dead_time:
+            kept[i] = True
+            last_ambiguous = t
+    return times[kept]
+
+
 def detect_clicks(
     times: np.ndarray, model: DetectorModel, rng: np.random.Generator
 ) -> np.ndarray:
     """Apply efficiency thinning, timing jitter, then dead-time suppression.
 
-    Returns the accepted click times, sorted.
+    Returns the accepted click times, sorted.  Dead time is non-paralysable:
+    a click within ``dead_time`` of the last kept click is lost and does not
+    extend the dead period.  The filter works on whole arrays: clicks at
+    least a dead time after their predecessor are kept in bulk, and only
+    the few inside clusters of three or more clicks, whose fate depends on
+    an earlier lost click, go through a short loop (``_non_paralysable``).
     """
     times = np.asarray(times, dtype=float)
     if model.efficiency < 1.0:
@@ -95,13 +143,7 @@ def detect_clicks(
         times = times + rng.normal(0.0, model.timing_jitter_sigma, times.size)
     times = np.sort(times)
     if model.dead_time > 0 and times.size:
-        kept = [times[0]]
-        last = times[0]
-        for t in times[1:]:
-            if t - last >= model.dead_time:
-                kept.append(t)
-                last = t
-        times = np.array(kept)
+        times = _non_paralysable(times, model.dead_time)
     return times
 
 
@@ -124,32 +166,53 @@ def tac_differences(
 ) -> np.ndarray:
     """Start-stop differences recorded by a single-start/single-stop TAC.
 
-    ``stops`` are shifted by the electrical delay before pairing.  A start
-    arms the TAC; the next stop completes the conversion if it falls within
-    the range, otherwise the TAC times out at start + range.  Starts during
-    a pending conversion are dropped; an out-of-range stop remains available
-    to later starts.
+    ``stops`` are shifted by the electrical delay before pairing; both
+    inputs must be sorted.  A start arms the TAC; the next stop completes
+    the conversion if it falls within the range, otherwise the TAC times out
+    at start + range.  Starts during a pending conversion (before the busy
+    period's end) are dropped; an out-of-range stop remains available to
+    later starts, and a start with no later stop never converts.
+
+    Each start's next stop and the end of the busy period it would open are
+    found for all starts at once.  A start at or after every earlier start's
+    end arms the TAC whatever happened before it, so these are accepted in
+    bulk.  A start before the end of the last bulk-accepted start is
+    dropped outright.  Only the remaining starts, rare ones whose fate
+    depends on an earlier dropped start, are decided in a short loop, in
+    order.
     """
+    starts = np.asarray(starts, dtype=float)
     stops = np.asarray(stops, dtype=float) + tac.electrical_delay
-    diffs = []
-    j = 0
+    if np.any(starts[1:] < starts[:-1]) or np.any(stops[1:] < stops[:-1]):
+        raise PreconditionError("TAC starts and stops must be sorted")
+    nxt = np.searchsorted(stops, starts, side="right")
+    # starts with no later stop form a suffix and never convert
+    n = int(np.searchsorted(nxt, stops.size, side="left"))
+    if n == 0:
+        return np.empty(0, dtype=float)
+    starts = starts[:n]
+    stop = stops[nxt[:n]]
+    diffs = stop - starts
+    converts = diffs <= tac.range
+    ends = np.where(converts, stop, starts + tac.range)
+    earlier_end = np.empty_like(ends)
+    earlier_end[0] = -math.inf
+    np.maximum.accumulate(ends[:-1], out=earlier_end[1:])
+    free = starts >= earlier_end
+    free_end = np.maximum.accumulate(np.where(free, ends, -math.inf))
+    accepted = free.copy()
+    ambiguous = np.flatnonzero(~free & (starts >= free_end))
     busy_until = -math.inf
-    n_stops = stops.size
-    for start in np.asarray(starts, dtype=float):
-        if start < busy_until:
-            continue
-        while j < n_stops and stops[j] <= start:
-            j += 1
-        if j >= n_stops:
-            break
-        d = stops[j] - start
-        if d <= tac.range:
-            diffs.append(d)
-            busy_until = stops[j]
-            j += 1
-        else:
-            busy_until = start + tac.range
-    return np.array(diffs, dtype=float)
+    for i, start, end, end_free in zip(
+        ambiguous.tolist(),
+        starts[ambiguous].tolist(),
+        ends[ambiguous].tolist(),
+        free_end[ambiguous].tolist(),
+    ):
+        if start >= max(end_free, busy_until):
+            accepted[i] = True
+            busy_until = end
+    return diffs[accepted & converts]
 
 
 def histogram_from_clicks(

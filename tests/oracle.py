@@ -1,8 +1,13 @@
-"""Eight-term amplitude sum: the reference the closed-form kernel is checked against.
+"""Scalar references the vectorised code in ``src`` is checked against.
 
-Every term is built from :func:`detector_amplitudes`, one pair at a time,
-exactly as the post-selected output state is written down: for each
-photon-to-port assignment, the four path terms SS, LL, SL and LS.
+The eight-term amplitude sum is the oracle of the closed-form kernel.  Every
+term is built from :func:`detector_amplitudes`, one pair at a time, exactly
+as the post-selected output state is written down: for each photon-to-port
+assignment, the four path terms SS, LL, SL and LS.
+
+The TAC pairing and the non-paralysable dead-time filter are the oracles of
+their array versions in ``biphoton.detection``: per-event state machines
+that walk the sorted times one at a time.
 """
 from __future__ import annotations
 
@@ -154,3 +159,41 @@ def state_norm(k1: float, k2: float, geometry: InterferometerGeometry) -> float:
         coherent = float(np.abs(np.sum(terms)) ** 2)
         norm += (1.0 - mu) * incoherent + mu * coherent
     return norm
+
+
+def tac_differences_oracle(starts, stops, tac) -> np.ndarray:
+    """Single-start/single-stop TAC pairing, one start at a time."""
+    stops = np.asarray(stops, dtype=float) + tac.electrical_delay
+    diffs = []
+    j = 0
+    busy_until = -math.inf
+    n_stops = stops.size
+    for start in np.asarray(starts, dtype=float):
+        if start < busy_until:
+            continue
+        while j < n_stops and stops[j] <= start:
+            j += 1
+        if j >= n_stops:
+            break
+        d = stops[j] - start
+        if d <= tac.range:
+            diffs.append(d)
+            busy_until = stops[j]
+            j += 1
+        else:
+            busy_until = start + tac.range
+    return np.array(diffs, dtype=float)
+
+
+def non_paralysable_oracle(times, dead_time: float) -> np.ndarray:
+    """Sorted clicks a non-paralysable detector keeps, one click at a time."""
+    times = np.asarray(times, dtype=float)
+    if times.size == 0:
+        return times
+    kept = [times[0]]
+    last = times[0]
+    for t in times[1:]:
+        if t - last >= dead_time:
+            kept.append(t)
+            last = t
+    return np.array(kept)

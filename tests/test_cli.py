@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -60,6 +61,11 @@ class TestConfig:
         # at least 8 points over at least one fringe period
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"scan": scan})
+
+    @pytest.mark.parametrize("span", ["2", True, math.nan, math.inf])
+    def test_span_periods_must_be_finite_number(self, span):
+        with pytest.raises(ConfigError, match="scan.span_periods"):
+            ExperimentConfig.from_dict({"scan": {"span_periods": span}})
 
     def test_hash_stable_and_sensitive(self):
         a = ExperimentConfig.default().config_hash()
@@ -145,8 +151,21 @@ class TestCliCommands:
             ("fringes", {"scan": {"duration_s": -0.01}}, "scan.duration_s"),
             ("histogram", {"run": {"duration_s": "1"}}, "run.duration_s"),
             ("histogram", {"tac": {"n_channels": 4096.7}}, "tac.n_channels"),
+            ("print-config", {"scan": {"span_periods": "2"}}, "scan.span_periods"),
+            ("histogram", {"detector": {"dead_time_s": math.nan}}, "dead_time"),
+            ("histogram", {"tac": {"range_s": math.nan}}, "range"),
+            ("histogram", {"detector": {"jitter_sigma_s": math.inf}}, "jitter"),
         ],
-        ids=["negative_run", "negative_scan", "string_run", "fractional_channels"],
+        ids=[
+            "negative_run",
+            "negative_scan",
+            "string_run",
+            "fractional_channels",
+            "string_span",
+            "nan_dead_time",
+            "nan_tac_range",
+            "infinite_jitter",
+        ],
     )
     def test_bad_value_exit_code(self, tmp_path, capsys, command, overrides, key):
         cfg = write_config(tmp_path, overrides)
@@ -157,7 +176,8 @@ class TestCliCommands:
         assert key in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("window", ["30", "0", "-1"])
+    # 1.0000001 ns shares the output tag 1ns with the first window
+    @pytest.mark.parametrize("window", ["30", "0", "-1", "1.0000001"])
     def test_window_checked_before_acquisition(
         self, tmp_path, capsys, monkeypatch, window
     ):

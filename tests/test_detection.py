@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.constants import c
 
 from biphoton import (
@@ -20,10 +22,20 @@ from biphoton.detection import (
 from biphoton.engines import EventStream
 from biphoton.errors import DomainError, PreconditionError
 from conftest import phase_geometry
+from oracle import non_paralysable_oracle, tac_differences_oracle
 
 IDEAL = DetectorModel(timing_jitter_sigma=0.0, dead_time=0.0, efficiency=1.0)
 TAC = TacConfig(electrical_delay=10e-9, range=20e-9, n_channels=4096)
 DT_SPLIT = 0.55 / c  # 1.8346 ns
+
+#: time unit of the oracle tests, 2**-30 s (about 0.93 ns).  Sums of a few
+#: whole multiples are exact, so ties such as a stop exactly at start + range
+#: really occur on the integer grid.
+UNIT = 2.0**-30
+TICKS = st.one_of(
+    st.lists(st.integers(-15, 60).map(float), max_size=14),
+    st.lists(st.floats(-15.0, 60.0), max_size=14),
+)
 
 
 def make_stream(times_a, times_b, duration=1.0):
@@ -48,6 +60,14 @@ class TestDetectorModel:
         times = np.array([0.0, 10e-9, 60e-9, 200e-9])
         kept = detect_clicks(times, model, rng)
         assert np.allclose(kept, [0.0, 60e-9, 200e-9])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field", ["timing_jitter_sigma", "dead_time", "efficiency"]
+    )
+    def test_non_finite_parameters_rejected(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            DetectorModel(**{field: value})
 
     def test_efficiency_thinning(self, rng):
         model = DetectorModel(timing_jitter_sigma=0.0, dead_time=0.0, efficiency=0.3)
@@ -125,6 +145,94 @@ class TestTac:
         hist = acquire_histogram(events, IDEAL, IDEAL, TAC, rng)
         n_truth = int(np.sum(events.truth == 0)) // 2
         assert gate_count(hist, TAC.electrical_delay, 1e-9) == n_truth
+
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["electrical_delay", "range", "n_channels"])
+    def test_non_finite_config_rejected(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            TacConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "starts, stops",
+        [([2e-9, 1e-9], [-5e-9]), ([1e-9], [-5e-9, -7e-9])],
+        ids=["starts", "stops"],
+    )
+    def test_unsorted_input_rejected(self, starts, stops):
+        with pytest.raises(PreconditionError, match="sorted"):
+            tac_differences(np.array(starts), np.array(stops), TAC)
+
+
+class TestStateMachineOracles:
+    """The array TAC and dead-time filters against the per-event loops."""
+
+    @given(
+        starts=TICKS,
+        stops=TICKS,
+        delay=st.integers(0, 12),
+        range_ticks=st.integers(1, 30),
+    )
+    @settings(max_examples=400, deadline=None)
+    # empty starts, empty stops, and stops that all come before the starts
+    @example(starts=[], stops=[1.0, 2.0], delay=0, range_ticks=5)
+    @example(starts=[1.0, 2.0], stops=[], delay=0, range_ticks=5)
+    @example(starts=[20.0, 25.0], stops=[0.0, 1.0, 2.0], delay=3, range_ticks=5)
+    # a stop at the start itself, and one exactly at start + range
+    @example(starts=[5.0], stops=[5.0, 8.0], delay=0, range_ticks=5)
+    @example(starts=[0.0], stops=[5.0], delay=0, range_ticks=5)
+    # starts exactly at the end of a conversion and of a timeout
+    @example(starts=[0.0, 5.0, 7.0], stops=[5.0, 9.0], delay=0, range_ticks=5)
+    @example(starts=[0.0, 5.0], stops=[20.0], delay=0, range_ticks=5)
+    # an out-of-range stop that a later start converts on
+    @example(starts=[0.0, 12.0], stops=[14.0], delay=0, range_ticks=5)
+    # clusters: a start dropped while busy cannot block the starts after it
+    @example(starts=[0.0, 3.0, 5.0], stops=[8.0], delay=0, range_ticks=5)
+    @example(starts=[0.0, 3.0, 6.0], stops=[9.0], delay=0, range_ticks=5)
+    @example(
+        starts=[0.0, 3.0, 6.0, 8.0, 11.0], stops=[14.0], delay=0, range_ticks=5
+    )
+    def test_tac_matches_loop(self, starts, stops, delay, range_ticks):
+        tac = TacConfig(electrical_delay=delay * UNIT, range=range_ticks * UNIT)
+        starts = np.sort(np.array(starts)) * UNIT
+        stops = np.sort(np.array(stops)) * UNIT
+        got = tac_differences(starts, stops, tac)
+        want = tac_differences_oracle(starts, stops, tac)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    @given(
+        ticks=TICKS,
+        dead=st.one_of(st.integers(1, 12).map(float), st.floats(0.1, 12.0)),
+    )
+    @settings(max_examples=400, deadline=None)
+    @example(ticks=[], dead=3.0)
+    @example(ticks=[0.0, 0.0, 0.0, 3.0], dead=3.0)
+    @example(ticks=[0.0, 2.0, 3.0], dead=3.0)
+    # a cluster of five: each click within the dead time of its predecessor
+    @example(ticks=[0.0, 2.0, 4.0, 6.0, 8.0], dead=3.0)
+    def test_dead_time_matches_loop(self, ticks, dead):
+        model = DetectorModel(
+            timing_jitter_sigma=0.0, dead_time=dead * UNIT, efficiency=1.0
+        )
+        times = np.array(ticks) * UNIT
+        got = detect_clicks(times, model, np.random.default_rng(0))
+        assert np.array_equal(got, non_paralysable_oracle(np.sort(times), dead * UNIT))
+
+    def test_dense_stream_matches_loops(self, profile, geometry, rng):
+        # 1e6 pairs/s: about 5 % of clicks fall within 50 ns of the previous
+        rates = SourceRates(pair_rate=1e6, rc0=1e6, singles_background=2e5)
+        events = generate_events(profile, geometry, rates, 0.01, rng)
+        jitter = DetectorModel(timing_jitter_sigma=300e-12, dead_time=0.0)
+        dead = DetectorModel(timing_jitter_sigma=0.0, dead_time=50e-9)
+        kept = []
+        for port in (0, 1):
+            clicks = detect_clicks(events.times_for(port), jitter, rng)
+            got = detect_clicks(clicks, dead, rng)
+            assert np.array_equal(got, non_paralysable_oracle(clicks, 50e-9))
+            kept.append(got)
+        got = tac_differences(kept[0], kept[1], TAC)
+        assert got.size > 1000
+        assert np.array_equal(got, tac_differences_oracle(kept[0], kept[1], TAC))
 
 
 class TestGateCount:
