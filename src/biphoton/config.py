@@ -13,7 +13,7 @@ from scipy.constants import c as SPEED_OF_LIGHT
 
 from .detection import DetectorModel, TacConfig
 from .engines import SourceRates
-from .errors import ConfigError
+from .errors import BiphotonError, ConfigError
 from .interferometer import InterferometerGeometry, delta_L
 from .spectral import (
     SpectralProfile,
@@ -85,6 +85,14 @@ def _is_int(value) -> bool:
 def _is_number(value) -> bool:
     """True for an int or float config value; bool and strings are excluded."""
     return _is_int(value) or isinstance(value, float)
+
+
+def _build(section: str, builder):
+    """``builder()``, with any error it raises as a ConfigError naming ``section``."""
+    try:
+        return builder()
+    except (BiphotonError, ValueError, TypeError, ArithmeticError) as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -185,17 +193,12 @@ class ExperimentConfig:
         n_channels = self.data["tac"]["n_channels"]
         if not _is_int(n_channels):
             raise ConfigError(f"tac.n_channels must be an integer, got {n_channels!r}")
-        try:
-            profile = self.profile()
-            geometry = self.geometry()
-            rates = self.rates()
-            self.detector()
-            tac = self.tac()
-            rates.pair_scale
-        except ConfigError:
-            raise
-        except Exception as exc:
-            raise ConfigError(str(exc)) from exc
+        profile = _build("source", self.profile)
+        geometry = _build("geometry", self.geometry)
+        rates = _build("rates", self.rates)
+        _build("detector", self.detector)
+        tac = _build("tac", self.tac)
+        _build("rates", lambda: rates.pair_scale)
 
         dl = delta_L(geometry)
         lcoh = coherence_length(profile)

@@ -14,15 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, require_finite
 from .engines import EventStream
-
-
-def _require_finite(**values) -> None:
-    """Reject NaN and infinite parameters, which every comparison lets through."""
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -34,7 +27,7 @@ class DetectorModel:
     efficiency: float = 1.0
 
     def __post_init__(self) -> None:
-        _require_finite(
+        require_finite(
             timing_jitter_sigma=self.timing_jitter_sigma,
             dead_time=self.dead_time,
             efficiency=self.efficiency,
@@ -54,7 +47,7 @@ class TacConfig:
     n_channels: int = 4096
 
     def __post_init__(self) -> None:
-        _require_finite(
+        require_finite(
             electrical_delay=self.electrical_delay,
             range=self.range,
             n_channels=self.n_channels,
@@ -154,10 +147,10 @@ def detect_streams(
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Detected click times at A and B for one event stream."""
-    if events.time.size and np.any(np.diff(events.time) < 0):
-        raise PreconditionError("event stream must be time-sorted")
-    t_a = detect_clicks(events.times_for(0), detector_a, rng)
-    t_b = detect_clicks(events.times_for(1), detector_b, rng)
+    if any(np.any(t[1:] < t[:-1]) for t in (events.a, events.b)):
+        raise PreconditionError("each detector's photon times must be sorted")
+    t_a = detect_clicks(events.a, detector_a, rng)
+    t_b = detect_clicks(events.b, detector_b, rng)
     return t_a, t_b
 
 

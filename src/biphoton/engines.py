@@ -5,7 +5,7 @@ Three mutually checkable routes to the same observables:
 * analytic quantum rates by quadrature over the signal spectrum (wide-window
   rate, narrow-window/central rate, and the side-class remainder),
 * the classical random-wavenumber model, closed form and Monte Carlo,
-* Monte Carlo event generation producing timestamped detector clicks.
+* Monte Carlo event generation producing each detector's photon arrival times.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, require_finite
 from .interferometer import (
     InterferometerGeometry,
     class_probabilities_pair,
@@ -24,12 +24,6 @@ from .interferometer import (
     transit_times,
 )
 from .spectral import SpectralProfile, sample_signal
-
-TRUTH_CENTRAL = 0
-TRUTH_SIDE_SL = 1
-TRUTH_SIDE_LS = 2
-TRUTH_BUNDLE = 3
-TRUTH_BACKGROUND = 4
 
 
 @dataclass(frozen=True)
@@ -46,6 +40,11 @@ class SourceRates:
     singles_background: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite(
+            pair_rate=self.pair_rate,
+            rc0=self.rc0,
+            singles_background=self.singles_background,
+        )
         if self.pair_rate < 0 or self.rc0 < 0 or self.singles_background < 0:
             raise DomainError("rates must be nonnegative")
 
@@ -267,23 +266,19 @@ def sample_pair_outcomes(
 
 @dataclass
 class EventStream:
-    """Time-sorted detector clicks with ground-truth labels.
+    """Photon arrival times at detectors A (``a``) and B (``b``), each sorted.
 
-    ``detector`` holds 0 for A and 1 for B; ``truth`` uses the TRUTH_* codes.
-    The truth labels exist for test introspection only — analysis code must
-    not read them.
+    ``pairs_per_class`` counts the emitted pairs by outcome code of
+    :func:`sample_pair_outcomes`: central, side_sl, side_ls, no coincidence.
     """
 
-    time: np.ndarray
-    detector: np.ndarray
-    truth: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
     duration: float
+    pairs_per_class: np.ndarray
 
     def __len__(self) -> int:
-        return self.time.size
-
-    def times_for(self, detector: int) -> np.ndarray:
-        return self.time[self.detector == detector]
+        return self.a.size + self.b.size
 
 
 def generate_events(
@@ -293,7 +288,7 @@ def generate_events(
     duration: float,
     rng: np.random.Generator,
 ) -> EventStream:
-    """Simulate one acquisition of detector clicks.
+    """Simulate one acquisition: the photon arrival times at each detector.
 
     Pair emissions follow a Poisson process; each pair draws a signal
     wavenumber and then one of the three coincidence classes (or the
@@ -309,47 +304,30 @@ def generate_events(
     emit = np.sort(rng.random(n_pairs) * duration)
     outcome = sample_pair_outcomes(profile, geometry, rates, n_pairs, rng)
 
-    times: list[np.ndarray] = []
-    dets: list[np.ndarray] = []
-    truths: list[np.ndarray] = []
-
-    def add(t, d, code):
-        times.append(t)
-        dets.append(np.full(t.size, d, dtype=np.uint8))
-        truths.append(np.full(t.size, code, dtype=np.uint8))
-
     central = emit[outcome == 0]
-    add(central + t_short, 0, TRUTH_CENTRAL)
-    add(central + t_short, 1, TRUTH_CENTRAL)
-
     sl = emit[outcome == 1]
-    add(sl + t_short, 0, TRUTH_SIDE_SL)
-    add(sl + t_long, 1, TRUTH_SIDE_SL)
-
     ls = emit[outcome == 2]
-    add(ls + t_long, 0, TRUTH_SIDE_LS)
-    add(ls + t_short, 1, TRUTH_SIDE_LS)
+    a = [central + t_short, sl + t_short, ls + t_long]
+    b = [central + t_short, sl + t_long, ls + t_short]
 
     # no-coincidence remainder: both photons exit the same port, the port
     # chosen by a fair coin so each detector still sees one click per pair
     # on average; each photon takes a random arm.
     rest = emit[outcome == 3]
-    port = rng.integers(0, 2, rest.size).astype(np.uint8)
+    to_a = rng.integers(0, 2, rest.size) == 0
     for _ in range(2):
         arm = rng.integers(0, 2, rest.size)
         t = rest + np.where(arm == 0, t_short, t_long)
-        times.append(t)
-        dets.append(port)
-        truths.append(np.full(rest.size, TRUTH_BUNDLE, dtype=np.uint8))
+        a.append(t[to_a])
+        b.append(t[~to_a])
 
-    for det in (0, 1):
+    for times in (a, b):
         n_bg = int(rng.poisson(rates.singles_background * duration))
-        add(rng.random(n_bg) * duration, det, TRUTH_BACKGROUND)
+        times.append(rng.random(n_bg) * duration)
 
-    time = np.concatenate(times) if times else np.empty(0)
-    det = np.concatenate(dets) if dets else np.empty(0, dtype=np.uint8)
-    truth = np.concatenate(truths) if truths else np.empty(0, dtype=np.uint8)
-    order = np.argsort(time, kind="stable")
     return EventStream(
-        time=time[order], detector=det[order], truth=truth[order], duration=duration
+        a=np.sort(np.concatenate(a)),
+        b=np.sort(np.concatenate(b)),
+        duration=duration,
+        pairs_per_class=np.bincount(outcome, minlength=4),
     )

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class BiphotonError(Exception):
     """Base class for all package-specific errors."""
@@ -27,3 +29,10 @@ class FitError(BiphotonError, RuntimeError):
 
 class SamplingError(BiphotonError, RuntimeError):
     """Rejection sampling exceeded its attempt budget."""
+
+
+def require_finite(**values) -> None:
+    """Reject NaN and infinite parameters, which every comparison lets through."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value!r}")

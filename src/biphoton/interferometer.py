@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT
 
-from .errors import DomainError
+from .errors import DomainError, require_finite
 from .spectral import TWO_PI
 
 
@@ -43,6 +43,11 @@ class InterferometerGeometry:
     mode_overlap: float = 1.0
 
     def __post_init__(self) -> None:
+        require_finite(
+            path_short=self.path_short,
+            path_long_base=self.path_long_base,
+            path_long_offset=self.path_long_offset,
+        )
         if self.path_long_base + self.path_long_offset <= self.path_short:
             raise DomainError("long arm must exceed short arm")
         if not 0.0 < self.splitter_transmittance < 1.0:

@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, SamplingError
+from .errors import DomainError, SamplingError, require_finite
 
 TWO_PI = 2.0 * math.pi
 
@@ -42,6 +42,7 @@ class SpectralProfile:
     shape: SpectralShape = SpectralShape.GAUSSIAN
 
     def __post_init__(self) -> None:
+        require_finite(k_pump=self.k_pump, delta_k=self.delta_k)
         if self.k_pump <= 0:
             raise DomainError(f"k_pump must be positive, got {self.k_pump}")
         if self.delta_k <= 0:

@@ -8,6 +8,10 @@ assignment, the four path terms SS, LL, SL and LS.
 The TAC pairing and the non-paralysable dead-time filter are the oracles of
 their array versions in ``biphoton.detection``: per-event state machines
 that walk the sorted times one at a time.
+
+The merged event stream is the oracle of ``biphoton.engines.generate_events``:
+every photon of both detectors in one stable-sorted array, each labelled with
+its detector and its ground-truth class.
 """
 from __future__ import annotations
 
@@ -17,8 +21,19 @@ from enum import Enum
 
 import numpy as np
 
+from biphoton.engines import sample_pair_outcomes
 from biphoton.errors import DomainError
-from biphoton.interferometer import InterferometerGeometry, _product_mod_2pi
+from biphoton.interferometer import (
+    InterferometerGeometry,
+    _product_mod_2pi,
+    transit_times,
+)
+
+TRUTH_CENTRAL = 0
+TRUTH_SIDE_SL = 1
+TRUTH_SIDE_LS = 2
+TRUTH_BUNDLE = 3
+TRUTH_BACKGROUND = 4
 
 
 class PathLabel(Enum):
@@ -197,3 +212,59 @@ def non_paralysable_oracle(times, dead_time: float) -> np.ndarray:
             kept.append(t)
             last = t
     return np.array(kept)
+
+
+def generate_events_oracle(profile, geometry, rates, duration: float, rng):
+    """One acquisition as a merged stream ``(time, detector, truth)``.
+
+    ``detector`` holds 0 for A and 1 for B; ``truth`` uses the TRUTH_* codes.
+    The RNG draws come in the same order as in ``generate_events``.
+    """
+    if duration < 0:
+        raise DomainError(f"duration must be nonnegative, got {duration}")
+    t_short, t_long = transit_times(geometry)
+
+    n_pairs = int(rng.poisson(rates.pair_rate * duration))
+    emit = np.sort(rng.random(n_pairs) * duration)
+    outcome = sample_pair_outcomes(profile, geometry, rates, n_pairs, rng)
+
+    times: list[np.ndarray] = []
+    dets: list[np.ndarray] = []
+    truths: list[np.ndarray] = []
+
+    def add(t, d, code):
+        times.append(t)
+        dets.append(np.full(t.size, d, dtype=np.uint8))
+        truths.append(np.full(t.size, code, dtype=np.uint8))
+
+    central = emit[outcome == 0]
+    add(central + t_short, 0, TRUTH_CENTRAL)
+    add(central + t_short, 1, TRUTH_CENTRAL)
+
+    sl = emit[outcome == 1]
+    add(sl + t_short, 0, TRUTH_SIDE_SL)
+    add(sl + t_long, 1, TRUTH_SIDE_SL)
+
+    ls = emit[outcome == 2]
+    add(ls + t_long, 0, TRUTH_SIDE_LS)
+    add(ls + t_short, 1, TRUTH_SIDE_LS)
+
+    # no-coincidence remainder: both photons exit the same port, the port
+    # chosen by a fair coin; each photon takes a random arm.
+    rest = emit[outcome == 3]
+    port = rng.integers(0, 2, rest.size).astype(np.uint8)
+    for _ in range(2):
+        arm = rng.integers(0, 2, rest.size)
+        times.append(rest + np.where(arm == 0, t_short, t_long))
+        dets.append(port)
+        truths.append(np.full(rest.size, TRUTH_BUNDLE, dtype=np.uint8))
+
+    for det in (0, 1):
+        n_bg = int(rng.poisson(rates.singles_background * duration))
+        add(rng.random(n_bg) * duration, det, TRUTH_BACKGROUND)
+
+    time = np.concatenate(times)
+    det = np.concatenate(dets)
+    truth = np.concatenate(truths)
+    order = np.argsort(time, kind="stable")
+    return time[order], det[order], truth[order]

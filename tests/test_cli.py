@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -155,6 +156,11 @@ class TestCliCommands:
             ("histogram", {"detector": {"dead_time_s": math.nan}}, "dead_time"),
             ("histogram", {"tac": {"range_s": math.nan}}, "range"),
             ("histogram", {"detector": {"jitter_sigma_s": math.inf}}, "jitter"),
+            ("histogram", {"rates": {"pair_rate": math.nan}}, "pair_rate"),
+            ("histogram", {"rates": {"singles_background": math.inf}}, "background"),
+            ("histogram", {"rates": {"rc0": math.nan}}, "rc0"),
+            ("histogram", {"source": {"coherence_length_m": math.nan}}, "delta_k"),
+            ("histogram", {"geometry": {"path_short_m": math.nan}}, "path_short"),
         ],
         ids=[
             "negative_run",
@@ -165,6 +171,11 @@ class TestCliCommands:
             "nan_dead_time",
             "nan_tac_range",
             "infinite_jitter",
+            "nan_pair_rate",
+            "infinite_background",
+            "nan_rc0",
+            "nan_coherence_length",
+            "nan_path_short",
         ],
     )
     def test_bad_value_exit_code(self, tmp_path, capsys, command, overrides, key):
@@ -172,7 +183,10 @@ class TestCliCommands:
         out = tmp_path / "out"
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.count("\n") == 1
+        # the message opens with the config section the bad value sits in
+        (section,) = overrides
+        assert re.match(rf"error: {section}[.:]", err)
         assert key in err
         assert not out.exists()
 

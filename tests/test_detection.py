@@ -39,13 +39,12 @@ TICKS = st.one_of(
 
 
 def make_stream(times_a, times_b, duration=1.0):
-    t = np.concatenate([times_a, times_b])
-    d = np.concatenate(
-        [np.zeros(len(times_a), dtype=np.uint8), np.ones(len(times_b), dtype=np.uint8)]
+    return EventStream(
+        a=np.sort(np.asarray(times_a, dtype=float)),
+        b=np.sort(np.asarray(times_b, dtype=float)),
+        duration=duration,
+        pairs_per_class=np.zeros(4, dtype=np.int64),
     )
-    order = np.argsort(t, kind="stable")
-    truth = np.zeros(t.size, dtype=np.uint8)
-    return EventStream(time=t[order], detector=d[order], truth=truth[order], duration=duration)
 
 
 class TestDetectorModel:
@@ -112,14 +111,11 @@ class TestTac:
         assert hist.total == 0
 
     def test_unsorted_stream_rejected(self, rng):
-        events = EventStream(
-            time=np.array([1.0, 0.5]),
-            detector=np.array([0, 1], dtype=np.uint8),
-            truth=np.zeros(2, dtype=np.uint8),
-            duration=1.0,
-        )
-        with pytest.raises(PreconditionError):
-            acquire_histogram(events, IDEAL, IDEAL, TAC, rng)
+        for detector in ("a", "b"):
+            events = make_stream([0.25], [0.75])
+            setattr(events, detector, np.array([1.0, 0.5]))
+            with pytest.raises(PreconditionError):
+                acquire_histogram(events, IDEAL, IDEAL, TAC, rng)
 
     def test_single_start_single_stop(self):
         # two starts before one stop: the second start is dropped
@@ -143,7 +139,7 @@ class TestTac:
         g = phase_geometry(geometry, k_pump, math.pi)
         events = generate_events(profile, g, rates, 0.2, rng)
         hist = acquire_histogram(events, IDEAL, IDEAL, TAC, rng)
-        n_truth = int(np.sum(events.truth == 0)) // 2
+        n_truth = int(events.pairs_per_class[0])
         assert gate_count(hist, TAC.electrical_delay, 1e-9) == n_truth
 
 
@@ -225,8 +221,8 @@ class TestStateMachineOracles:
         jitter = DetectorModel(timing_jitter_sigma=300e-12, dead_time=0.0)
         dead = DetectorModel(timing_jitter_sigma=0.0, dead_time=50e-9)
         kept = []
-        for port in (0, 1):
-            clicks = detect_clicks(events.times_for(port), jitter, rng)
+        for photons in (events.a, events.b):
+            clicks = detect_clicks(photons, jitter, rng)
             got = detect_clicks(clicks, dead, rng)
             assert np.array_equal(got, non_paralysable_oracle(clicks, 50e-9))
             kept.append(got)

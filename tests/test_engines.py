@@ -15,8 +15,8 @@ from biphoton import (
     quantum_rate_wide,
 )
 from biphoton import engines
+from biphoton.config import ExperimentConfig
 from biphoton.engines import (
-    TRUTH_BACKGROUND,
     classical_bracket,
     expected_class_probabilities,
     residual_integral,
@@ -26,7 +26,7 @@ from biphoton.engines import (
 from biphoton.errors import ConfigError, DomainError
 from biphoton.spectral import sample_signal
 from conftest import phase_geometry
-from oracle import class_probabilities_pair_oracle
+from oracle import class_probabilities_pair_oracle, generate_events_oracle
 
 LCOH = 100e-6
 
@@ -171,6 +171,12 @@ class TestSourceRates:
         with pytest.raises(DomainError):
             SourceRates(pair_rate=-1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["pair_rate", "rc0", "singles_background"])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            SourceRates(**{field: value})
+
     def test_scale_over_unity_rejected(self):
         with pytest.raises(ConfigError):
             SourceRates(pair_rate=1e4, rc0=2e4).pair_scale
@@ -183,14 +189,48 @@ class TestEventGeneration:
 
     def test_stream_sorted_and_labeled(self, profile, geometry, rates, rng):
         stream = generate_events(profile, geometry, rates, 0.01, rng)
-        assert np.all(np.diff(stream.time) >= 0)
-        assert set(np.unique(stream.detector)) <= {0, 1}
+        assert np.all(np.diff(stream.a) >= 0)
+        assert np.all(np.diff(stream.b) >= 0)
+        assert stream.pairs_per_class.shape == (4,)
+        # without background every pair puts two photons on the detectors
+        assert rates.singles_background == 0
+        assert len(stream) == 2 * stream.pairs_per_class.sum() > 0
+
+    @pytest.mark.parametrize(
+        "config, duration, pair_rate",
+        [
+            ("default", 0.05, None),
+            ("experimental", 0.05, None),
+            ("experimental", 0.0, None),
+            ("experimental", 0.05, 0.0),
+        ],
+        ids=["default", "experimental", "zero_duration", "no_pairs"],
+    )
+    def test_matches_merged_oracle(self, config, duration, pair_rate):
+        # the merged, truth-labelled stream split by detector, from the same
+        # seed: same photon times, same pair counts, same draws consumed
+        cfg = ExperimentConfig.packaged(config)
+        profile, geometry, rates = cfg.profile(), cfg.geometry(), cfg.rates()
+        if pair_rate is not None:
+            rates = SourceRates(pair_rate, pair_rate, rates.singles_background)
+        rng = np.random.default_rng(cfg.data["run"]["seed"])
+        stream = generate_events(profile, geometry, rates, duration, rng)
+        rng_oracle = np.random.default_rng(cfg.data["run"]["seed"])
+        time, detector, truth = generate_events_oracle(
+            profile, geometry, rates, duration, rng_oracle
+        )
+        assert np.array_equal(stream.a, time[detector == 0])
+        assert np.array_equal(stream.b, time[detector == 1])
+        assert stream.a.dtype == stream.b.dtype == np.float64
+        photons = np.bincount(truth, minlength=5)[:4]
+        assert np.array_equal(2 * stream.pairs_per_class, photons)
+        assert rng.random() == rng_oracle.random()
 
     def test_no_central_class_at_zero_phase(self, profile, geometry, k_pump, rates, rng):
         g = phase_geometry(geometry, k_pump, 0.0)
         stream = generate_events(profile, g, rates, 0.05, rng)
-        assert np.sum(stream.truth == 0) == 0
-        assert np.sum((stream.truth == 1) | (stream.truth == 2)) > 0
+        assert stream.pairs_per_class[0] == 0
+        assert stream.pairs_per_class[1] + stream.pairs_per_class[2] > 0
 
     def test_class_balance_phase_averaged(self, profile, geometry, k_pump, rates, rng):
         n_central = n_side = 0
@@ -221,8 +261,8 @@ class TestEventGeneration:
         for phase in (0.0, math.pi / 2, math.pi):
             g = phase_geometry(geometry, k_pump, phase)
             stream = generate_events(profile, g, rates, 0.05, rng)
-            signal = stream.truth != TRUTH_BACKGROUND
-            n_a = int(np.sum((stream.detector == 0) & signal))
+            assert rates.singles_background == 0  # every click at A is signal
+            n_a = stream.a.size
             expected = rates.pair_rate * 0.05
             assert abs(n_a - expected) < 5 * math.sqrt(expected)
 
@@ -258,6 +298,6 @@ class TestEventGeneration:
     def test_background_only(self, geometry, profile, rng):
         rates = SourceRates(pair_rate=0.0, rc0=0.0, singles_background=5e4)
         stream = generate_events(profile, geometry, rates, 0.1, rng)
-        assert np.all(stream.truth == TRUTH_BACKGROUND)
-        n_a = np.sum(stream.detector == 0)
+        assert stream.pairs_per_class.sum() == 0  # every click is background
+        n_a = stream.a.size
         assert abs(n_a - 5e3) < 5 * math.sqrt(5e3)

@@ -37,6 +37,15 @@ class TestDeltaL:
         with pytest.raises(DomainError):
             InterferometerGeometry(path_short=0.5, path_long_base=0.5)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field", ["path_short", "path_long_base", "path_long_offset"]
+    )
+    def test_non_finite_rejected(self, field, value):
+        arms = {"path_short": 0.5, "path_long_base": 1.05, field: value}
+        with pytest.raises(DomainError, match=field):
+            InterferometerGeometry(**arms)
+
     def test_offset_phase_precision(self, geometry, k_pump):
         # a 1 nm offset must move the pump fringe phase by exactly k_p * 1 nm
         g = geometry.with_offset(1e-9)

@@ -80,6 +80,12 @@ class TestProfile:
         with pytest.raises(DomainError):
             SpectralProfile(k_pump=1.0e7, delta_k=1.0, k_center=2.0e7)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["k_pump", "delta_k"])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            SpectralProfile(**{"k_pump": K_427NM, "delta_k": 1e4, field: value})
+
 
 class TestSampling:
     def test_rectangular_degenerate_width(self, rng):
