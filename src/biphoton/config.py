@@ -183,9 +183,22 @@ class ExperimentConfig:
     def validate(self) -> list[str]:
         """Raise ConfigError on fatal problems; return non-fatal warnings."""
         warnings: list[str] = []
+        for section, defaults in DEFAULTS.items():
+            for key, default in defaults.items():
+                value = self.data[section][key]
+                if _is_number(default) and not _is_number(value):
+                    raise ConfigError(
+                        f"{section}.{key} must be a number, got {value!r}"
+                    )
+        coherence = self.data["source"]["coherence_length_m"]
+        # NaN passes on to the profile builder, whose message names delta_k
+        if coherence <= 0:
+            raise ConfigError(
+                f"source.coherence_length_m must be positive, got {coherence!r}"
+            )
         for section in ("run", "scan"):
             duration = self.data[section]["duration_s"]
-            if not (_is_number(duration) and 0.0 <= duration < math.inf):
+            if not 0.0 <= duration < math.inf:
                 raise ConfigError(
                     f"{section}.duration_s must be a finite nonnegative number, "
                     f"got {duration!r}"
@@ -224,7 +237,7 @@ class ExperimentConfig:
         if n_points < 8:
             raise ConfigError("scan needs at least 8 points")
         span = self.data["scan"]["span_periods"]
-        if not (_is_number(span) and 1.0 <= span < math.inf):
+        if not 1.0 <= span < math.inf:
             raise ConfigError(
                 "scan.span_periods must be a finite number of at least one "
                 f"fringe period, got {span!r}"

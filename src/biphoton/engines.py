@@ -119,14 +119,13 @@ def quantum_rate_narrow(
 ) -> float:
     """Central-class (narrow-window) coincidence rate, s^-1.
 
-    The central-class probability is independent of k1, so the spectral
-    integral collapses: rate = rc0 * p_central evaluated at the spectrum
-    center; for T = 0.5 this is (rc0/4)(1 - mu cos(k_p delta_L)).
+    The central-class probability depends only on the pump phase
+    k_p * delta_L, not on k1, so the spectral integral collapses:
+    rate = rc0 * p_central, taken at the spectrum center; for T = 0.5 this is
+    (rc0/4)(1 - mu cos(k_p delta_L)).
     """
     _check_normalized(profile)
-    k1 = profile.k_center
-    k2 = profile.k_pump - k1
-    p_c, _, _ = class_probabilities_pair(k1, k2, geometry)
+    p_c, _, _ = class_probabilities_pair(profile.k_center, profile.k_pump, geometry)
     return rates.rc0 * float(p_c)
 
 
@@ -140,7 +139,7 @@ def side_class_rate(
     kp = profile.k_pump
 
     def sides(k):
-        p_c, p_sl, p_ls = class_probabilities_pair(k, kp - k, geometry)
+        _, p_sl, p_ls = class_probabilities_pair(k, kp, geometry)
         return p_sl + p_ls
 
     return rates.rc0 * _quadrature_mean(profile, sides)
@@ -228,7 +227,7 @@ def expected_class_probabilities(
 
     def comp(idx):
         def f(k):
-            return class_probabilities_pair(k, kp - k, geometry)[idx]
+            return class_probabilities_pair(k, kp, geometry)[idx]
 
         return scale * _quadrature_mean(profile, f)
 
@@ -251,17 +250,14 @@ def sample_pair_outcomes(
     """Outcome codes per pair: 0 central, 1 side_sl, 2 side_ls, 3 no coincidence."""
     scale = rates.pair_scale
     k1 = sample_signal(profile, rng, n_pairs)
-    k2 = profile.k_pump - k1
-    p_c, p_sl, p_ls = class_probabilities_pair(k1, k2, geometry)
-    p_c = scale * p_c
-    p_sl = scale * p_sl
-    p_ls = scale * p_ls
+    p_c, p_sl, p_ls = class_probabilities_pair(k1, profile.k_pump, geometry)
+    # cumulative class thresholds; p_central is one value for every pair
+    central = scale * float(p_c[0]) if n_pairs else 0.0
+    side_sl = central + scale * p_sl
+    side_ls = side_sl + scale * p_ls
     u = rng.random(n_pairs)
-    out = np.full(n_pairs, 3, dtype=np.uint8)
-    out[u < p_c + p_sl + p_ls] = 2
-    out[u < p_c + p_sl] = 1
-    out[u < p_c] = 0
-    return out
+    # the thresholds never decrease, so the code is the number u clears
+    return (u >= central).astype(np.uint8) + (u >= side_sl) + (u >= side_ls)
 
 
 @dataclass

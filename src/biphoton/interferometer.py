@@ -10,11 +10,15 @@ The two photon-to-port assignments (signal at A / idler at B and the swap)
 occupy orthogonal states; each class probability is the sum over both
 assignments of a coherent amplitude sum within the assignment.  The mode
 overlap ``mu`` scales interference cross terms between different path groups.
-That sum reduces to two real cosines per pair, of the sum and the difference
-of the two photons' fringe phases, which :func:`class_probabilities_pair`
-evaluates directly.  The eight-term sum itself, with the single-photon port
-amplitudes it is built from, lives in ``tests/oracle.py`` as the reference
-the closed form is tested against.
+That sum reduces to two real cosines, of the sum and the difference of the
+two photons' fringe phases phi_i = k_i * delta_L.  The pair conserves the
+pump wavenumber, k1 + k2 = k_pump, so phi_1 + phi_2 = k_pump * delta_L is the
+pump phase, the same for every pair: the central class fringes at the pump
+wavelength.  phi_1 - phi_2 = (2 k1 - k_pump) * delta_L is the one phase that
+varies from pair to pair.  :func:`class_probabilities_pair` thus costs one
+fringe phase and one cosine per pair.  The eight-term sum itself, with the
+single-photon port amplitudes it is built from, lives in ``tests/oracle.py``
+as the reference the closed form is tested against.
 """
 from __future__ import annotations
 
@@ -148,9 +152,9 @@ def offset_for_phase(
     return residual / k
 
 
-def class_probabilities_pair(k1, k2, geometry: InterferometerGeometry):
+def class_probabilities_pair(k1, k_pump: float, geometry: InterferometerGeometry):
     """Class probabilities (p_central, p_short_long, p_long_short) for pairs
-    (k1, k2), vectorized.
+    (k1, k_pump - k1), vectorized over k1.
 
     Closed form of the eight-term output sum.  With c^2 = T(1 - T), summed
     over both photon-to-port assignments:
@@ -161,7 +165,11 @@ def class_probabilities_pair(k1, k2, geometry: InterferometerGeometry):
       the cross term -4 mu c^2 T(1 - T) cos(phi_1 - phi_2) in proportion to
       their weights, so every class stays nonnegative for any T;
 
-    where phi_i = k_i * delta_L from :func:`fringe_phase`.
+    where phi_i = k_i * delta_L.  Since k1 + k2 = k_pump, phi_1 + phi_2 is the
+    pump phase, one scalar for every pair, and phi_1 - phi_2 is the fringe
+    phase of 2 k1 - k_pump, which is exact (Sterbenz) for k1 in
+    [k_pump/4, k_pump].  So each pair costs one phase and one cosine, and
+    p_central comes back as a read-only broadcast of one value.
     """
     t = geometry.splitter_transmittance
     c2 = t * (1.0 - t)
@@ -169,13 +177,12 @@ def class_probabilities_pair(k1, k2, geometry: InterferometerGeometry):
     w_ls = 2.0 * c2 * t * t
     w_side = w_sl + w_ls
     cross = 4.0 * geometry.mode_overlap * c2 * c2
-    f1 = fringe_phase(k1, geometry)
-    f2 = fringe_phase(k2, geometry)
-    p_c = w_side - cross * np.cos(f1 + f2)
-    side = 1.0 - (cross / w_side) * np.cos(f1 - f2)
+    p_c = w_side - cross * np.cos(fringe_phase(k_pump, geometry))
+    phase_diff = fringe_phase(2.0 * k1 - k_pump, geometry)
+    side = 1.0 - (cross / w_side) * np.cos(phase_diff)
     # clamp rounding residue; exact nulls otherwise land at ~-1e-17
     return (
-        np.maximum(p_c, 0.0),
+        np.broadcast_to(np.maximum(p_c, 0.0), np.shape(k1)),
         np.maximum(w_sl * side, 0.0),
         np.maximum(w_ls * side, 0.0),
     )

@@ -161,6 +161,13 @@ class TestCliCommands:
             ("histogram", {"rates": {"rc0": math.nan}}, "rc0"),
             ("histogram", {"source": {"coherence_length_m": math.nan}}, "delta_k"),
             ("histogram", {"geometry": {"path_short_m": math.nan}}, "path_short"),
+            ("histogram", {"rates": {"pair_rate": "1"}}, "rates.pair_rate"),
+            ("histogram", {"geometry": {"path_short_m": None}}, "geometry.path_short_m"),
+            (
+                "histogram",
+                {"source": {"coherence_length_m": 0}},
+                "source.coherence_length_m",
+            ),
         ],
         ids=[
             "negative_run",
@@ -176,6 +183,9 @@ class TestCliCommands:
             "nan_rc0",
             "nan_coherence_length",
             "nan_path_short",
+            "string_pair_rate",
+            "null_path_short",
+            "zero_coherence_length",
         ],
     )
     def test_bad_value_exit_code(self, tmp_path, capsys, command, overrides, key):

@@ -13,7 +13,7 @@ from biphoton.interferometer import (
     fringe_phase,
     offset_for_phase,
 )
-from biphoton.spectral import TWO_PI, sample_signal
+from biphoton.spectral import TWO_PI, SpectralProfile, SpectralShape, sample_signal
 from conftest import phase_geometry
 from oracle import (
     class_probabilities_pair_oracle,
@@ -127,15 +127,15 @@ class TestDetectorAmplitudes:
             detector_amplitudes(0.0, geometry)
 
 
-def _draw_pair(profile, rng):
-    """One signal wavenumber from the spectrum and its idler partner."""
-    k1 = float(sample_signal(profile, rng, 1)[0])
-    return k1, profile.k_pump - k1
+def _draw_signal(profile, rng):
+    """One signal wavenumber from the spectrum; its idler is k_pump - k1."""
+    return float(sample_signal(profile, rng, 1)[0])
 
 
 class TestCoincidenceTerms:
     def test_eight_terms_magnitude_quarter(self, profile, geometry, rng):
-        terms = coincidence_terms(*_draw_pair(profile, rng), geometry)
+        k1 = _draw_signal(profile, rng)
+        terms = coincidence_terms(k1, profile.k_pump - k1, geometry)
         assert len(terms) == 8
         for term in terms:
             assert abs(term.amplitude) == pytest.approx(0.25, rel=1e-12)
@@ -144,7 +144,8 @@ class TestCoincidenceTerms:
 class TestCoincidenceClasses:
     def test_central_null_at_zero_phase(self, profile, geometry, k_pump, rng):
         g = phase_geometry(geometry, k_pump, 0.0)
-        p_c, p_sl, p_ls = class_probabilities_pair(*_draw_pair(profile, rng), g)
+        k1 = _draw_signal(profile, rng)
+        p_c, p_sl, p_ls = class_probabilities_pair(k1, profile.k_pump, g)
         assert p_c == pytest.approx(0.0, abs=1e-12)
         assert p_sl > 0 or p_ls > 0
 
@@ -152,19 +153,20 @@ class TestCoincidenceClasses:
         geom = InterferometerGeometry(
             path_short=0.5, path_long_base=1.05, mode_overlap=0.0
         )
-        k1, k2 = _draw_pair(profile, rng)
+        k1 = _draw_signal(profile, rng)
         values = []
         for phase in np.linspace(0, 2 * math.pi, 7):
             g = phase_geometry(geom, k_pump, phase)
-            values.append(float(class_probabilities_pair(k1, k2, g)[0]))
+            values.append(float(class_probabilities_pair(k1, k_pump, g)[0]))
         assert np.ptp(values) < 1e-12
         # incoherent sum of the two same-path groups: 2 * (1/16 + 1/16)
         assert values[0] == pytest.approx(0.25, rel=1e-9)
 
     def test_exchange_symmetry(self, profile, geometry, rng):
-        k1, k2 = _draw_pair(profile, rng)
-        a = class_probabilities_pair(k1, k2, geometry)
-        b = class_probabilities_pair(k2, k1, geometry)
+        kp = profile.k_pump
+        k1 = _draw_signal(profile, rng)
+        a = class_probabilities_pair(k1, kp, geometry)
+        b = class_probabilities_pair(kp - k1, kp, geometry)
         for p, q in zip(a, b):
             assert float(p) == pytest.approx(float(q), rel=1e-12, abs=1e-15)
 
@@ -173,11 +175,10 @@ class TestCoincidenceClasses:
         # insensitive to a wavelength-scale scan of the long arm
         n = 10**5
         k1 = sample_signal(profile, rng, n)
-        k2 = profile.k_pump - k1
         means = []
         for phase in (0.0, math.pi / 2, math.pi):
             g = phase_geometry(geometry, k_pump, phase)
-            _, p_sl, _ = class_probabilities_pair(k1, k2, g)
+            _, p_sl, _ = class_probabilities_pair(k1, k_pump, g)
             means.append(p_sl.mean())
         stderr = 0.125 / math.sqrt(n)
         assert np.ptp(means) < 5 * stderr
@@ -186,13 +187,14 @@ class TestCoincidenceClasses:
         for phase in np.linspace(0.0, 2 * math.pi, 9):
             g = phase_geometry(geometry, k_pump, phase)
             dl = delta_L(g)
-            k1, k2 = _draw_pair(profile, rng)
+            k1 = _draw_signal(profile, rng)
             bracket = (
                 1.0
                 - 0.5 * math.cos(float(fringe_phase(k_pump, g)))
                 - 0.5 * math.cos((k_pump - 2.0 * k1) * dl)
             )
-            assert 2.0 * state_norm(k1, k2, g) == pytest.approx(bracket, abs=1e-12)
+            norm = state_norm(k1, k_pump - k1, g)
+            assert 2.0 * norm == pytest.approx(bracket, abs=1e-12)
 
     def test_class_ratio_phase_averaged(self, profile, geometry, k_pump, rng):
         # central : (side_sl + side_ls) averages to 1 : 1 over one period once
@@ -200,13 +202,12 @@ class TestCoincidenceClasses:
         # spectral average over sampled pairs supplies the washing-out
         n = 200_000
         k1 = sample_signal(profile, rng, n)
-        k2 = profile.k_pump - k1
         phases = np.linspace(0.0, 2 * math.pi, 48, endpoint=False)
         central = []
         side = np.zeros(n)
         for phase in phases:
             g = phase_geometry(geometry, k_pump, phase)
-            p_c, p_sl, p_ls = class_probabilities_pair(k1, k2, g)
+            p_c, p_sl, p_ls = class_probabilities_pair(k1, k_pump, g)
             central.append(float(np.mean(p_c)))
             side += p_sl + p_ls
         side /= phases.size
@@ -223,8 +224,9 @@ class TestCoincidenceClasses:
     )
     @settings(max_examples=200, deadline=None)
     def test_probabilities_nonnegative(self, t, mu, phase, dk):
-        geom, k1, k2 = _pair_setup(t, mu, phase, dk)
-        p_c, p_sl, p_ls = class_probabilities_pair(k1, k2, geom)
+        geom = _geometry_at(t, mu, phase)
+        k1 = K_427NM / 2 + dk * 1e4
+        p_c, p_sl, p_ls = class_probabilities_pair(k1, K_427NM, geom)
         assert p_c >= 0.0
         assert p_sl >= 0.0
         assert p_ls >= 0.0
@@ -239,23 +241,66 @@ class TestCoincidenceClasses:
     @settings(max_examples=200, deadline=None)
     def test_matches_eight_term_oracle(self, t, mu, phase, dk):
         # the closed form against the amplitude sum it replaces
-        geom, k1, k2 = _pair_setup(t, mu, phase, dk)
-        kernel = class_probabilities_pair(k1, k2, geom)
+        geom = _geometry_at(t, mu, phase)
+        k1 = K_427NM / 2 + dk * 1e4
+        k2 = K_427NM - k1
+        # the pair the oracle sees sums to the kernel's pump exactly
+        assert k1 + k2 == K_427NM
+        kernel = class_probabilities_pair(k1, K_427NM, geom)
         oracle = class_probabilities_pair_oracle(k1, k2, geom)
         for p, q in zip(kernel, oracle):
             assert abs(float(p) - q) <= 1e-12
             assert p >= 0.0
         assert sum(kernel) <= 1.0 + 1e-12
 
+    def test_central_class_independent_of_k1(self, profile, geometry, k_pump, rng):
+        # p_central rests on the pump phase alone: one value, bit for bit, for
+        # every pair of a batch, and the oracle's value at each sampled k1
+        g = phase_geometry(geometry, k_pump, 1.3)
+        k1 = sample_signal(profile, rng, 20)
+        p_c, _, _ = class_probabilities_pair(k1, k_pump, g)
+        assert p_c.shape == k1.shape
+        assert _same_bits(p_c, np.full(k1.shape, p_c[0]))
+        for k in k1:
+            assert k + (k_pump - k) == k_pump
+            oracle = class_probabilities_pair_oracle(k, k_pump - k, g)
+            assert abs(float(p_c[0]) - oracle[0]) <= 1e-12
 
-def _pair_setup(t, mu, phase, dk):
-    """Geometry at pump fringe phase ``phase`` and a pair dk * 1e4 off degeneracy."""
+    @pytest.mark.parametrize(
+        "profile",
+        [
+            # non-degenerate pair: signal near 949 nm, idler near 776 nm
+            SpectralProfile(k_pump=K_427NM, delta_k=1e4, k_center=0.45 * K_427NM),
+            SpectralProfile(
+                k_pump=K_427NM, delta_k=1e4, shape=SpectralShape.RECTANGULAR
+            ),
+        ],
+        ids=["non_degenerate", "rectangular"],
+    )
+    @given(
+        t=st.floats(0.05, 0.95),
+        mu=st.floats(0.0, 1.0),
+        phase=st.floats(0.0, 2 * math.pi, exclude_max=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_sampled_pairs_match_oracle(self, profile, t, mu, phase, seed):
+        geom = _geometry_at(t, mu, phase)
+        k1 = sample_signal(profile, np.random.default_rng(seed), 8)
+        kernel = class_probabilities_pair(k1, K_427NM, geom)
+        for i, k in enumerate(k1):
+            assert k + (K_427NM - k) == K_427NM
+            oracle = class_probabilities_pair_oracle(k, K_427NM - k, geom)
+            for p, q in zip(kernel, oracle):
+                assert abs(float(p[i]) - q) <= 1e-12
+
+
+def _geometry_at(t, mu, phase):
+    """Geometry with transmittance t, mode overlap mu and pump phase ``phase``."""
     geom = InterferometerGeometry(
         path_short=0.5,
         path_long_base=1.05,
         splitter_transmittance=t,
         mode_overlap=mu,
     )
-    geom = geom.with_offset(offset_for_phase(K_427NM, geom, phase))
-    k1 = K_427NM / 2 + dk * 1e4
-    return geom, k1, K_427NM - k1
+    return geom.with_offset(offset_for_phase(K_427NM, geom, phase))
