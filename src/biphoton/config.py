@@ -207,6 +207,15 @@ class ExperimentConfig:
         if not _is_int(n_channels):
             raise ConfigError(f"tac.n_channels must be an integer, got {n_channels!r}")
         profile = _build("source", self.profile)
+        lo, hi = profile.support()
+        if not (lo > 0.0 and hi < profile.k_pump):
+            # sample_signal truncates to (0, k_pump) but the closed-form
+            # spectral averages do not, so the two would disagree
+            raise ConfigError(
+                f"source: the signal spectrum's support [{lo:.6g}, {hi:.6g}] rad/m "
+                f"crosses 0 or k_pump = {profile.k_pump:.6g} rad/m; "
+                "source.coherence_length_m is too short"
+            )
         geometry = _build("geometry", self.geometry)
         rates = _build("rates", self.rates)
         _build("detector", self.detector)

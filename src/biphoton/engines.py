@@ -2,10 +2,30 @@
 
 Three mutually checkable routes to the same observables:
 
-* analytic quantum rates by quadrature over the signal spectrum (wide-window
-  rate, narrow-window/central rate, and the side-class remainder),
+* analytic quantum rates as closed-form averages over the signal spectrum
+  (wide-window rate, narrow-window/central rate, and the side-class
+  remainder),
 * the classical random-wavenumber model, closed form and Monte Carlo,
 * Monte Carlo event generation producing each detector's photon arrival times.
+
+Every spectral average here is the mean of a cosine of a linear function of
+k1 over |phi|^2.  The density is symmetric about k_center, so the mean of
+cos(carrier + (k1 - k_center) t) is cos(carrier) times the spectrum's
+characteristic function at t: exp(-sigma^2 t^2 / 2) for the Gaussian shape,
+sinc(delta_k t) for the rectangular one (:func:`_mean_cos`).
+
+Event generation needs no wavenumber per pair.  Pairs are emitted as a
+Poisson process of rate R, and a pair's signal wavenumber serves only to
+pick its outcome, so each pair is independently marked with outcome j with
+probability P_j, the spectral mean of its class probability.  By the marking
+(colouring) theorem of Poisson processes (Kingman, *Poisson Processes*,
+1993; Lewis & Shedler, Nav. Res. Logist. Q. 26, 403, 1979) the pairs of each
+outcome then form independent Poisson processes of rates R * P_j.  An
+acquisition of length T is drawn as one Poisson count per outcome, mean
+R * T * P_j, and that many uniform emission times.  The no-coincidence
+outcome splits further by port and arms, each split again a marking.
+Per-pair sampling, :func:`sample_pair_outcomes`, stays as the independent
+check of these rates.
 """
 from __future__ import annotations
 
@@ -18,12 +38,13 @@ import numpy as np
 from .errors import ConfigError, DomainError, require_finite
 from .interferometer import (
     InterferometerGeometry,
+    class_probabilities,
     class_probabilities_pair,
     delta_L,
     fringe_phase,
     transit_times,
 )
-from .spectral import SpectralProfile, sample_signal
+from .spectral import SpectralProfile, SpectralShape, sample_signal
 
 
 @dataclass(frozen=True)
@@ -62,12 +83,11 @@ class SourceRates:
         return scale
 
 
-def _quadrature_mean(profile: SpectralProfile, func, tol: float = 1e-9) -> float:
-    """Integral of pdf(k) * func(k) dk by Simpson's rule with grid doubling.
+def normalization_check(profile: SpectralProfile, tol: float = 1e-9) -> float:
+    """Integral of |phi|^2 by Simpson's rule; raises if it strays from 1.
 
-    Starts at 2000 intervals and doubles until two successive refinements
-    agree to ``tol`` (relative, with an absolute floor of ``tol`` since the
-    integrands here are bounded by 1).
+    The grid starts at 2000 intervals over the profile's support and doubles
+    until two successive refinements agree to ``tol``.
     """
     from scipy.integrate import simpson
 
@@ -76,17 +96,13 @@ def _quadrature_mean(profile: SpectralProfile, func, tol: float = 1e-9) -> float
     prev = None
     while n <= 2_048_000:
         k = np.linspace(lo, hi, n + 1)
-        val = float(simpson(profile.pdf(k) * func(k), x=k))
-        if prev is not None and abs(val - prev) <= tol * max(1.0, abs(val)):
-            return val
-        prev = val
+        total = float(simpson(profile.pdf(k), x=k))
+        if prev is not None and abs(total - prev) <= tol * max(1.0, abs(total)):
+            break
+        prev = total
         n *= 2
-    raise RuntimeError("quadrature failed to converge")
-
-
-def normalization_check(profile: SpectralProfile, tol: float = 1e-9) -> float:
-    """Numerical integral of |phi|^2; raises if it strays from 1."""
-    total = _quadrature_mean(profile, lambda k: np.ones_like(k))
+    else:
+        raise RuntimeError("quadrature failed to converge")
     if abs(total - 1.0) > tol:
         raise DomainError(f"spectral profile not normalized: integral = {total}")
     return total
@@ -102,14 +118,41 @@ def _check_normalized(profile: SpectralProfile) -> None:
     normalization_check(profile)
 
 
+def _mean_cos(profile: SpectralProfile, carrier: float, t: float) -> float:
+    """Mean over |phi|^2 of cos(carrier + (k1 - k_center) * t)."""
+    if profile.shape is SpectralShape.GAUSSIAN:
+        envelope = math.exp(-0.5 * (profile.sigma * t) ** 2)
+    else:
+        x = profile.delta_k * t
+        envelope = math.sin(x) / x if x else 1.0
+    return math.cos(carrier) * envelope
+
+
 def residual_integral(profile: SpectralProfile, dl: float) -> float:
     """Mean of cos((k_pump - 2 k1) * delta_L) over the signal spectrum.
 
     This is the term that washes out once the path imbalance exceeds the
     coherence length; it equals 1 at delta_L = 0.
     """
-    kp = profile.k_pump
-    return _quadrature_mean(profile, lambda k: np.cos((kp - 2.0 * k) * dl))
+    return _mean_cos(profile, (profile.k_pump - 2.0 * profile.k_center) * dl, 2.0 * dl)
+
+
+def _mean_class_probabilities(
+    profile: SpectralProfile, geometry: InterferometerGeometry
+) -> tuple[float, float, float]:
+    """Per-pair (p_central, p_short_long, p_long_short) averaged over |phi|^2.
+
+    The kernel is linear in the cosine of the phase difference
+    (2 k1 - k_pump) * delta_L, so its mean is the kernel at that cosine's
+    mean; p_central does not depend on k1 at all.
+    """
+    kp, kc = profile.k_pump, profile.k_center
+    carrier = float(fringe_phase(2.0 * kc - kp, geometry))
+    mean_cos_diff = _mean_cos(profile, carrier, 2.0 * delta_L(geometry))
+    probs = class_probabilities(
+        np.cos(fringe_phase(kp, geometry)), mean_cos_diff, geometry
+    )
+    return tuple(float(p) for p in probs)
 
 
 def quantum_rate_narrow(
@@ -134,15 +177,10 @@ def side_class_rate(
     geometry: InterferometerGeometry,
     rates: SourceRates,
 ) -> float:
-    """Summed rate of the two side classes, s^-1, by quadrature over k1."""
+    """Summed rate of the two side classes, s^-1, averaged over k1."""
     _check_normalized(profile)
-    kp = profile.k_pump
-
-    def sides(k):
-        _, p_sl, p_ls = class_probabilities_pair(k, kp, geometry)
-        return p_sl + p_ls
-
-    return rates.rc0 * _quadrature_mean(profile, sides)
+    _, p_sl, p_ls = _mean_class_probabilities(profile, geometry)
+    return rates.rc0 * (p_sl + p_ls)
 
 
 def quantum_rate_wide(
@@ -170,20 +208,13 @@ def classical_bracket(
     where C1, C2 are the single-photon fringe means (negligible beyond the
     coherence length) and R is :func:`residual_integral`.
     """
-    kp = profile.k_pump
+    kp, kc = profile.k_pump, profile.k_center
     dl = delta_L(geometry)
     phase_p = float(fringe_phase(kp, geometry))
-    if profile.k_center == kp / 2.0:
-        # signal and idler share the same spectrum: the single-photon fringe
-        # means cancel identically
-        c1 = c2 = 0.0
-    else:
-        c1 = _quadrature_mean(
-            profile, lambda k: np.cos(fringe_phase(k, geometry))
-        )
-        c2 = _quadrature_mean(
-            profile, lambda k: np.cos(fringe_phase(kp - k, geometry))
-        )
+    # the idler's spectrum is the signal's mirrored about k_pump / 2; for the
+    # degenerate k_center = k_pump / 2 the two means cancel exactly
+    c1 = _mean_cos(profile, float(fringe_phase(kc, geometry)), dl)
+    c2 = _mean_cos(profile, float(fringe_phase(kp - kc, geometry)), dl)
     resid = residual_integral(profile, dl)
     return 1.0 + c1 - c2 - 0.5 * math.cos(phase_p) - 0.5 * resid
 
@@ -207,10 +238,10 @@ def classical_monte_carlo(
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
     k1 = sample_signal(profile, rng, n_samples)
-    k2 = profile.k_pump - k1
-    vals = (1.0 + np.cos(fringe_phase(k1, geometry))) * (
-        1.0 - np.cos(fringe_phase(k2, geometry))
-    )
+    # k2 = k_pump - k1, so the idler's phase is the pump phase minus the signal's
+    phase_1 = fringe_phase(k1, geometry)
+    phase_2 = fringe_phase(profile.k_pump, geometry) - phase_1
+    vals = (1.0 + np.cos(phase_1)) * (1.0 - np.cos(phase_2))
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
     return mean, stderr
@@ -221,17 +252,13 @@ def expected_class_probabilities(
     geometry: InterferometerGeometry,
     rates: SourceRates,
 ) -> dict[str, float]:
-    """Per-pair outcome probabilities (quadrature route, for oracle checks)."""
+    """Per-pair outcome probabilities, the class probabilities averaged over k1.
+
+    The outcome rates of :func:`generate_events`; ``tests/oracle.py`` holds
+    the quadrature they are checked against.
+    """
     scale = rates.pair_scale
-    kp = profile.k_pump
-
-    def comp(idx):
-        def f(k):
-            return class_probabilities_pair(k, kp, geometry)[idx]
-
-        return scale * _quadrature_mean(profile, f)
-
-    p_c, p_sl, p_ls = comp(0), comp(1), comp(2)
+    p_c, p_sl, p_ls = (scale * p for p in _mean_class_probabilities(profile, geometry))
     return {
         "central": p_c,
         "side_sl": p_sl,
@@ -286,44 +313,51 @@ def generate_events(
 ) -> EventStream:
     """Simulate one acquisition: the photon arrival times at each detector.
 
-    Pair emissions follow a Poisson process; each pair draws a signal
-    wavenumber and then one of the three coincidence classes (or the
-    no-coincidence remainder, which sends both photons to one port so that
-    singles rates stay flat across the fringe).  Independent Poisson
-    background clicks are added on each detector.
+    Pairs are emitted as a Poisson process of rate R = ``pair_rate``.  Each
+    pair lands in one of the three coincidence classes, with the spectral
+    mean P_j of its class probability, or else in the no-coincidence
+    remainder, which sends both photons to one port so that singles rates
+    stay flat across the fringe.  The port is a fair coin and each photon
+    takes either arm with even odds: both short, both long, or one of each,
+    with odds 1/4, 1/4 and 1/2.  By the marking theorem each of these nine
+    cells is an independent Poisson process, of rate R times the cell's
+    probability, so the acquisition draws one Poisson count per cell and
+    that many uniform emission times; the photons arrive after the transit
+    times of their arms.  Independent Poisson background clicks are added
+    on each detector.
     """
     if duration < 0:
         raise DomainError(f"duration must be nonnegative, got {duration}")
     t_short, t_long = transit_times(geometry)
+    probs = expected_class_probabilities(profile, geometry, rates)
+    p_none = max(probs["none"], 0.0)
+    # (probability, photon delays at A, photon delays at B)
+    cells = (
+        (probs["central"], (t_short,), (t_short,)),
+        (probs["side_sl"], (t_short,), (t_long,)),
+        (probs["side_ls"], (t_long,), (t_short,)),
+        (p_none / 8.0, (t_short, t_short), ()),
+        (p_none / 8.0, (t_long, t_long), ()),
+        (p_none / 4.0, (t_short, t_long), ()),
+        (p_none / 8.0, (), (t_short, t_short)),
+        (p_none / 8.0, (), (t_long, t_long)),
+        (p_none / 4.0, (), (t_short, t_long)),
+    )
+    mean = rates.pair_rate * duration * np.array([cell[0] for cell in cells])
+    counts = rng.poisson(mean)
+    emit = np.split(rng.random(int(counts.sum())) * duration, np.cumsum(counts)[:-1])
 
-    n_pairs = int(rng.poisson(rates.pair_rate * duration))
-    emit = np.sort(rng.random(n_pairs) * duration)
-    outcome = sample_pair_outcomes(profile, geometry, rates, n_pairs, rng)
-
-    central = emit[outcome == 0]
-    sl = emit[outcome == 1]
-    ls = emit[outcome == 2]
-    a = [central + t_short, sl + t_short, ls + t_long]
-    b = [central + t_short, sl + t_long, ls + t_short]
-
-    # no-coincidence remainder: both photons exit the same port, the port
-    # chosen by a fair coin so each detector still sees one click per pair
-    # on average; each photon takes a random arm.
-    rest = emit[outcome == 3]
-    to_a = rng.integers(0, 2, rest.size) == 0
-    for _ in range(2):
-        arm = rng.integers(0, 2, rest.size)
-        t = rest + np.where(arm == 0, t_short, t_long)
-        a.append(t[to_a])
-        b.append(t[~to_a])
-
-    for times in (a, b):
+    a, b = [], []
+    for times, (_, at_a, at_b) in zip(emit, cells):
+        a.extend(times + delay for delay in at_a)
+        b.extend(times + delay for delay in at_b)
+    for clicks in (a, b):
         n_bg = int(rng.poisson(rates.singles_background * duration))
-        times.append(rng.random(n_bg) * duration)
+        clicks.append(rng.random(n_bg) * duration)
 
     return EventStream(
         a=np.sort(np.concatenate(a)),
         b=np.sort(np.concatenate(b)),
         duration=duration,
-        pairs_per_class=np.bincount(outcome, minlength=4),
+        pairs_per_class=np.append(counts[:3], counts[3:].sum()),
     )

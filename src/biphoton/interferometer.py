@@ -15,10 +15,11 @@ two photons' fringe phases phi_i = k_i * delta_L.  The pair conserves the
 pump wavenumber, k1 + k2 = k_pump, so phi_1 + phi_2 = k_pump * delta_L is the
 pump phase, the same for every pair: the central class fringes at the pump
 wavelength.  phi_1 - phi_2 = (2 k1 - k_pump) * delta_L is the one phase that
-varies from pair to pair.  :func:`class_probabilities_pair` thus costs one
-fringe phase and one cosine per pair.  The eight-term sum itself, with the
-single-photon port amplitudes it is built from, lives in ``tests/oracle.py``
-as the reference the closed form is tested against.
+varies from pair to pair.  :func:`class_probabilities` takes the cosines of
+the two, so :func:`class_probabilities_pair` costs one fringe phase and one
+cosine per pair.  The eight-term sum itself, with the single-photon port
+amplitudes it is built from, lives in ``tests/oracle.py`` as the reference
+the closed form is tested against.
 """
 from __future__ import annotations
 
@@ -152,9 +153,10 @@ def offset_for_phase(
     return residual / k
 
 
-def class_probabilities_pair(k1, k_pump: float, geometry: InterferometerGeometry):
-    """Class probabilities (p_central, p_short_long, p_long_short) for pairs
-    (k1, k_pump - k1), vectorized over k1.
+def class_probabilities(cos_pump, cos_diff, geometry: InterferometerGeometry):
+    """Class probabilities (p_central, p_short_long, p_long_short) from the
+    cosines of the pump phase phi_1 + phi_2 and of the phase difference
+    phi_1 - phi_2.
 
     Closed form of the eight-term output sum.  With c^2 = T(1 - T), summed
     over both photon-to-port assignments:
@@ -163,13 +165,10 @@ def class_probabilities_pair(k1, k_pump: float, geometry: InterferometerGeometry
       -4 mu c^2 T(1 - T) cos(phi_1 + phi_2);
     * side classes, weights 2c^2(1 - T)^2 (SL) and 2c^2 T^2 (LS), which split
       the cross term -4 mu c^2 T(1 - T) cos(phi_1 - phi_2) in proportion to
-      their weights, so every class stays nonnegative for any T;
+      their weights, so every class stays nonnegative for any T.
 
-    where phi_i = k_i * delta_L.  Since k1 + k2 = k_pump, phi_1 + phi_2 is the
-    pump phase, one scalar for every pair, and phi_1 - phi_2 is the fringe
-    phase of 2 k1 - k_pump, which is exact (Sterbenz) for k1 in
-    [k_pump/4, k_pump].  So each pair costs one phase and one cosine, and
-    p_central comes back as a read-only broadcast of one value.
+    Each class is linear in its cosine, so the kernel at the spectral mean of
+    cos_diff is the spectral mean of the kernel.
     """
     t = geometry.splitter_transmittance
     c2 = t * (1.0 - t)
@@ -177,12 +176,28 @@ def class_probabilities_pair(k1, k_pump: float, geometry: InterferometerGeometry
     w_ls = 2.0 * c2 * t * t
     w_side = w_sl + w_ls
     cross = 4.0 * geometry.mode_overlap * c2 * c2
-    p_c = w_side - cross * np.cos(fringe_phase(k_pump, geometry))
-    phase_diff = fringe_phase(2.0 * k1 - k_pump, geometry)
-    side = 1.0 - (cross / w_side) * np.cos(phase_diff)
+    p_c = w_side - cross * cos_pump
+    side = 1.0 - (cross / w_side) * cos_diff
     # clamp rounding residue; exact nulls otherwise land at ~-1e-17
     return (
-        np.broadcast_to(np.maximum(p_c, 0.0), np.shape(k1)),
+        np.maximum(p_c, 0.0),
         np.maximum(w_sl * side, 0.0),
         np.maximum(w_ls * side, 0.0),
     )
+
+
+def class_probabilities_pair(k1, k_pump: float, geometry: InterferometerGeometry):
+    """:func:`class_probabilities` for pairs (k1, k_pump - k1), vectorized over k1.
+
+    phi_i = k_i * delta_L.  Since k1 + k2 = k_pump, phi_1 + phi_2 is the pump
+    phase, one scalar for every pair, and phi_1 - phi_2 is the fringe phase
+    of 2 k1 - k_pump, which is exact (Sterbenz) for k1 in [k_pump/4, k_pump].
+    So each pair costs one phase and one cosine, and p_central comes back as
+    a read-only broadcast of one value.
+    """
+    p_c, p_sl, p_ls = class_probabilities(
+        np.cos(fringe_phase(k_pump, geometry)),
+        np.cos(fringe_phase(2.0 * k1 - k_pump, geometry)),
+        geometry,
+    )
+    return np.broadcast_to(p_c, np.shape(k1)), p_sl, p_ls

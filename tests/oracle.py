@@ -10,8 +10,13 @@ their array versions in ``biphoton.detection``: per-event state machines
 that walk the sorted times one at a time.
 
 The merged event stream is the oracle of ``biphoton.engines.generate_events``:
-every photon of both detectors in one stable-sorted array, each labelled with
-its detector and its ground-truth class.
+a signal wavenumber and an outcome drawn for every pair, and every photon of
+both detectors in one stable-sorted array, each labelled with its detector
+and its ground-truth class.  The two draw different random streams, so they
+agree in distribution, not bit for bit.
+
+Simpson quadrature over the signal spectrum is the oracle of the closed-form
+spectral averages in ``biphoton.engines``.
 """
 from __future__ import annotations
 
@@ -21,11 +26,14 @@ from enum import Enum
 
 import numpy as np
 
+from scipy.integrate import simpson
+
 from biphoton.engines import sample_pair_outcomes
 from biphoton.errors import DomainError
 from biphoton.interferometer import (
     InterferometerGeometry,
     _product_mod_2pi,
+    class_probabilities_pair,
     transit_times,
 )
 
@@ -268,3 +276,43 @@ def generate_events_oracle(profile, geometry, rates, duration: float, rng):
     truth = np.concatenate(truths)
     order = np.argsort(time, kind="stable")
     return time[order], det[order], truth[order]
+
+
+def quadrature_mean(profile, func, tol: float = 1e-9) -> float:
+    """Integral of pdf(k) * func(k) dk by Simpson's rule with grid doubling.
+
+    Starts at 2000 intervals over the profile's support and doubles until
+    two successive refinements agree to ``tol`` (relative, with an absolute
+    floor of ``tol`` since the integrands here are bounded by 1).
+    """
+    lo, hi = profile.support()
+    n = 2000
+    prev = None
+    while n <= 2_048_000:
+        k = np.linspace(lo, hi, n + 1)
+        val = float(simpson(profile.pdf(k) * func(k), x=k))
+        if prev is not None and abs(val - prev) <= tol * max(1.0, abs(val)):
+            return val
+        prev = val
+        n *= 2
+    raise RuntimeError("quadrature failed to converge")
+
+
+def expected_class_probabilities_oracle(profile, geometry, rates) -> dict:
+    """Per-pair outcome probabilities, one quadrature of the kernel per class."""
+    scale = rates.pair_scale
+    kp = profile.k_pump
+
+    def comp(idx):
+        def f(k):
+            return class_probabilities_pair(k, kp, geometry)[idx]
+
+        return scale * quadrature_mean(profile, f)
+
+    p_c, p_sl, p_ls = comp(0), comp(1), comp(2)
+    return {
+        "central": p_c,
+        "side_sl": p_sl,
+        "side_ls": p_ls,
+        "none": 1.0 - (p_c + p_sl + p_ls),
+    }

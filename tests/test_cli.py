@@ -168,6 +168,11 @@ class TestCliCommands:
                 {"source": {"coherence_length_m": 0}},
                 "source.coherence_length_m",
             ),
+            (
+                "histogram",
+                {"source": {"coherence_length_m": 1e-7}},
+                "source.coherence_length_m",
+            ),
         ],
         ids=[
             "negative_run",
@@ -186,6 +191,7 @@ class TestCliCommands:
             "string_pair_rate",
             "null_path_short",
             "zero_coherence_length",
+            "spectrum_crosses_pump",
         ],
     )
     def test_bad_value_exit_code(self, tmp_path, capsys, command, overrides, key):

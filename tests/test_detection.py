@@ -22,7 +22,12 @@ from biphoton.detection import (
 from biphoton.engines import EventStream
 from biphoton.errors import DomainError, PreconditionError
 from conftest import phase_geometry
-from oracle import non_paralysable_oracle, tac_differences_oracle
+from oracle import (
+    TRUTH_SIDE_LS,
+    generate_events_oracle,
+    non_paralysable_oracle,
+    tac_differences_oracle,
+)
 
 IDEAL = DetectorModel(timing_jitter_sigma=0.0, dead_time=0.0, efficiency=1.0)
 TAC = TacConfig(electrical_delay=10e-9, range=20e-9, n_channels=4096)
@@ -240,9 +245,18 @@ class TestGateCount:
     def test_five_ns_window_includes_all_peaks(
         self, profile, geometry, k_pump, rates, rng
     ):
-        hist = self.make_hist(profile, geometry, k_pump, rates, rng)
-        wide = gate_count(hist, TAC.electrical_delay, 5e-9)
-        assert wide == hist.total  # only three peaks exist without background
+        # the oracle's photons of the three coincidence classes only: without
+        # the no-coincidence photons, whose starts meet stops of other pairs
+        # anywhere in the TAC range, only the three peaks exist
+        g = phase_geometry(geometry, k_pump, math.pi / 2)
+        time, detector, truth = generate_events_oracle(profile, g, rates, 0.02, rng)
+        pair = truth <= TRUTH_SIDE_LS
+        events = EventStream(
+            time[pair & (detector == 0)], time[pair & (detector == 1)], 0.02, None
+        )
+        hist = acquire_histogram(events, IDEAL, IDEAL, TAC, rng)
+        assert hist.total > 0
+        assert gate_count(hist, TAC.electrical_delay, 5e-9) == hist.total
 
     def test_one_ns_window_central_only(self, profile, geometry, k_pump, rates, rng):
         hist = self.make_hist(profile, geometry, k_pump, rates, rng)
