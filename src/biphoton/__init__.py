@@ -10,13 +10,11 @@ __version__ = "0.1.0"
 
 from .analysis import (  # noqa: F401
     FringeScan,
-    PztCalibration,
     Regime,
     Verdict,
     VisibilityReport,
     classify_regime,
     fit_visibility,
-    volts_to_offset,
 )
 from .detection import (  # noqa: F401
     DetectorModel,

@@ -3,8 +3,8 @@
 The regime boundary is set by the coincidence window against the arrival-time
 split delta_L/c: a window wider than the split cannot distinguish the paths
 (classical regime, visibility capped at 50%); a narrower window selects the
-central class only (quantum regime).  A fitted visibility more than two
-standard deviations above 0.5 is reported as nonclassical.
+central class only (quantum regime).  A locked-period Poisson fit whose
+one-sided likelihood-ratio test rejects V <= 0.5 at 2 sigma is nonclassical.
 """
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import optimize, stats
 from scipy.constants import c as SPEED_OF_LIGHT
 
 from .detection import (
@@ -40,34 +39,6 @@ class Verdict(Enum):
     NONCLASSICAL = "nonclassical"
 
 
-class PztInterpretation(Enum):
-    PATH_DIFFERENCE = "path_difference"
-    MIRROR_DISPLACEMENT = "mirror_displacement"
-
-
-@dataclass(frozen=True)
-class PztCalibration:
-    """Piezo calibration; the quoted value is 46 +/- 8 nm per volt."""
-
-    nm_per_volt: float = 46.0
-    nm_per_volt_sigma: float = 8.0
-    interpretation: PztInterpretation = PztInterpretation.PATH_DIFFERENCE
-
-    def __post_init__(self) -> None:
-        if self.nm_per_volt <= 0:
-            raise DomainError("nm_per_volt must be positive")
-
-
-def volts_to_offset(volts: float, cal: PztCalibration) -> float:
-    """Piezo drive voltage to optical-path offset in metres.
-
-    A mirror displacement is traversed twice in a Michelson arm, doubling the
-    path change.
-    """
-    factor = 2.0 if cal.interpretation is PztInterpretation.MIRROR_DISPLACEMENT else 1.0
-    return factor * volts * cal.nm_per_volt * 1e-9
-
-
 def classify_regime(window_width: float, geometry: InterferometerGeometry) -> Regime:
     """Classical if the window exceeds delta_L/c, quantum if it is smaller."""
     dl = delta_L(geometry)
@@ -91,7 +62,6 @@ class FringeScan:
     coincidences: np.ndarray
     duration: float
     window_width: float
-    volts: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if len(self.offsets) and np.any(np.diff(self.offsets) <= 0):
@@ -103,13 +73,12 @@ class FringeScan:
         with open(path, "w") as fh:
             fh.write(f"# window_s={float(self.window_width)!r}\n")
             fh.write(f"# config_hash={config_hash}\n")
-            fh.write("offset_m,volts,singles_a,singles_b,coincidences,duration_s\n")
-            volts = self.volts if self.volts is not None else np.zeros_like(self.offsets)
-            for o, v, sa, sb, cc in zip(
-                self.offsets, volts, self.singles_a, self.singles_b, self.coincidences
+            fh.write("offset_m,singles_a,singles_b,coincidences,duration_s\n")
+            for o, sa, sb, cc in zip(
+                self.offsets, self.singles_a, self.singles_b, self.coincidences
             ):
                 fh.write(
-                    f"{float(o)!r},{float(v)!r},{float(sa)!r},{float(sb)!r},"
+                    f"{float(o)!r},{float(sa)!r},{float(sb)!r},"
                     f"{int(cc)},{float(self.duration)!r}\n"
                 )
 
@@ -203,8 +172,40 @@ def gate_scan(
     )
 
 
-def _fringe_model(x, baseline, vis, phase, period):
-    return baseline * (1.0 - vis * np.cos(TWO_PI * x / period + phase))
+_PHASE_GRID = 64
+_REFINEMENTS = 5  # each splits the step by 32: 2 pi/64/32**5 = 3e-9 rad
+_TOLERANCE = 1e-10  # Newton decrement, about twice the log-likelihood still to gain
+_LR_THRESHOLD = 4.0  # (2 sigma)^2: the one-sided 2-sigma level
+
+
+def _fixed_visibility_fit(
+    theta: np.ndarray, y: np.ndarray, vis: float
+) -> tuple[float, float, float]:
+    """Maximum Poisson log-likelihood of baseline * (1 - vis cos(theta + phi)).
+
+    The baseline profiles out as N / sum(g), g = 1 - vis cos(theta + phi), and
+    phi comes from a coarse grid refined around each of its local maxima.
+    Returns (log-likelihood, baseline, phi).
+    """
+    n_total = float(y.sum())
+    hit = y > 0
+
+    def profile(phi):
+        g = 1.0 - vis * np.cos(theta + phi[:, None])
+        with np.errstate(divide="ignore"):
+            return np.log(g[:, hit]) @ y[hit] - n_total * np.log(g.sum(axis=1))
+
+    step = TWO_PI / _PHASE_GRID
+    h = profile(np.arange(_PHASE_GRID) * step)
+    phi = np.flatnonzero((h >= np.roll(h, 1)) & (h >= np.roll(h, -1))) * step
+    for _ in range(_REFINEMENTS):
+        grid = phi[:, None] + np.linspace(-step, step, 65)
+        h = profile(grid.ravel()).reshape(grid.shape)
+        phi = grid[np.arange(phi.size), h.argmax(axis=1)]
+        step /= 32.0
+    best = float(grid.flat[h.argmax()])
+    total = float(np.sum(1.0 - vis * np.cos(theta + best)))
+    return n_total * (math.log(n_total) - 1.0) + float(h.max()), n_total / total, best
 
 
 def fit_visibility(
@@ -212,86 +213,84 @@ def fit_visibility(
     known_period: float | None = None,
     regime: Regime | None = None,
 ) -> VisibilityReport:
-    """Weighted least-squares fit of baseline * (1 - V cos(2 pi x/P + phi)).
+    """Poisson maximum-likelihood fit of baseline * (1 - V cos(2 pi x/P + phi)).
 
-    Poisson weights (sigma_i = sqrt(max(count, 1))); when ``known_period`` is
-    given the period is locked, otherwise it is fitted starting from the
-    dominant FFT component.  The verdict is nonclassical only when
-    V - 2 sigma_V > 0.5.
+    The period P is locked to ``known_period``, which is required, so the
+    model b0 + b1 cos(theta) + b2 sin(theta), theta = 2 pi x/P, is linear and
+    V = sqrt(b1^2 + b2^2)/b0 is kept in [0, 1].  From a linear solve weighted
+    by 1/max(count, 1), Fisher-scoring steps climb the concave log-likelihood,
+    each halved until it keeps V < 1 and does not lower the likelihood; if
+    they stall against V = 1, the best fit with V fixed at 1 is reported.
+
+    The verdict is a one-sided likelihood-ratio test of V <= 0.5 (Chernoff,
+    Ann. Math. Stat. 25, 573, 1954): nonclassical only when V > 0.5 and
+    2 (l_max - l(V = 0.5)) > 4, the 2-sigma level.  ``visibility_sigma`` is
+    the delta-method error from the information weighted by 1/max(count, 1),
+    and ``chi2`` the matching Neyman chi-square.
     """
     x = np.asarray(scan.offsets, dtype=float)
     y = np.asarray(scan.coincidences, dtype=float)
     if x.size < 5:
         raise FitError("too few points to fit a fringe")
-    sigma = np.sqrt(np.maximum(y, 1.0))
-    baseline0 = max(float(np.mean(y)), 1e-12)
-    vis0 = min(
-        (float(np.max(y)) - float(np.min(y))) / (2.0 * baseline0), 0.99
-    )
+    if known_period is None:
+        raise FitError("the fringe period must be given: the fit locks it")
+    if not y.sum() > 0:
+        raise FitError("the scan has no coincidences to fit")
+    theta = TWO_PI * x / known_period
+    design = np.column_stack([np.ones_like(theta), np.cos(theta), np.sin(theta)])
+    neyman = 1.0 / np.maximum(y, 1.0)
+    info = (design.T * neyman) @ design
+    if np.linalg.matrix_rank(info) < 3:
+        raise FitError("the scan offsets do not resolve the fringe phase")
+    start = np.linalg.solve(info, design.T @ (neyman * y))
 
-    if known_period is not None:
-        periods = [known_period]
-        fit_period = False
-    else:
-        span = x.max() - x.min()
-        detrended = y - np.mean(y)
-        spectrum = np.abs(np.fft.rfft(detrended))
-        freq = np.fft.rfftfreq(x.size, d=span / max(x.size - 1, 1))
-        idx = int(np.argmax(spectrum[1:])) + 1
-        periods = [1.0 / freq[idx]] if freq[idx] > 0 else [span]
-        fit_period = True
+    def inside(coef):
+        return math.hypot(coef[1], coef[2]) < coef[0]
 
-    best = None
-    diagnostics = []
-    for period0 in periods:
-        for phase0 in (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi):
-            if fit_period:
-                def model(xx, b, v, ph, pp):
-                    return _fringe_model(xx, b, v, ph, pp)
-                p0 = [baseline0, max(vis0, 0.05), phase0, period0]
-            else:
-                def model(xx, b, v, ph, pp=period0):
-                    return _fringe_model(xx, b, v, ph, pp)
-                p0 = [baseline0, max(vis0, 0.05), phase0]
-            try:
-                popt, pcov = optimize.curve_fit(
-                    model, x, y, p0=p0, sigma=sigma, absolute_sigma=True, maxfev=20000
-                )
-            except (RuntimeError, optimize.OptimizeWarning) as exc:
-                diagnostics.append(str(exc))
-                continue
-            resid = (y - model(x, *popt)) / sigma
-            chi2 = float(np.sum(resid**2))
-            if best is None or chi2 < best[0]:
-                best = (chi2, popt, pcov, period0)
-    if best is None:
-        raise FitError(
-            "fringe fit failed to converge; attempts: " + "; ".join(diagnostics)
-        )
-    chi2, popt, pcov, period0 = best
-    baseline, vis, phase = popt[0], popt[1], popt[2]
-    period = popt[3] if fit_period else period0
-    if baseline < 0:
-        baseline, vis = -baseline, -vis
-    if vis < 0:
-        vis, phase = -vis, phase + math.pi
-    phase = math.remainder(phase, TWO_PI)
-    vis_sigma = float(np.sqrt(np.abs(pcov[1][1])))
+    def loglik_of(coef):
+        mu = design @ coef
+        return float(y @ np.log(mu) - mu.sum())  # up to -sum(log y!)
 
-    verdict = (
-        Verdict.NONCLASSICAL
-        if vis - 2.0 * vis_sigma > 0.5
-        else Verdict.CONSISTENT_WITH_CLASSICAL
-    )
+    b = start if inside(start) else np.array([y.mean(), 0.0, 0.0])
+    loglik = loglik_of(b)
+    for _ in range(100):
+        mu = design @ b
+        score = design.T @ (y / mu - 1.0)
+        step = np.linalg.solve((design.T / mu) @ design, score)
+        converged = score @ step < _TOLERANCE
+        if converged:
+            break
+        for trial in (b + 0.5**k * step for k in range(40)):
+            if inside(trial) and (trial_loglik := loglik_of(trial)) >= loglik:
+                break
+        else:
+            break
+        b, loglik = trial, trial_loglik
+    baseline = float(b[0])
+    vis = math.hypot(b[1], b[2]) / baseline
+    phase = math.atan2(b[2], -b[1])
+    if not converged:
+        # a concave likelihood whose ascent stalls peaks on the V = 1 boundary
+        edge_loglik, edge_baseline, edge_phase = _fixed_visibility_fit(theta, y, 1.0)
+        if edge_loglik >= loglik:
+            loglik, baseline, vis, phase = edge_loglik, edge_baseline, 1.0, edge_phase
+
+    mu = baseline * (1.0 - vis * np.cos(theta + phase))
+    grad = np.array([-vis, -math.cos(phase), math.sin(phase)]) / baseline
+    vis_sigma = math.sqrt(grad @ np.linalg.solve(info, grad))
+    null_loglik = _fixed_visibility_fit(theta, y, 0.5)[0] if vis > 0.5 else loglik
+    verdict = Verdict.CONSISTENT_WITH_CLASSICAL
+    if 2.0 * (loglik - null_loglik) > _LR_THRESHOLD:
+        verdict = Verdict.NONCLASSICAL
     return VisibilityReport(
-        visibility=float(vis),
+        visibility=vis,
         visibility_sigma=vis_sigma,
-        period=float(period),
-        phase=float(phase),
-        baseline=float(baseline),
+        period=float(known_period),
+        phase=math.remainder(phase, TWO_PI),
+        baseline=baseline,
         regime=regime,
         verdict=verdict,
-        chi2=chi2,
+        chi2=float(np.sum((y - mu) ** 2 * neyman)),
         n_points=int(x.size),
     )
 
@@ -302,5 +301,7 @@ def flatness_pvalue(counts) -> float:
     mean = counts.mean()
     if mean <= 0:
         return 1.0
+    from scipy.special import chdtrc
+
     chi2 = float(np.sum((counts - mean) ** 2 / mean))
-    return float(stats.chi2.sf(chi2, counts.size - 1))
+    return float(chdtrc(counts.size - 1, chi2))

@@ -57,7 +57,6 @@ DEFAULTS: dict = {
     "run": {
         "duration_s": 1.0,
         "seed": 1,
-        "window_s": 5e-9,
     },
 }
 

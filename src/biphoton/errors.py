@@ -24,7 +24,7 @@ class ConfigError(BiphotonError):
 
 
 class FitError(BiphotonError, RuntimeError):
-    """A least-squares fit failed to converge."""
+    """A fringe scan that no visibility can be fitted to."""
 
 
 class SamplingError(BiphotonError, RuntimeError):

@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -206,6 +210,13 @@ class TestCliCommands:
         assert key in err
         assert not out.exists()
 
+    def test_empty_scan_exit_code(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"scan": {"duration_s": 0}})
+        assert main(["fringes", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "no coincidences" in err
+
     # 1.0000001 ns shares the output tag 1ns with the first window
     @pytest.mark.parametrize("window", ["30", "0", "-1", "1.0000001"])
     def test_window_checked_before_acquisition(
@@ -255,3 +266,21 @@ class TestCliCommands:
         assert main(["print-config", "--seed", "123"]) == 0
         out = capsys.readouterr().out
         assert json.loads(out)["run"]["seed"] == 123
+
+
+def test_import_leaves_out_optimize_and_stats():
+    # they are most of the start-up cost, and no command needs them
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, biphoton.cli; "
+        "print([m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"
