@@ -208,6 +208,20 @@ def _fixed_visibility_fit(
     return n_total * (math.log(n_total) - 1.0) + float(h.max()), n_total / total, best
 
 
+def fringe_design(offsets, period: float) -> tuple[np.ndarray, np.ndarray]:
+    """Fringe phases theta = 2 pi x/P and the fit's columns [1, cos, sin].
+
+    Raises FitError when the columns are rank-deficient (by the rank of their
+    Gram matrix): offsets that alias onto one or two fringe phases cannot
+    resolve the fringe.  Config validation runs this same test on the scan.
+    """
+    theta = TWO_PI * np.asarray(offsets, dtype=float) / period
+    design = np.column_stack([np.ones_like(theta), np.cos(theta), np.sin(theta)])
+    if np.linalg.matrix_rank(design.T @ design) < 3:
+        raise FitError("the scan offsets do not resolve the fringe phase")
+    return theta, design
+
+
 def fit_visibility(
     scan: FringeScan,
     known_period: float | None = None,
@@ -236,12 +250,9 @@ def fit_visibility(
         raise FitError("the fringe period must be given: the fit locks it")
     if not y.sum() > 0:
         raise FitError("the scan has no coincidences to fit")
-    theta = TWO_PI * x / known_period
-    design = np.column_stack([np.ones_like(theta), np.cos(theta), np.sin(theta)])
+    theta, design = fringe_design(x, known_period)
     neyman = 1.0 / np.maximum(y, 1.0)
     info = (design.T * neyman) @ design
-    if np.linalg.matrix_rank(info) < 3:
-        raise FitError("the scan offsets do not resolve the fringe phase")
     start = np.linalg.solve(info, design.T @ (neyman * y))
 
     def inside(coef):

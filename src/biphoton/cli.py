@@ -155,11 +155,12 @@ def cmd_fringes(args) -> int:
     for window in windows_s:
         tag = _window_tag(window)
         scan = gate_scan(corpus, tac, window)
+        regime = classify_regime(window, geometry)
+        # fit before writing, so a scan that cannot be fitted leaves no file
+        report = fit_visibility(scan, known_period=period, regime=regime)
         scan_path = out / f"fringes_scan_{tag}.csv"
         _guard_overwrite(scan_path, chash, args.force)
         scan.to_csv(scan_path, config_hash=chash)
-        regime = classify_regime(window, geometry)
-        report = fit_visibility(scan, known_period=period, regime=regime)
         report_path = out / f"fringes_report_{tag}.json"
         _write_json(report_path, report.to_dict(), chash, args.force)
         print(

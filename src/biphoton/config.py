@@ -11,6 +11,7 @@ from importlib import resources
 import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT
 
+from .analysis import fringe_design
 from .detection import DetectorModel, TacConfig
 from .engines import SourceRates
 from .errors import BiphotonError, ConfigError
@@ -208,8 +209,8 @@ class ExperimentConfig:
         profile = _build("source", self.profile)
         lo, hi = profile.support()
         if not (lo > 0.0 and hi < profile.k_pump):
-            # sample_signal truncates to (0, k_pump) but the closed-form
-            # spectral averages do not, so the two would disagree
+            # pairs need 0 < k1 < k_pump, and both the sampler and the
+            # closed-form spectral averages use the untruncated spectrum
             raise ConfigError(
                 f"source: the signal spectrum's support [{lo:.6g}, {hi:.6g}] rad/m "
                 f"crosses 0 or k_pump = {profile.k_pump:.6g} rad/m; "
@@ -250,6 +251,8 @@ class ExperimentConfig:
                 "scan.span_periods must be a finite number of at least one "
                 f"fringe period, got {span!r}"
             )
+        period = self.data["source"]["pump_wavelength_m"]
+        _build("scan", lambda: fringe_design(self.scan_offsets(), period))
         seed = self.data["run"]["seed"]
         if not _is_int(seed) or seed < 0:
             raise ConfigError(

@@ -122,12 +122,14 @@ def detect_clicks(
 ) -> np.ndarray:
     """Apply efficiency thinning, timing jitter, then dead-time suppression.
 
-    Returns the accepted click times, sorted.  Dead time is non-paralysable:
-    a click within ``dead_time`` of the last kept click is lost and does not
-    extend the dead period.  The filter works on whole arrays: clicks at
-    least a dead time after their predecessor are kept in bulk, and only
-    the few inside clusters of three or more clicks, whose fate depends on
-    an earlier lost click, go through a short loop (``_non_paralysable``).
+    ``times`` may come in any order: the clicks are sorted after the jitter,
+    the one place the chain orders them, and returned sorted.  Dead time is
+    non-paralysable: a click within ``dead_time`` of the last kept click is
+    lost and does not extend the dead period.  The filter works on whole
+    arrays: clicks at least a dead time after their predecessor are kept in
+    bulk, and only the few inside clusters of three or more clicks, whose
+    fate depends on an earlier lost click, go through a short loop
+    (``_non_paralysable``).
     """
     times = np.asarray(times, dtype=float)
     if model.efficiency < 1.0:
@@ -146,9 +148,7 @@ def detect_streams(
     detector_b: DetectorModel,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Detected click times at A and B for one event stream."""
-    if any(np.any(t[1:] < t[:-1]) for t in (events.a, events.b)):
-        raise PreconditionError("each detector's photon times must be sorted")
+    """Detected click times at A and B, each sorted, for one event stream."""
     t_a = detect_clicks(events.a, detector_a, rng)
     t_b = detect_clicks(events.b, detector_b, rng)
     return t_a, t_b

@@ -29,7 +29,6 @@ check of these rates.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -87,7 +86,8 @@ def normalization_check(profile: SpectralProfile, tol: float = 1e-9) -> float:
     """Integral of |phi|^2 by Simpson's rule; raises if it strays from 1.
 
     The grid starts at 2000 intervals over the profile's support and doubles
-    until two successive refinements agree to ``tol``.
+    until two successive refinements agree to ``tol``.  No engine calls it:
+    the closed forms never read ``pdf``, whose normalization is analytic.
     """
     from scipy.integrate import simpson
 
@@ -106,16 +106,6 @@ def normalization_check(profile: SpectralProfile, tol: float = 1e-9) -> float:
     if abs(total - 1.0) > tol:
         raise DomainError(f"spectral profile not normalized: integral = {total}")
     return total
-
-
-@functools.lru_cache(maxsize=64)
-def _check_normalized(profile: SpectralProfile) -> None:
-    """:func:`normalization_check` once per distinct (frozen, hashable) profile.
-
-    A failing check raises, and lru_cache does not store exceptions, so a
-    profile that is not normalized is rejected on every call.
-    """
-    normalization_check(profile)
 
 
 def _mean_cos(profile: SpectralProfile, carrier: float, t: float) -> float:
@@ -164,12 +154,10 @@ def quantum_rate_narrow(
 
     The central-class probability depends only on the pump phase
     k_p * delta_L, not on k1, so the spectral integral collapses:
-    rate = rc0 * p_central, taken at the spectrum center; for T = 0.5 this is
-    (rc0/4)(1 - mu cos(k_p delta_L)).
+    rate = rc0 * p_central; for T = 0.5 this is (rc0/4)(1 - mu cos(k_p delta_L)).
     """
-    _check_normalized(profile)
-    p_c, _, _ = class_probabilities_pair(profile.k_center, profile.k_pump, geometry)
-    return rates.rc0 * float(p_c)
+    p_c, _, _ = _mean_class_probabilities(profile, geometry)
+    return rates.rc0 * p_c
 
 
 def side_class_rate(
@@ -178,7 +166,6 @@ def side_class_rate(
     rates: SourceRates,
 ) -> float:
     """Summed rate of the two side classes, s^-1, averaged over k1."""
-    _check_normalized(profile)
     _, p_sl, p_ls = _mean_class_probabilities(profile, geometry)
     return rates.rc0 * (p_sl + p_ls)
 
@@ -289,7 +276,10 @@ def sample_pair_outcomes(
 
 @dataclass
 class EventStream:
-    """Photon arrival times at detectors A (``a``) and B (``b``), each sorted.
+    """Photon arrival times at detectors A (``a``) and B (``b``), unsorted.
+
+    :func:`biphoton.detection.detect_clicks` orders the clicks after its
+    jitter, so nothing sorts the photon times before it.
 
     ``pairs_per_class`` counts the emitted pairs by outcome code of
     :func:`sample_pair_outcomes`: central, side_sl, side_ls, no coincidence.
@@ -324,7 +314,7 @@ def generate_events(
     probability, so the acquisition draws one Poisson count per cell and
     that many uniform emission times; the photons arrive after the transit
     times of their arms.  Independent Poisson background clicks are added
-    on each detector.
+    on each detector.  Each detector's times come grouped by cell, unsorted.
     """
     if duration < 0:
         raise DomainError(f"duration must be nonnegative, got {duration}")
@@ -356,8 +346,8 @@ def generate_events(
         clicks.append(rng.random(n_bg) * duration)
 
     return EventStream(
-        a=np.sort(np.concatenate(a)),
-        b=np.sort(np.concatenate(b)),
+        a=np.concatenate(a),
+        b=np.concatenate(b),
         duration=duration,
         pairs_per_class=np.append(counts[:3], counts[3:].sum()),
     )

@@ -27,10 +27,6 @@ class FitError(BiphotonError, RuntimeError):
     """A fringe scan that no visibility can be fitted to."""
 
 
-class SamplingError(BiphotonError, RuntimeError):
-    """Rejection sampling exceeded its attempt budget."""
-
-
 def require_finite(**values) -> None:
     """Reject NaN and infinite parameters, which every comparison lets through."""
     for name, value in values.items():

@@ -13,12 +13,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, SamplingError, require_finite
+from .errors import DomainError, require_finite
 
 TWO_PI = 2.0 * math.pi
-
-#: attempt budget for rejection sampling before giving up
-_MAX_REJECTION_ATTEMPTS = 10**6
 
 
 class SpectralShape(Enum):
@@ -97,31 +94,14 @@ def wavelength_to_wavenumber(wavelength: float) -> float:
 def sample_signal(
     profile: SpectralProfile, rng: np.random.Generator, size: int
 ) -> np.ndarray:
-    """Draw ``size`` signal wavenumbers from |phi|^2, restricted to (0, k_pump).
+    """Draw ``size`` signal wavenumbers from the untruncated |phi|^2.
 
-    Out-of-range draws are rejected and redrawn; the total attempt budget is
-    capped so a pathological profile fails loudly instead of spinning.
+    This is the law the closed-form spectral averages integrate over.  A
+    spectrum reaching 0 or k_pump is refused when the configuration is
+    validated, so no draw needs rejecting here.
     """
-    out = np.empty(size, dtype=float)
-    n_filled = 0
-    attempts = 0
-    while n_filled < size:
-        n_need = size - n_filled
-        if attempts >= _MAX_REJECTION_ATTEMPTS:
-            raise SamplingError(
-                "rejection sampling exceeded "
-                f"{_MAX_REJECTION_ATTEMPTS} attempts ({n_filled}/{size} drawn)"
-            )
-        attempts += n_need
-        if profile.shape is SpectralShape.GAUSSIAN:
-            draw = rng.normal(profile.k_center, profile.sigma, n_need)
-        else:
-            draw = rng.uniform(
-                profile.k_center - profile.delta_k,
-                profile.k_center + profile.delta_k,
-                n_need,
-            )
-        draw = draw[(draw > 0.0) & (draw < profile.k_pump)]
-        out[n_filled : n_filled + draw.size] = draw
-        n_filled += draw.size
-    return out
+    if profile.shape is SpectralShape.GAUSSIAN:
+        return rng.normal(profile.k_center, profile.sigma, size)
+    return rng.uniform(
+        profile.k_center - profile.delta_k, profile.k_center + profile.delta_k, size
+    )

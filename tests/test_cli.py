@@ -177,6 +177,10 @@ class TestCliCommands:
                 {"source": {"coherence_length_m": 1e-7}},
                 "source.coherence_length_m",
             ),
+            # offsets half a period apart sit at two fringe phases, a whole
+            # period apart at one
+            ("fringes", {"scan": {"n_points": 8, "span_periods": 4.0}}, "fringe phase"),
+            ("fringes", {"scan": {"n_points": 8, "span_periods": 8.0}}, "fringe phase"),
         ],
         ids=[
             "negative_run",
@@ -196,6 +200,8 @@ class TestCliCommands:
             "null_path_short",
             "zero_coherence_length",
             "spectrum_crosses_pump",
+            "scan_on_two_phases",
+            "scan_on_one_phase",
         ],
     )
     def test_bad_value_exit_code(self, tmp_path, capsys, command, overrides, key):
@@ -216,6 +222,8 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "no coincidences" in err
+        # the window that failed its fit left neither a scan nor a report
+        assert list((tmp_path / "out").iterdir()) == []
 
     # 1.0000001 ns shares the output tag 1ns with the first window
     @pytest.mark.parametrize("window", ["30", "0", "-1", "1.0000001"])
@@ -268,19 +276,24 @@ class TestCliCommands:
         assert json.loads(out)["run"]["seed"] == 123
 
 
-def test_import_leaves_out_optimize_and_stats():
-    # they are most of the start-up cost, and no command needs them
+def test_import_leaves_out_optimize_and_stats(tmp_path):
+    # they are most of the start-up cost and, with scipy.integrate, much of
+    # the memory, and no command needs them
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = (
         "import sys, biphoton.cli; "
-        "print([m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules])"
+        "print([m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules]); "
+        "biphoton.cli.main(['compare', '--out', sys.argv[1]]); "
+        "print([m for m in ('scipy.integrate',) if m in sys.modules])"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, str(tmp_path)],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         check=True,
     )
-    assert proc.stdout.strip() == "[]"
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "[]"  # after the import
+    assert lines[-1] == "[]"  # after compare

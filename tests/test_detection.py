@@ -115,13 +115,6 @@ class TestTac:
         hist = acquire_histogram(events, IDEAL, IDEAL, TAC, rng)
         assert hist.total == 0
 
-    def test_unsorted_stream_rejected(self, rng):
-        for detector in ("a", "b"):
-            events = make_stream([0.25], [0.75])
-            setattr(events, detector, np.array([1.0, 0.5]))
-            with pytest.raises(PreconditionError):
-                acquire_histogram(events, IDEAL, IDEAL, TAC, rng)
-
     def test_single_start_single_stop(self):
         # two starts before one stop: the second start is dropped
         starts = np.array([0.0, 1e-9])
