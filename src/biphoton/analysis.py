@@ -142,8 +142,7 @@ def acquire_scan_corpus(
         geom = geometry.with_offset(float(offset))
         events = generate_events(profile, geom, rates, duration, rng)
         t_a, t_b = detect_streams(events, detector_a, detector_b, rng)
-        mergeable = detector_a.dead_time == 0 and detector_b.dead_time == 0
-        hist = histogram_from_clicks(t_a, t_b, tac, duration, mergeable)
+        hist = histogram_from_clicks(t_a, t_b, tac, duration)
         points.append(
             ScanPoint(
                 offset=float(offset),
@@ -305,14 +304,3 @@ def fit_visibility(
         n_points=int(x.size),
     )
 
-
-def flatness_pvalue(counts) -> float:
-    """Chi-square p-value for 'these Poisson counts share one mean'."""
-    counts = np.asarray(counts, dtype=float)
-    mean = counts.mean()
-    if mean <= 0:
-        return 1.0
-    from scipy.special import chdtrc
-
-    chi2 = float(np.sum((counts - mean) ** 2 / mean))
-    return float(chdtrc(counts.size - 1, chi2))

@@ -35,7 +35,7 @@ from .engines import (
     quantum_rate_wide,
     sample_pair_outcomes,
 )
-from .errors import BiphotonError, ConfigError, FitError
+from .errors import BiphotonError, ConfigError
 from .interferometer import offset_for_phase
 from .spectral import TWO_PI
 
@@ -265,7 +265,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FitError, BiphotonError) as exc:
+    except BiphotonError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

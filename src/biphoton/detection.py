@@ -6,6 +6,12 @@ delay; the TAC is single-start/single-stop (starts arriving while a
 conversion is pending are dropped, a start with no stop inside the range
 times out).  The coincidence window is applied afterwards, on the recorded
 histogram, so the window choice is a delayed choice.
+
+A detector with non-paralysable dead time and the TAC both go blind after
+an event they accept: a later event counts only if it arrives at or after
+the end of the last accepted event's busy period (the dead time, or the
+pending conversion).  One array kernel, ``_accept_free``, applies that rule
+for both.
 """
 from __future__ import annotations
 
@@ -62,17 +68,11 @@ class TacConfig:
 
 @dataclass
 class TacHistogram:
-    """Binned start-stop differences over [0, range].
-
-    ``mergeable`` is set when both detectors ran without dead time; merging
-    dead-time-affected histograms would double-count suppression and is
-    refused.
-    """
+    """Binned start-stop differences over [0, range]."""
 
     bin_edges: np.ndarray
     counts: np.ndarray
     duration: float
-    mergeable: bool = True
 
     @property
     def bin_centers(self) -> np.ndarray:
@@ -91,30 +91,37 @@ class TacHistogram:
                 fh.write(f"{float(c)!r},{int(n)}\n")
 
 
-def _non_paralysable(times: np.ndarray, dead_time: float) -> np.ndarray:
-    """Sorted click times a non-paralysable detector of this dead time keeps.
+def _accept_free(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Mask of the events a device that goes blind while busy accepts.
 
-    A click is kept when ``t - last >= dead_time``, ``last`` being the last
-    kept click.  Every click whose gap to its predecessor reaches the dead
-    time is kept in bulk, since ``last`` can be no later than the
-    predecessor.  A click closer than that to its predecessor and also
-    closer than the dead time to the last bulk-kept click is dropped
-    outright.  Only the rest, late clicks in clusters of three or more, are
-    decided one at a time, in order.
+    Event ``i`` would keep the device busy from ``starts[i]`` to ``ends[i]``;
+    it is accepted when it arrives at or after the end of the last accepted
+    event's busy period.  ``starts`` must be sorted and ``ends``
+    nondecreasing, so that end is the latest end of any accepted event.  An
+    event at or after every earlier event's end is accepted in bulk,
+    whatever happened before it.  An event before the end of the last
+    bulk-accepted event is rejected outright.  Only the rest, rare ones
+    whose fate depends on an earlier rejected event, are decided in a short
+    loop, in order.
     """
-    free = np.ones(times.size, dtype=bool)
-    free[1:] = np.diff(times) >= dead_time
-    last_free = times[np.maximum.accumulate(np.where(free, np.arange(times.size), 0))]
-    kept = free.copy()
-    ambiguous = np.flatnonzero(~free & (times - last_free >= dead_time))
-    last_ambiguous = -math.inf
-    for i, t, t_free in zip(
-        ambiguous.tolist(), times[ambiguous].tolist(), last_free[ambiguous].tolist()
+    earlier_end = np.empty_like(ends)
+    earlier_end[0] = -math.inf
+    np.maximum.accumulate(ends[:-1], out=earlier_end[1:])
+    free = starts >= earlier_end
+    free_end = np.maximum.accumulate(np.where(free, ends, -math.inf))
+    accepted = free.copy()
+    ambiguous = np.flatnonzero(~free & (starts >= free_end))
+    busy_until = -math.inf
+    for i, start, end, end_free in zip(
+        ambiguous.tolist(),
+        starts[ambiguous].tolist(),
+        ends[ambiguous].tolist(),
+        free_end[ambiguous].tolist(),
     ):
-        if t - max(t_free, last_ambiguous) >= dead_time:
-            kept[i] = True
-            last_ambiguous = t
-    return times[kept]
+        if start >= max(end_free, busy_until):
+            accepted[i] = True
+            busy_until = end
+    return accepted
 
 
 def detect_clicks(
@@ -124,12 +131,10 @@ def detect_clicks(
 
     ``times`` may come in any order: the clicks are sorted after the jitter,
     the one place the chain orders them, and returned sorted.  Dead time is
-    non-paralysable: a click within ``dead_time`` of the last kept click is
-    lost and does not extend the dead period.  The filter works on whole
-    arrays: clicks at least a dead time after their predecessor are kept in
-    bulk, and only the few inside clusters of three or more clicks, whose
-    fate depends on an earlier lost click, go through a short loop
-    (``_non_paralysable``).
+    non-paralysable: a click is kept when ``t >= last + dead_time``, ``last``
+    being the last kept click, and a lost click does not extend the dead
+    period.  This is the TAC's busy-period rule with no stop, so both share
+    one kernel (``_accept_free``).
     """
     times = np.asarray(times, dtype=float)
     if model.efficiency < 1.0:
@@ -138,7 +143,7 @@ def detect_clicks(
         times = times + rng.normal(0.0, model.timing_jitter_sigma, times.size)
     times = np.sort(times)
     if model.dead_time > 0 and times.size:
-        times = _non_paralysable(times, model.dead_time)
+        times = times[_accept_free(times, times + model.dead_time)]
     return times
 
 
@@ -167,12 +172,8 @@ def tac_differences(
     later starts, and a start with no later stop never converts.
 
     Each start's next stop and the end of the busy period it would open are
-    found for all starts at once.  A start at or after every earlier start's
-    end arms the TAC whatever happened before it, so these are accepted in
-    bulk.  A start before the end of the last bulk-accepted start is
-    dropped outright.  Only the remaining starts, rare ones whose fate
-    depends on an earlier dropped start, are decided in a short loop, in
-    order.
+    found for all starts at once; which starts arm the TAC is then the same
+    busy-period rule as detector dead time (``_accept_free``).
     """
     starts = np.asarray(starts, dtype=float)
     stops = np.asarray(stops, dtype=float) + tac.electrical_delay
@@ -188,41 +189,17 @@ def tac_differences(
     diffs = stop - starts
     converts = diffs <= tac.range
     ends = np.where(converts, stop, starts + tac.range)
-    earlier_end = np.empty_like(ends)
-    earlier_end[0] = -math.inf
-    np.maximum.accumulate(ends[:-1], out=earlier_end[1:])
-    free = starts >= earlier_end
-    free_end = np.maximum.accumulate(np.where(free, ends, -math.inf))
-    accepted = free.copy()
-    ambiguous = np.flatnonzero(~free & (starts >= free_end))
-    busy_until = -math.inf
-    for i, start, end, end_free in zip(
-        ambiguous.tolist(),
-        starts[ambiguous].tolist(),
-        ends[ambiguous].tolist(),
-        free_end[ambiguous].tolist(),
-    ):
-        if start >= max(end_free, busy_until):
-            accepted[i] = True
-            busy_until = end
-    return diffs[accepted & converts]
+    return diffs[_accept_free(starts, ends) & converts]
 
 
 def histogram_from_clicks(
-    t_a: np.ndarray,
-    t_b: np.ndarray,
-    tac: TacConfig,
-    duration: float,
-    mergeable: bool = True,
+    t_a: np.ndarray, t_b: np.ndarray, tac: TacConfig, duration: float
 ) -> TacHistogram:
     diffs = tac_differences(t_a, t_b, tac)
     edges = np.linspace(0.0, tac.range, tac.n_channels + 1)
     counts, _ = np.histogram(diffs, bins=edges)
     return TacHistogram(
-        bin_edges=edges,
-        counts=counts.astype(np.int64),
-        duration=duration,
-        mergeable=mergeable,
+        bin_edges=edges, counts=counts.astype(np.int64), duration=duration
     )
 
 
@@ -235,26 +212,7 @@ def acquire_histogram(
 ) -> TacHistogram:
     """Full chain: thinning, jitter, dead time, TAC pairing, MCA binning."""
     t_a, t_b = detect_streams(events, detector_a, detector_b, rng)
-    mergeable = detector_a.dead_time == 0 and detector_b.dead_time == 0
-    return histogram_from_clicks(t_a, t_b, tac, events.duration, mergeable)
-
-
-def merge_histograms(a: TacHistogram, b: TacHistogram) -> TacHistogram:
-    """Bin-wise sum; only valid for acquisitions taken without dead time."""
-    if not (a.mergeable and b.mergeable):
-        raise PreconditionError(
-            "cannot merge histograms acquired with detector dead time enabled"
-        )
-    if a.bin_edges.shape != b.bin_edges.shape or not np.allclose(
-        a.bin_edges, b.bin_edges
-    ):
-        raise PreconditionError("histogram binnings differ")
-    return TacHistogram(
-        bin_edges=a.bin_edges.copy(),
-        counts=a.counts + b.counts,
-        duration=a.duration + b.duration,
-        mergeable=True,
-    )
+    return histogram_from_clicks(t_a, t_b, tac, events.duration)
 
 
 def gate_count(hist: TacHistogram, window_center: float, window_width: float) -> int:

@@ -79,8 +79,6 @@ class SpectralProfile:
 
 def coherence_length(profile: SpectralProfile) -> float:
     """Coherence length 1/delta_k of the down-converted field (m)."""
-    if profile.delta_k <= 0:
-        raise DomainError("delta_k must be positive")
     return 1.0 / profile.delta_k
 
 

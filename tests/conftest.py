@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import chdtrc
 
 from biphoton import (
     InterferometerGeometry,
@@ -36,6 +37,16 @@ def rates():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240854)
+
+
+def flatness_pvalue(counts) -> float:
+    """Chi-square p-value for 'these Poisson counts share one mean'."""
+    counts = np.asarray(counts, dtype=float)
+    mean = counts.mean()
+    if mean <= 0:
+        return 1.0
+    chi2 = float(np.sum((counts - mean) ** 2 / mean))
+    return float(chdtrc(counts.size - 1, chi2))
 
 
 def phase_geometry(geometry, k_pump, phase):

@@ -6,8 +6,11 @@ as the post-selected output state is written down: for each photon-to-port
 assignment, the four path terms SS, LL, SL and LS.
 
 The TAC pairing and the non-paralysable dead-time filter are the oracles of
-their array versions in ``biphoton.detection``: per-event state machines
-that walk the sorted times one at a time.
+``biphoton.detection``, where one array kernel serves both: per-event state
+machines that walk the sorted times one at a time.  The dead-time loop keeps
+a click when ``t >= last + dead_time``, the sum form the kernel and the TAC
+timeout compare in; the difference form ``t - last >= dead_time`` can round
+the other way when ``t - last`` lies within an ulp of the dead time.
 
 The merged event stream is the oracle of ``biphoton.engines.generate_events``:
 a signal wavenumber and an outcome drawn for every pair, and every photon of
@@ -216,7 +219,7 @@ def non_paralysable_oracle(times, dead_time: float) -> np.ndarray:
     kept = [times[0]]
     last = times[0]
     for t in times[1:]:
-        if t - last >= dead_time:
+        if t >= last + dead_time:
             kept.append(t)
             last = t
     return np.array(kept)

@@ -13,13 +13,9 @@ from biphoton import (
     classify_regime,
     fit_visibility,
 )
-from biphoton.analysis import (
-    _fixed_visibility_fit,
-    acquire_scan_corpus,
-    flatness_pvalue,
-    gate_scan,
-)
+from biphoton.analysis import _fixed_visibility_fit, acquire_scan_corpus, gate_scan
 from biphoton.errors import BoundaryError, FitError
+from conftest import flatness_pvalue
 
 PUMP = 427e-9
 IDEAL = DetectorModel(timing_jitter_sigma=300e-12, dead_time=0.0, efficiency=1.0)
