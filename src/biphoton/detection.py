@@ -97,17 +97,15 @@ def _accept_free(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     Event ``i`` would keep the device busy from ``starts[i]`` to ``ends[i]``;
     it is accepted when it arrives at or after the end of the last accepted
     event's busy period.  ``starts`` must be sorted and ``ends``
-    nondecreasing, so that end is the latest end of any accepted event.  An
-    event at or after every earlier event's end is accepted in bulk,
-    whatever happened before it.  An event before the end of the last
-    bulk-accepted event is rejected outright.  Only the rest, rare ones
-    whose fate depends on an earlier rejected event, are decided in a short
-    loop, in order.
+    nondecreasing, so that end is the latest end of any accepted event, and
+    the previous event's end the latest of all earlier ones.  An event at or
+    after the previous event's end is accepted in bulk, whatever happened
+    before it.  An event before the end of the last bulk-accepted event is
+    rejected outright.  Only the rest, rare ones whose fate depends on an
+    earlier rejected event, are decided in a short loop, in order.
     """
-    earlier_end = np.empty_like(ends)
-    earlier_end[0] = -math.inf
-    np.maximum.accumulate(ends[:-1], out=earlier_end[1:])
-    free = starts >= earlier_end
+    free = np.ones(starts.size, dtype=bool)
+    free[1:] = starts[1:] >= ends[:-1]
     free_end = np.maximum.accumulate(np.where(free, ends, -math.inf))
     accepted = free.copy()
     ambiguous = np.flatnonzero(~free & (starts >= free_end))
@@ -173,7 +171,9 @@ def tac_differences(
 
     Each start's next stop and the end of the busy period it would open are
     found for all starts at once; which starts arm the TAC is then the same
-    busy-period rule as detector dead time (``_accept_free``).
+    busy-period rule as detector dead time (``_accept_free``).  The ends
+    never decrease: a later start has the same next stop or a later one, and
+    a timeout ends at fl(start + range), no later than its stop.
     """
     starts = np.asarray(starts, dtype=float)
     stops = np.asarray(stops, dtype=float) + tac.electrical_delay

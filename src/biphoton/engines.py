@@ -137,7 +137,7 @@ def _mean_class_probabilities(
     mean; p_central does not depend on k1 at all.
     """
     kp, kc = profile.k_pump, profile.k_center
-    carrier = float(fringe_phase(2.0 * kc - kp, geometry))
+    carrier = fringe_phase(2.0 * kc - kp, geometry)
     mean_cos_diff = _mean_cos(profile, carrier, 2.0 * delta_L(geometry))
     probs = class_probabilities(
         np.cos(fringe_phase(kp, geometry)), mean_cos_diff, geometry
@@ -197,11 +197,11 @@ def classical_bracket(
     """
     kp, kc = profile.k_pump, profile.k_center
     dl = delta_L(geometry)
-    phase_p = float(fringe_phase(kp, geometry))
+    phase_p = fringe_phase(kp, geometry)
     # the idler's spectrum is the signal's mirrored about k_pump / 2; for the
     # degenerate k_center = k_pump / 2 the two means cancel exactly
-    c1 = _mean_cos(profile, float(fringe_phase(kc, geometry)), dl)
-    c2 = _mean_cos(profile, float(fringe_phase(kp - kc, geometry)), dl)
+    c1 = _mean_cos(profile, fringe_phase(kc, geometry), dl)
+    c2 = _mean_cos(profile, fringe_phase(kp - kc, geometry), dl)
     resid = residual_integral(profile, dl)
     return 1.0 + c1 - c2 - 0.5 * math.cos(phase_p) - 0.5 * resid
 
@@ -221,12 +221,13 @@ def classical_monte_carlo(
     n_samples: int,
     rng: np.random.Generator,
 ) -> tuple[float, float]:
-    """Monte Carlo mean and standard error of the classical factor."""
+    """Monte Carlo mean and standard error of the classical factor, over
+    signal deviations delta: phi_1 = fringe_phase(k_center) + delta * delta_L."""
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
-    k1 = sample_signal(profile, rng, n_samples)
+    delta = sample_signal(profile, rng, n_samples)
     # k2 = k_pump - k1, so the idler's phase is the pump phase minus the signal's
-    phase_1 = fringe_phase(k1, geometry)
+    phase_1 = fringe_phase(profile.k_center, geometry) + delta_L(geometry) * delta
     phase_2 = fringe_phase(profile.k_pump, geometry) - phase_1
     vals = (1.0 + np.cos(phase_1)) * (1.0 - np.cos(phase_2))
     mean = float(np.mean(vals))
@@ -263,8 +264,8 @@ def sample_pair_outcomes(
 ) -> np.ndarray:
     """Outcome codes per pair: 0 central, 1 side_sl, 2 side_ls, 3 no coincidence."""
     scale = rates.pair_scale
-    k1 = sample_signal(profile, rng, n_pairs)
-    p_c, p_sl, p_ls = class_probabilities_pair(k1, profile.k_pump, geometry)
+    delta = sample_signal(profile, rng, n_pairs)
+    p_c, p_sl, p_ls = class_probabilities_pair(delta, profile, geometry)
     # cumulative class thresholds; p_central is one value for every pair
     central = scale * float(p_c[0]) if n_pairs else 0.0
     side_sl = central + scale * p_sl

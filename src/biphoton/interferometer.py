@@ -15,21 +15,24 @@ two photons' fringe phases phi_i = k_i * delta_L.  The pair conserves the
 pump wavenumber, k1 + k2 = k_pump, so phi_1 + phi_2 = k_pump * delta_L is the
 pump phase, the same for every pair: the central class fringes at the pump
 wavelength.  phi_1 - phi_2 = (2 k1 - k_pump) * delta_L is the one phase that
-varies from pair to pair.  :func:`class_probabilities` takes the cosines of
-the two, so :func:`class_probabilities_pair` costs one fringe phase and one
-cosine per pair.  The eight-term sum itself, with the single-photon port
+varies from pair to pair: with k1 = k_center + delta it is the exactly
+reduced scalar (2 k_center - k_pump) * delta_L plus 2 delta * delta_L, so
+:func:`class_probabilities_pair` costs one multiply-add and one cosine per
+pair.  The eight-term sum itself, with the single-photon port
 amplitudes it is built from, lives in ``tests/oracle.py`` as the reference
 the closed form is tested against.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT
 
 from .errors import DomainError, require_finite
-from .spectral import TWO_PI
+from .spectral import TWO_PI, SpectralProfile
 
 
 @dataclass(frozen=True)
@@ -38,7 +41,8 @@ class InterferometerGeometry:
 
     The long arm is stored as a coarse base plus a fine scan offset so that
     nanometre-scale fringe scans keep full phase precision: the phase of a
-    metre-scale path is reduced mod 2*pi before the offset term is added.
+    metre-scale path is reduced mod 2*pi exactly, in rational arithmetic,
+    before the offset term is added (:func:`fringe_phase`).
     """
 
     path_short: float
@@ -78,70 +82,19 @@ def transit_times(geometry: InterferometerGeometry) -> tuple[float, float]:
     return t_s, t_l
 
 
-#: elements per block of the phase reduction
-_BLOCK = 16384
+def fringe_phase(k: float, geometry: InterferometerGeometry) -> float:
+    """Phase k * delta_L of one wavenumber, safe for nanometre offsets.
 
-
-def _split(a):
-    """Veltkamp split of a into two halves of at most 26 significant bits."""
-    scaled = a * 134217729.0  # 2**27 + 1
-    high = scaled - (scaled - a)
-    return high, a - high
-
-
-def _two_product(a, b):
-    """(a * b, err) with a * b + err equal to the exact product (Dekker)."""
-    x = a * b
-    ah, al = _split(a)
-    bh, bl = _split(b)
-    return x, ((ah * bh - x) + ah * bl + al * bh) + al * bl
-
-
-def _fmod_2pi(x):
-    """``np.fmod(x, TWO_PI)`` bit for bit, without libm's bitwise fmod loop.
-
-    The remainder r = |x| - q * TWO_PI with q = floor(|x| / TWO_PI) is formed
-    from the exact product q * TWO_PI = hi + lo.  |x| - hi is exact (the two
-    agree to within a factor of 2), and an fmod result is always
-    representable, so the last subtraction is exact too whenever r lands in
-    [0, TWO_PI).  Where the rounded quotient crossed an integer, np.fmod
-    itself supplies the value.
-    """
-    ax = np.abs(x)
-    hi, lo = _two_product(np.floor(ax / TWO_PI), TWO_PI)
-    r = (ax - hi) - lo
-    if r.size and not (r.min() >= 0.0 and r.max() < TWO_PI):
-        bad = ~((r >= 0.0) & (r < TWO_PI))
-        r = np.where(bad, np.fmod(ax, TWO_PI), r)
-    return np.copysign(r, x)
-
-
-def _product_mod_2pi(k, length):
-    """k * length reduced mod 2*pi without losing the product's low bits.
-
-    A plain float product of a ~1e7 rad/m wavenumber and a metre-scale path
+    A float product of a ~1e7 rad/m wavenumber and a metre-scale path
     carries an absolute error of ~1e-9 rad, which would swamp nanometre-scale
-    fringe structure.  A Dekker two-product recovers the exact rounding
-    residue, so the reduced phase is accurate to ~1 ulp.
+    fringe structure.  So k * (L_base - S) is reduced mod 2*pi in exact
+    rational arithmetic and rounded once, keeping the sign of k as
+    ``np.fmod`` does; the offset term k * offset is added after.
     """
-    k = np.asarray(k, dtype=float)
-    if k.size <= _BLOCK:
-        x, err = _two_product(k, length)
-        return _fmod_2pi(x) + err
-    # elementwise, so blocks give the same bits; cache-sized blocks keep the
-    # temporaries off freshly mapped pages (2.5x faster for 200k phases on a
-    # 2-CPU x86-64 host)
-    flat = k.ravel()
-    out = np.empty_like(flat)
-    for i in range(0, flat.size, _BLOCK):
-        out[i : i + _BLOCK] = _product_mod_2pi(flat[i : i + _BLOCK], length)
-    return out.reshape(k.shape)
-
-
-def fringe_phase(k, geometry: InterferometerGeometry):
-    """Phase k * delta_L, safe for nanometre offsets on metre-scale arms."""
-    base = _product_mod_2pi(k, geometry.path_long_base - geometry.path_short)
-    return base + np.multiply(k, geometry.path_long_offset)
+    exact = Fraction(k) * Fraction(geometry.path_long_base - geometry.path_short)
+    period = Fraction(TWO_PI)
+    base = float(exact - math.trunc(exact / period) * period)
+    return base + k * geometry.path_long_offset
 
 
 def offset_for_phase(
@@ -149,7 +102,7 @@ def offset_for_phase(
 ) -> float:
     """Scan offset that puts ``fringe_phase(k, .)`` at ``target_phase`` mod 2*pi."""
     zero = geometry.with_offset(0.0)
-    residual = (target_phase - float(fringe_phase(k, zero))) % TWO_PI
+    residual = (target_phase - fringe_phase(k, zero)) % TWO_PI
     return residual / k
 
 
@@ -186,18 +139,23 @@ def class_probabilities(cos_pump, cos_diff, geometry: InterferometerGeometry):
     )
 
 
-def class_probabilities_pair(k1, k_pump: float, geometry: InterferometerGeometry):
-    """:func:`class_probabilities` for pairs (k1, k_pump - k1), vectorized over k1.
+def class_probabilities_pair(
+    delta, profile: SpectralProfile, geometry: InterferometerGeometry
+):
+    """:func:`class_probabilities` for pairs k1 = k_center + delta,
+    k2 = k_pump - k1, vectorized over the deviations ``delta``.
 
     phi_i = k_i * delta_L.  Since k1 + k2 = k_pump, phi_1 + phi_2 is the pump
-    phase, one scalar for every pair, and phi_1 - phi_2 is the fringe phase
-    of 2 k1 - k_pump, which is exact (Sterbenz) for k1 in [k_pump/4, k_pump].
-    So each pair costs one phase and one cosine, and p_central comes back as
-    a read-only broadcast of one value.
+    phase, one scalar for every pair.  phi_1 - phi_2 is the scalar carrier
+    (2 k_center - k_pump) * delta_L, reduced exactly, plus 2 delta * delta_L,
+    some thousands of radians, where plain float arithmetic is accurate to
+    ~1e-11 rad.  So each pair costs one multiply-add and one cosine, and
+    p_central comes back as a read-only broadcast of one value.
     """
+    carrier = fringe_phase(2.0 * profile.k_center - profile.k_pump, geometry)
     p_c, p_sl, p_ls = class_probabilities(
-        np.cos(fringe_phase(k_pump, geometry)),
-        np.cos(fringe_phase(2.0 * k1 - k_pump, geometry)),
+        np.cos(fringe_phase(profile.k_pump, geometry)),
+        np.cos(carrier + 2.0 * delta_L(geometry) * delta),
         geometry,
     )
-    return np.broadcast_to(p_c, np.shape(k1)), p_sl, p_ls
+    return np.broadcast_to(p_c, np.shape(delta)), p_sl, p_ls

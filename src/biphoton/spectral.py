@@ -92,14 +92,13 @@ def wavelength_to_wavenumber(wavelength: float) -> float:
 def sample_signal(
     profile: SpectralProfile, rng: np.random.Generator, size: int
 ) -> np.ndarray:
-    """Draw ``size`` signal wavenumbers from the untruncated |phi|^2.
+    """Draw ``size`` signal deviations delta = k1 - k_center from the
+    untruncated |phi|^2.
 
     This is the law the closed-form spectral averages integrate over.  A
     spectrum reaching 0 or k_pump is refused when the configuration is
     validated, so no draw needs rejecting here.
     """
     if profile.shape is SpectralShape.GAUSSIAN:
-        return rng.normal(profile.k_center, profile.sigma, size)
-    return rng.uniform(
-        profile.k_center - profile.delta_k, profile.k_center + profile.delta_k, size
-    )
+        return rng.normal(0.0, profile.sigma, size)
+    return rng.uniform(-profile.delta_k, profile.delta_k, size)

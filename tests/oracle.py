@@ -20,6 +20,12 @@ agree in distribution, not bit for bit.
 
 Simpson quadrature over the signal spectrum is the oracle of the closed-form
 spectral averages in ``biphoton.engines``.
+
+Dekker's exact two-product (Numer. Math. 18, 224, 1971) with ``np.fmod`` is
+the oracle of the exact rational reduction in
+``biphoton.interferometer.fringe_phase``.  It works on arrays, so it also
+gives the per-arm phases of the amplitude oracle and the integrands of the
+quadrature.
 """
 from __future__ import annotations
 
@@ -35,10 +41,10 @@ from biphoton.engines import sample_pair_outcomes
 from biphoton.errors import DomainError
 from biphoton.interferometer import (
     InterferometerGeometry,
-    _product_mod_2pi,
     class_probabilities_pair,
     transit_times,
 )
+from biphoton.spectral import TWO_PI
 
 TRUTH_CENTRAL = 0
 TRUTH_SIDE_SL = 1
@@ -52,11 +58,39 @@ class PathLabel(Enum):
     L = "L"
 
 
+def _split(a):
+    """Veltkamp split of a into two halves of at most 26 significant bits."""
+    scaled = a * 134217729.0  # 2**27 + 1
+    high = scaled - (scaled - a)
+    return high, a - high
+
+
+def _two_product(a, b):
+    """(a * b, err) with a * b + err equal to the exact product (Dekker)."""
+    x = a * b
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    return x, ((ah * bh - x) + ah * bl + al * bh) + al * bl
+
+
+def product_mod_2pi(k, length):
+    """k * length mod 2*pi, elementwise: ``np.fmod`` of the rounded product,
+    which is exact, plus the product's rounding error."""
+    x, err = _two_product(k, length)
+    return np.fmod(x, TWO_PI) + err
+
+
+def fringe_phase_oracle(k, geometry: InterferometerGeometry):
+    """``fringe_phase`` for an array of wavenumbers."""
+    base = product_mod_2pi(k, geometry.path_long_base - geometry.path_short)
+    return base + np.multiply(k, geometry.path_long_offset)
+
+
 def path_phase(k, geometry: InterferometerGeometry, path: PathLabel):
     """k * (path length), reduced so the scan offset contributes exactly."""
     if path is PathLabel.S:
-        return _product_mod_2pi(k, geometry.path_short)
-    base = _product_mod_2pi(k, geometry.path_long_base)
+        return product_mod_2pi(k, geometry.path_short)
+    base = product_mod_2pi(k, geometry.path_long_base)
     return base + np.multiply(k, geometry.path_long_offset)
 
 
@@ -304,11 +338,11 @@ def quadrature_mean(profile, func, tol: float = 1e-9) -> float:
 def expected_class_probabilities_oracle(profile, geometry, rates) -> dict:
     """Per-pair outcome probabilities, one quadrature of the kernel per class."""
     scale = rates.pair_scale
-    kp = profile.k_pump
+    kc = profile.k_center
 
     def comp(idx):
         def f(k):
-            return class_probabilities_pair(k, kp, geometry)[idx]
+            return class_probabilities_pair(k - kc, profile, geometry)[idx]
 
         return scale * quadrature_mean(profile, f)
 

@@ -14,7 +14,8 @@ from biphoton import (
     gate_count,
     generate_events,
 )
-from biphoton.detection import detect_clicks, tac_differences
+from biphoton import detection
+from biphoton.detection import _accept_free, detect_clicks, tac_differences
 from biphoton.engines import EventStream
 from biphoton.errors import DomainError, PreconditionError
 from conftest import phase_geometry
@@ -37,6 +38,13 @@ TICKS = st.one_of(
     st.lists(st.integers(-15, 60).map(float), max_size=14),
     st.lists(st.floats(-15.0, 60.0), max_size=14),
 )
+
+
+def _accept_free_checked(starts, ends):
+    """``_accept_free`` behind its precondition: both callers pass ends that
+    never decrease, which lets it take the previous end as the latest."""
+    assert np.all(ends[1:] >= ends[:-1])
+    return _accept_free(starts, ends)
 
 
 def make_stream(times_a, times_b, duration=1.0):
@@ -181,11 +189,19 @@ class TestStateMachineOracles:
     @example(
         starts=[0.0, 3.0, 6.0, 8.0, 11.0], stops=[14.0], delay=0, range_ticks=5
     )
+    # stops at start + range once rounded: 2.2 - 1.2 exceeds one tick, so the
+    # first start times out at fl(1.2 + 1) = 2.2, the stop the next start
+    # converts on; 1.4000000000000001 - 0.4 rounds to one tick and converts,
+    # though fl(0.4 + 1) = 1.4 lies before that stop
+    @example(starts=[1.2, 1.5, 2.2], stops=[2.2, 3.0], delay=0, range_ticks=1)
+    @example(starts=[0.4, 0.5], stops=[1.4000000000000001], delay=0, range_ticks=1)
     def test_tac_matches_loop(self, starts, stops, delay, range_ticks):
         tac = TacConfig(electrical_delay=delay * UNIT, range=range_ticks * UNIT)
         starts = np.sort(np.array(starts)) * UNIT
         stops = np.sort(np.array(stops)) * UNIT
-        got = tac_differences(starts, stops, tac)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(detection, "_accept_free", _accept_free_checked)
+            got = tac_differences(starts, stops, tac)
         want = tac_differences_oracle(starts, stops, tac)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
@@ -213,7 +229,9 @@ class TestStateMachineOracles:
             timing_jitter_sigma=0.0, dead_time=dead * UNIT, efficiency=1.0
         )
         times = np.array(ticks) * UNIT
-        got = detect_clicks(times, model, np.random.default_rng(0))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(detection, "_accept_free", _accept_free_checked)
+            got = detect_clicks(times, model, np.random.default_rng(0))
         assert np.array_equal(got, non_paralysable_oracle(np.sort(times), dead * UNIT))
 
     def test_dense_stream_matches_loops(self, profile, geometry, rng):

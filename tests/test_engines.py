@@ -32,12 +32,13 @@ from biphoton.engines import (
     side_class_rate,
 )
 from biphoton.errors import ConfigError, DomainError
-from biphoton.interferometer import fringe_phase, transit_times
+from biphoton.interferometer import transit_times
 from biphoton.spectral import SpectralShape, sample_signal, wavelength_to_wavenumber
 from conftest import PUMP_WAVELENGTH, phase_geometry
 from oracle import (
     class_probabilities_pair_oracle,
     expected_class_probabilities_oracle,
+    fringe_phase_oracle,
     generate_events_oracle,
     quadrature_mean,
 )
@@ -173,8 +174,8 @@ class TestClosedFormAverages:
         geom = InterferometerGeometry(path_short=0.5, path_long_base=0.5 + 0.4 * LCOH)
 
         def bracket(k):
-            return (1.0 + np.cos(fringe_phase(k, geom))) * (
-                1.0 - np.cos(fringe_phase(k_pump - k, geom))
+            return (1.0 + np.cos(fringe_phase_oracle(k, geom))) * (
+                1.0 - np.cos(fringe_phase_oracle(k_pump - k, geom))
             )
 
         assert classical_bracket(profile, geom) == pytest.approx(
@@ -360,7 +361,7 @@ class TestEventGeneration:
 
     def test_outcomes_match_oracle_on_same_stream(self, profile, k_pump):
         # the codes the eight-term oracle's probabilities give on the same
-        # RNG stream: signal wavenumbers first, then one uniform per pair
+        # RNG stream: signal deviations first, then one uniform per pair
         geom = InterferometerGeometry(
             path_short=0.5,
             path_long_base=1.05,
@@ -375,7 +376,7 @@ class TestEventGeneration:
         )
 
         rng = np.random.default_rng(77)
-        k1 = sample_signal(profile, rng, n)
+        k1 = profile.k_center + sample_signal(profile, rng, n)
         u = rng.random(n)
         expected = []
         for k, x in zip(k1, u):

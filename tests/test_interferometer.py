@@ -2,13 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from biphoton import InterferometerGeometry, delta_L
 from biphoton.errors import DomainError
 from biphoton.interferometer import (
-    _fmod_2pi,
     class_probabilities_pair,
     fringe_phase,
     offset_for_phase,
@@ -19,10 +18,12 @@ from oracle import (
     class_probabilities_pair_oracle,
     coincidence_terms,
     detector_amplitudes,
+    fringe_phase_oracle,
     state_norm,
 )
 
 K_427NM = 14714719.688945167
+PROFILE_427NM = SpectralProfile(k_pump=K_427NM, delta_k=1e4)
 
 
 class TestDeltaL:
@@ -49,7 +50,7 @@ class TestDeltaL:
     def test_offset_phase_precision(self, geometry, k_pump):
         # a 1 nm offset must move the pump fringe phase by exactly k_p * 1 nm
         g = geometry.with_offset(1e-9)
-        dphi = float(fringe_phase(k_pump, g)) - float(fringe_phase(k_pump, geometry))
+        dphi = fringe_phase(k_pump, g) - fringe_phase(k_pump, geometry)
         assert dphi == pytest.approx(k_pump * 1e-9, rel=1e-12)
 
 
@@ -59,38 +60,36 @@ def _same_bits(a, b):
 
 
 class TestPhaseReduction:
-    def test_fmod_2pi_bitwise_on_arrays(self):
-        rng = np.random.default_rng(5)
-        n = 10**5
-        phases = (K_427NM / 2 + rng.uniform(-3e4, 3e4, n)) * 0.55
-        # exact multiples and their neighbours, where the rounded quotient
-        # can cross an integer
-        multiples = rng.integers(0, 3 * 10**6, n) * TWO_PI
-        near = [multiples]
-        for direction in (np.inf, -np.inf):
-            x = multiples
-            for _ in range(3):
-                x = np.nextafter(x, direction)
-                near.append(x)
-        wide = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 25, n)
-        special = np.array([0.0, -0.0, TWO_PI, -TWO_PI, 5e-324])
-        x = np.concatenate([phases, *near, wide, special])
-        assert _same_bits(_fmod_2pi(x), np.fmod(x, TWO_PI))
+    @given(
+        k=st.floats(1e6, 3e7) | st.floats(-3e7, -1e6) | st.just(0.0),
+        short=st.floats(0.05, 2.5),
+        long=st.floats(0.05, 2.5),
+        offset=st.floats(-1e-6, 1e-6),
+    )
+    @example(k=-K_427NM, short=0.5, long=1.05, offset=0.0)
+    @settings(max_examples=400, deadline=None)
+    def test_scalar_reduction_matches_oracle(self, k, short, long, offset):
+        # the exact rational reduction against Dekker's product and np.fmod,
+        # bit for bit, sign of k included
+        assume(long + offset > short)
+        g = InterferometerGeometry(
+            path_short=short, path_long_base=long, path_long_offset=offset
+        )
+        assert _same_bits(fringe_phase(k, g), fringe_phase_oracle(k, g))
 
-    def test_blocked_reduction_matches_unblocked(self, geometry):
-        # 50000 phases take the blocked path, each 10000-phase row does not
-        rng = np.random.default_rng(9)
-        k = K_427NM / 2 + rng.uniform(-3e4, 3e4, (5, 10000))
-        blocked = fringe_phase(k, geometry)
-        assert blocked.shape == k.shape
-        rows = np.array([fringe_phase(row, geometry) for row in k])
-        assert _same_bits(blocked, rows)
-
-    @given(x=st.floats(-1e30, 1e30))
-    @settings(max_examples=300, deadline=None)
-    def test_fmod_2pi_bitwise_on_scalars(self, x):
-        x = np.float64(x)
-        assert _same_bits(_fmod_2pi(x), np.fmod(x, TWO_PI))
+    def test_near_multiples_of_two_pi(self, geometry):
+        # where k * delta_L lies within an ulp of a multiple of 2*pi, the
+        # oracle's rounded product can land on the far side of it and its
+        # remainder falls a period off; the exact one stays in [0, 2*pi]
+        dl = geometry.path_long_base - geometry.path_short
+        for turns in (1, 1000, 2_000_000):
+            k = turns * TWO_PI / dl
+            for _ in range(4):
+                phase = fringe_phase(k, geometry)
+                assert 0.0 <= phase <= TWO_PI
+                oracle = fringe_phase_oracle(k, geometry)
+                assert abs(math.remainder(phase - oracle, TWO_PI)) <= 1e-15
+                k = math.nextafter(k, math.inf)
 
 
 class TestDetectorAmplitudes:
@@ -128,13 +127,15 @@ class TestDetectorAmplitudes:
 
 
 def _draw_signal(profile, rng):
-    """One signal wavenumber from the spectrum; its idler is k_pump - k1."""
-    return float(sample_signal(profile, rng, 1)[0])
+    """One signal deviation delta from the spectrum and the wavenumber
+    k1 = k_center + delta it stands for; the idler is k_pump - k1."""
+    delta = float(sample_signal(profile, rng, 1)[0])
+    return delta, profile.k_center + delta
 
 
 class TestCoincidenceTerms:
     def test_eight_terms_magnitude_quarter(self, profile, geometry, rng):
-        k1 = _draw_signal(profile, rng)
+        _, k1 = _draw_signal(profile, rng)
         terms = coincidence_terms(k1, profile.k_pump - k1, geometry)
         assert len(terms) == 8
         for term in terms:
@@ -144,8 +145,8 @@ class TestCoincidenceTerms:
 class TestCoincidenceClasses:
     def test_central_null_at_zero_phase(self, profile, geometry, k_pump, rng):
         g = phase_geometry(geometry, k_pump, 0.0)
-        k1 = _draw_signal(profile, rng)
-        p_c, p_sl, p_ls = class_probabilities_pair(k1, profile.k_pump, g)
+        delta, _ = _draw_signal(profile, rng)
+        p_c, p_sl, p_ls = class_probabilities_pair(delta, profile, g)
         assert p_c == pytest.approx(0.0, abs=1e-12)
         assert p_sl > 0 or p_ls > 0
 
@@ -153,20 +154,21 @@ class TestCoincidenceClasses:
         geom = InterferometerGeometry(
             path_short=0.5, path_long_base=1.05, mode_overlap=0.0
         )
-        k1 = _draw_signal(profile, rng)
+        delta, _ = _draw_signal(profile, rng)
         values = []
         for phase in np.linspace(0, 2 * math.pi, 7):
             g = phase_geometry(geom, k_pump, phase)
-            values.append(float(class_probabilities_pair(k1, k_pump, g)[0]))
+            values.append(float(class_probabilities_pair(delta, profile, g)[0]))
         assert np.ptp(values) < 1e-12
         # incoherent sum of the two same-path groups: 2 * (1/16 + 1/16)
         assert values[0] == pytest.approx(0.25, rel=1e-9)
 
     def test_exchange_symmetry(self, profile, geometry, rng):
-        kp = profile.k_pump
-        k1 = _draw_signal(profile, rng)
-        a = class_probabilities_pair(k1, kp, geometry)
-        b = class_probabilities_pair(kp - k1, kp, geometry)
+        delta, _ = _draw_signal(profile, rng)
+        # the idler's deviation: k_pump - k1 - k_center
+        swapped = profile.k_pump - 2.0 * profile.k_center - delta
+        a = class_probabilities_pair(delta, profile, geometry)
+        b = class_probabilities_pair(swapped, profile, geometry)
         for p, q in zip(a, b):
             assert float(p) == pytest.approx(float(q), rel=1e-12, abs=1e-15)
 
@@ -174,11 +176,11 @@ class TestCoincidenceClasses:
         # after averaging over sampled pairs the side-class probability is
         # insensitive to a wavelength-scale scan of the long arm
         n = 10**5
-        k1 = sample_signal(profile, rng, n)
+        delta = sample_signal(profile, rng, n)
         means = []
         for phase in (0.0, math.pi / 2, math.pi):
             g = phase_geometry(geometry, k_pump, phase)
-            _, p_sl, _ = class_probabilities_pair(k1, k_pump, g)
+            _, p_sl, _ = class_probabilities_pair(delta, profile, g)
             means.append(p_sl.mean())
         stderr = 0.125 / math.sqrt(n)
         assert np.ptp(means) < 5 * stderr
@@ -187,10 +189,10 @@ class TestCoincidenceClasses:
         for phase in np.linspace(0.0, 2 * math.pi, 9):
             g = phase_geometry(geometry, k_pump, phase)
             dl = delta_L(g)
-            k1 = _draw_signal(profile, rng)
+            _, k1 = _draw_signal(profile, rng)
             bracket = (
                 1.0
-                - 0.5 * math.cos(float(fringe_phase(k_pump, g)))
+                - 0.5 * math.cos(fringe_phase(k_pump, g))
                 - 0.5 * math.cos((k_pump - 2.0 * k1) * dl)
             )
             norm = state_norm(k1, k_pump - k1, g)
@@ -201,13 +203,13 @@ class TestCoincidenceClasses:
         # the side residual has washed out (delta_L >> coherence length); the
         # spectral average over sampled pairs supplies the washing-out
         n = 200_000
-        k1 = sample_signal(profile, rng, n)
+        delta = sample_signal(profile, rng, n)
         phases = np.linspace(0.0, 2 * math.pi, 48, endpoint=False)
         central = []
         side = np.zeros(n)
         for phase in phases:
             g = phase_geometry(geometry, k_pump, phase)
-            p_c, p_sl, p_ls = class_probabilities_pair(k1, k_pump, g)
+            p_c, p_sl, p_ls = class_probabilities_pair(delta, profile, g)
             central.append(float(np.mean(p_c)))
             side += p_sl + p_ls
         side /= phases.size
@@ -225,8 +227,7 @@ class TestCoincidenceClasses:
     @settings(max_examples=200, deadline=None)
     def test_probabilities_nonnegative(self, t, mu, phase, dk):
         geom = _geometry_at(t, mu, phase)
-        k1 = K_427NM / 2 + dk * 1e4
-        p_c, p_sl, p_ls = class_probabilities_pair(k1, K_427NM, geom)
+        p_c, p_sl, p_ls = class_probabilities_pair(dk * 1e4, PROFILE_427NM, geom)
         assert p_c >= 0.0
         assert p_sl >= 0.0
         assert p_ls >= 0.0
@@ -244,9 +245,12 @@ class TestCoincidenceClasses:
         geom = _geometry_at(t, mu, phase)
         k1 = K_427NM / 2 + dk * 1e4
         k2 = K_427NM - k1
-        # the pair the oracle sees sums to the kernel's pump exactly
+        # the pair the oracle sees sums to the kernel's pump exactly, and
+        # its k1 is k_center + delta exactly (Sterbenz)
+        delta = k1 - PROFILE_427NM.k_center
         assert k1 + k2 == K_427NM
-        kernel = class_probabilities_pair(k1, K_427NM, geom)
+        assert PROFILE_427NM.k_center + delta == k1
+        kernel = class_probabilities_pair(delta, PROFILE_427NM, geom)
         oracle = class_probabilities_pair_oracle(k1, k2, geom)
         for p, q in zip(kernel, oracle):
             assert abs(float(p) - q) <= 1e-12
@@ -257,11 +261,11 @@ class TestCoincidenceClasses:
         # p_central rests on the pump phase alone: one value, bit for bit, for
         # every pair of a batch, and the oracle's value at each sampled k1
         g = phase_geometry(geometry, k_pump, 1.3)
-        k1 = sample_signal(profile, rng, 20)
-        p_c, _, _ = class_probabilities_pair(k1, k_pump, g)
-        assert p_c.shape == k1.shape
-        assert _same_bits(p_c, np.full(k1.shape, p_c[0]))
-        for k in k1:
+        delta = sample_signal(profile, rng, 20)
+        p_c, _, _ = class_probabilities_pair(delta, profile, g)
+        assert p_c.shape == delta.shape
+        assert _same_bits(p_c, np.full(delta.shape, p_c[0]))
+        for k in profile.k_center + delta:
             assert k + (k_pump - k) == k_pump
             oracle = class_probabilities_pair_oracle(k, k_pump - k, g)
             assert abs(float(p_c[0]) - oracle[0]) <= 1e-12
@@ -286,8 +290,10 @@ class TestCoincidenceClasses:
     @settings(max_examples=50, deadline=None)
     def test_sampled_pairs_match_oracle(self, profile, t, mu, phase, seed):
         geom = _geometry_at(t, mu, phase)
-        k1 = sample_signal(profile, np.random.default_rng(seed), 8)
-        kernel = class_probabilities_pair(k1, K_427NM, geom)
+        # the wavenumbers the drawn deviations round to, and their exact
+        # deviations (Sterbenz), so kernel and oracle see the same pairs
+        k1 = profile.k_center + sample_signal(profile, np.random.default_rng(seed), 8)
+        kernel = class_probabilities_pair(k1 - profile.k_center, profile, geom)
         for i, k in enumerate(k1):
             assert k + (K_427NM - k) == K_427NM
             oracle = class_probabilities_pair_oracle(k, K_427NM - k, geom)

@@ -93,22 +93,26 @@ class TestSampling:
             k_pump=K_427NM, delta_k=1e-30, shape=SpectralShape.RECTANGULAR
         )
         for _ in range(100):
-            assert sample_signal(prof, rng, 1)[0] == prof.k_center
+            delta = sample_signal(prof, rng, 1)[0]
+            # the deviation stays within the width, and the wavenumber it
+            # stands for is k_center itself
+            assert abs(delta) <= prof.delta_k
+            assert prof.k_center + delta == prof.k_center
 
     def test_gaussian_sample_mean(self, profile, rng):
         n = 10**6
-        k1 = sample_signal(profile, rng, n)
+        delta = sample_signal(profile, rng, n)
         stderr = profile.sigma / math.sqrt(n)
-        assert abs(k1.mean() - profile.k_center) < 5 * stderr
+        assert abs(delta.mean()) < 5 * stderr
 
     def test_histogram_matches_pdf(self, profile, rng):
+        # deviations follow |phi|^2 shifted to k_center
         n = 10**5
-        k1 = sample_signal(profile, rng, n)
-        lo = profile.k_center - 4 * profile.delta_k
-        hi = profile.k_center + 4 * profile.delta_k
-        counts, edges = np.histogram(k1, bins=50, range=(lo, hi))
+        delta = sample_signal(profile, rng, n)
+        lo, hi = -4 * profile.delta_k, 4 * profile.delta_k
+        counts, edges = np.histogram(delta, bins=50, range=(lo, hi))
         centers = 0.5 * (edges[:-1] + edges[1:])
-        expected = profile.pdf(centers) * (edges[1] - edges[0]) * n
+        expected = profile.pdf(profile.k_center + centers) * (edges[1] - edges[0]) * n
         scale = counts.sum() / expected.sum()
         _, p = stats.chisquare(counts, expected * scale)
         assert p > 0.001
