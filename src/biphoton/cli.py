@@ -25,7 +25,7 @@ from .analysis import (
     fit_visibility,
     gate_scan,
 )
-from .config import ExperimentConfig
+from .config import ExperimentConfig, read_config_file
 from .detection import acquire_histogram
 from .engines import (
     classical_monte_carlo,
@@ -41,14 +41,10 @@ from .spectral import TWO_PI
 
 
 def _load_config(args) -> ExperimentConfig:
-    if args.config:
-        cfg = ExperimentConfig.from_file(args.config)
-    else:
-        cfg = ExperimentConfig.default()
-    if getattr(args, "seed", None) is not None:
-        data = json.loads(json.dumps(cfg.data))
-        data["run"]["seed"] = args.seed
-        cfg = ExperimentConfig.from_dict(data)
+    """``--config`` (or the defaults) with ``--seed``, validated once."""
+    cfg = ExperimentConfig.resolve(read_config_file(args.config) if args.config else {})
+    if args.seed is not None:
+        cfg.data["run"]["seed"] = args.seed
     for warning in cfg.validate():
         print(f"warning: {warning}", file=sys.stderr)
     return cfg

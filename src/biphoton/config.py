@@ -23,6 +23,12 @@ from .spectral import (
     wavelength_to_wavenumber,
 )
 
+# Expected photons of one acquisition, 2 (pair_rate + singles_background)
+# duration, at most: about 5 GB at the ~48 B of peak memory a photon costs.
+MAX_PHOTONS = 1e8
+# The histogram holds one bin per MCA channel; 2**16 is the most MCAs have.
+MAX_CHANNELS = 65_536
+
 DEFAULTS: dict = {
     "source": {
         "pump_wavelength_m": 427e-9,
@@ -63,14 +69,15 @@ DEFAULTS: dict = {
 
 
 def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
+    if not isinstance(override, dict):
+        what = f"section {path}" if path else "file"
+        raise ConfigError(f"config {what} must be an object, got {override!r:.40}")
     out = copy.deepcopy(base)
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
         if key not in base:
             raise ConfigError(f"unknown config key: {where}")
         if isinstance(base[key], dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"config section {where} must be an object")
             out[key] = _deep_merge(base[key], value, where)
         else:
             out[key] = value
@@ -102,21 +109,19 @@ class ExperimentConfig:
     data: dict
 
     @classmethod
+    def resolve(cls, raw: dict) -> "ExperimentConfig":
+        """``raw`` merged over the defaults, not yet validated."""
+        return cls(data=_deep_merge(DEFAULTS, raw))
+
+    @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        cfg = cls(data=_deep_merge(DEFAULTS, raw))
+        cfg = cls.resolve(raw)
         cfg.validate()
         return cfg
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        try:
-            with open(path) as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-        return cls.from_dict(raw)
+        return cls.from_dict(read_config_file(path))
 
     @classmethod
     def default(cls) -> "ExperimentConfig":
@@ -196,16 +201,16 @@ class ExperimentConfig:
             raise ConfigError(
                 f"source.coherence_length_m must be positive, got {coherence!r}"
             )
-        for section in ("run", "scan"):
-            duration = self.data[section]["duration_s"]
-            if not 0.0 <= duration < math.inf:
-                raise ConfigError(
-                    f"{section}.duration_s must be a finite nonnegative number, "
-                    f"got {duration!r}"
-                )
         n_channels = self.data["tac"]["n_channels"]
-        if not _is_int(n_channels):
-            raise ConfigError(f"tac.n_channels must be an integer, got {n_channels!r}")
+        if not _is_int(n_channels) or n_channels > MAX_CHANNELS:
+            raise ConfigError(
+                f"tac.n_channels must be an integer of at most {MAX_CHANNELS}, "
+                f"got {n_channels!r}"
+            )
+        shape = self.data["source"]["shape"]
+        shapes = [s.value for s in SpectralShape]
+        if shape not in shapes:
+            raise ConfigError(f"source.shape must be one of {shapes}, got {shape!r}")
         profile = _build("source", self.profile)
         lo, hi = profile.support()
         if not (lo > 0.0 and hi < profile.k_pump):
@@ -220,7 +225,20 @@ class ExperimentConfig:
         rates = _build("rates", self.rates)
         _build("detector", self.detector)
         tac = _build("tac", self.tac)
-        _build("rates", lambda: rates.pair_scale)
+        for section in ("run", "scan"):
+            duration = self.data[section]["duration_s"]
+            if not 0.0 <= duration < math.inf:
+                raise ConfigError(
+                    f"{section}.duration_s must be a finite nonnegative number, "
+                    f"got {duration!r}"
+                )
+            photons = 2.0 * (rates.pair_rate + rates.singles_background) * duration
+            if photons > MAX_PHOTONS:
+                raise ConfigError(
+                    f"{section}.duration_s: 2 * (rates.pair_rate + rates."
+                    f"singles_background) * {section}.duration_s = {photons:.3g} "
+                    f"expected photons per acquisition, above {MAX_PHOTONS:.0e}"
+                )
 
         dl = delta_L(geometry)
         lcoh = coherence_length(profile)
@@ -270,3 +288,14 @@ class ExperimentConfig:
             json.dumps(self.data, sort_keys=True, separators=(",", ":")).encode()
         )
         return digest.hexdigest()[:12]
+
+
+def read_config_file(path) -> dict:
+    """The raw key/value data of a JSON config file, not yet merged."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config file is not valid JSON: {exc}") from exc

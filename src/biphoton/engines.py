@@ -8,11 +8,10 @@ Three mutually checkable routes to the same observables:
 * the classical random-wavenumber model, closed form and Monte Carlo,
 * Monte Carlo event generation producing each detector's photon arrival times.
 
-Every spectral average here is the mean of a cosine of a linear function of
-k1 over |phi|^2.  The density is symmetric about k_center, so the mean of
-cos(carrier + (k1 - k_center) t) is cos(carrier) times the spectrum's
-characteristic function at t: exp(-sigma^2 t^2 / 2) for the Gaussian shape,
-sinc(delta_k t) for the rectangular one (:func:`_mean_cos`).
+The pairs are degenerate, k1 = k_pump/2 + delta, so every spectral average
+here is the mean of cos(2 delta * delta_L) over the symmetric |phi|^2: its
+characteristic function at t = 2 delta_L, exp(-sigma^2 t^2 / 2) for the
+Gaussian shape and sinc(delta_k t) for the rectangular one.
 
 Event generation needs no wavenumber per pair.  Pairs are emitted as a
 Poisson process of rate R, and a pair's signal wavenumber serves only to
@@ -34,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, require_finite
+from .errors import DomainError, require_finite
 from .interferometer import (
     InterferometerGeometry,
     class_probabilities,
@@ -52,7 +51,7 @@ class SourceRates:
 
     ``rc0`` is the overall coincidence normalization; the per-pair coincidence
     probability is scaled by rc0/pair_rate, so rc0 <= pair_rate is required
-    for probabilities to stay below one.
+    for probabilities to stay below one, unless no pair is drawn at all.
     """
 
     pair_rate: float = 1.0e5
@@ -67,19 +66,16 @@ class SourceRates:
         )
         if self.pair_rate < 0 or self.rc0 < 0 or self.singles_background < 0:
             raise DomainError("rates must be nonnegative")
+        if self.pair_rate and self.rc0 > self.pair_rate:
+            raise DomainError(
+                f"rc0 ({self.rc0}) must not exceed pair_rate ({self.pair_rate}); "
+                "per-pair probabilities would exceed 1"
+            )
 
     @property
     def pair_scale(self) -> float:
         """Per-pair probability scale eta = rc0 / pair_rate."""
-        if self.pair_rate == 0:
-            return 0.0
-        scale = self.rc0 / self.pair_rate
-        if scale > 1.0:
-            raise ConfigError(
-                f"rc0 ({self.rc0}) must not exceed pair_rate ({self.pair_rate}); "
-                "per-pair probabilities would exceed 1"
-            )
-        return scale
+        return self.rc0 / self.pair_rate if self.pair_rate else 0.0
 
 
 def normalization_check(profile: SpectralProfile, tol: float = 1e-9) -> float:
@@ -108,23 +104,19 @@ def normalization_check(profile: SpectralProfile, tol: float = 1e-9) -> float:
     return total
 
 
-def _mean_cos(profile: SpectralProfile, carrier: float, t: float) -> float:
-    """Mean over |phi|^2 of cos(carrier + (k1 - k_center) * t)."""
-    if profile.shape is SpectralShape.GAUSSIAN:
-        envelope = math.exp(-0.5 * (profile.sigma * t) ** 2)
-    else:
-        x = profile.delta_k * t
-        envelope = math.sin(x) / x if x else 1.0
-    return math.cos(carrier) * envelope
-
-
 def residual_integral(profile: SpectralProfile, dl: float) -> float:
-    """Mean of cos((k_pump - 2 k1) * delta_L) over the signal spectrum.
+    """Mean of cos((k_pump - 2 k1) * delta_L) = cos(2 delta * delta_L) over
+    the signal spectrum: its characteristic function at t = 2 delta_L.
 
     This is the term that washes out once the path imbalance exceeds the
     coherence length; it equals 1 at delta_L = 0.
     """
-    return _mean_cos(profile, (profile.k_pump - 2.0 * profile.k_center) * dl, 2.0 * dl)
+    t = 2.0 * dl
+    if profile.shape is SpectralShape.GAUSSIAN:
+        x = profile.sigma * t
+        return math.exp(-0.5 * x * x)  # x ** 2 raises OverflowError, x * x is inf
+    x = profile.delta_k * t
+    return math.sin(x) / x if x else 1.0
 
 
 def _mean_class_probabilities(
@@ -132,15 +124,13 @@ def _mean_class_probabilities(
 ) -> tuple[float, float, float]:
     """Per-pair (p_central, p_short_long, p_long_short) averaged over |phi|^2.
 
-    The kernel is linear in the cosine of the phase difference
-    (2 k1 - k_pump) * delta_L, so its mean is the kernel at that cosine's
-    mean; p_central does not depend on k1 at all.
+    The kernel is linear in cos((2 k1 - k_pump) * delta_L), so its mean is
+    the kernel at :func:`residual_integral`; p_central does not depend on k1.
     """
-    kp, kc = profile.k_pump, profile.k_center
-    carrier = fringe_phase(2.0 * kc - kp, geometry)
-    mean_cos_diff = _mean_cos(profile, carrier, 2.0 * delta_L(geometry))
     probs = class_probabilities(
-        np.cos(fringe_phase(kp, geometry)), mean_cos_diff, geometry
+        np.cos(fringe_phase(profile.k_pump, geometry)),
+        residual_integral(profile, delta_L(geometry)),
+        geometry,
     )
     return tuple(float(p) for p in probs)
 
@@ -190,20 +180,13 @@ def classical_bracket(
 ) -> float:
     """Closed-form classical coincidence factor, phase-averaged value 1.
 
-    mean[(1 + cos k1 dL)(1 - cos k2 dL)]
-      = 1 + C1 - C2 - cos(k_p dL)/2 - R/2,
-    where C1, C2 are the single-photon fringe means (negligible beyond the
-    coherence length) and R is :func:`residual_integral`.
+    mean[(1 + cos k1 dL)(1 - cos k2 dL)] = 1 - cos(k_p dL)/2 - R/2,
+    where R is :func:`residual_integral`.  The single-photon fringe means of
+    cos k1 dL and cos k2 dL cancel, since the idler's spectrum is the signal's.
     """
-    kp, kc = profile.k_pump, profile.k_center
-    dl = delta_L(geometry)
-    phase_p = fringe_phase(kp, geometry)
-    # the idler's spectrum is the signal's mirrored about k_pump / 2; for the
-    # degenerate k_center = k_pump / 2 the two means cancel exactly
-    c1 = _mean_cos(profile, fringe_phase(kc, geometry), dl)
-    c2 = _mean_cos(profile, fringe_phase(kp - kc, geometry), dl)
-    resid = residual_integral(profile, dl)
-    return 1.0 + c1 - c2 - 0.5 * math.cos(phase_p) - 0.5 * resid
+    phase_p = fringe_phase(profile.k_pump, geometry)
+    resid = residual_integral(profile, delta_L(geometry))
+    return 1.0 - 0.5 * math.cos(phase_p) - 0.5 * resid
 
 
 def classical_rate(

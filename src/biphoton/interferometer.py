@@ -14,13 +14,11 @@ That sum reduces to two real cosines, of the sum and the difference of the
 two photons' fringe phases phi_i = k_i * delta_L.  The pair conserves the
 pump wavenumber, k1 + k2 = k_pump, so phi_1 + phi_2 = k_pump * delta_L is the
 pump phase, the same for every pair: the central class fringes at the pump
-wavelength.  phi_1 - phi_2 = (2 k1 - k_pump) * delta_L is the one phase that
-varies from pair to pair: with k1 = k_center + delta it is the exactly
-reduced scalar (2 k_center - k_pump) * delta_L plus 2 delta * delta_L, so
-:func:`class_probabilities_pair` costs one multiply-add and one cosine per
-pair.  The eight-term sum itself, with the single-photon port
-amplitudes it is built from, lives in ``tests/oracle.py`` as the reference
-the closed form is tested against.
+wavelength.  The pairs are degenerate, k1 = k_pump/2 + delta, so the one
+phase that varies from pair to pair is phi_1 - phi_2 = 2 delta * delta_L:
+:func:`class_probabilities_pair` costs one multiply and one cosine per pair.
+The eight-term sum itself, with the single-photon port amplitudes it is
+built from, lives in ``tests/oracle.py`` as the reference it is tested against.
 """
 from __future__ import annotations
 
@@ -142,20 +140,17 @@ def class_probabilities(cos_pump, cos_diff, geometry: InterferometerGeometry):
 def class_probabilities_pair(
     delta, profile: SpectralProfile, geometry: InterferometerGeometry
 ):
-    """:func:`class_probabilities` for pairs k1 = k_center + delta,
+    """:func:`class_probabilities` for degenerate pairs k1 = k_pump/2 + delta,
     k2 = k_pump - k1, vectorized over the deviations ``delta``.
 
-    phi_i = k_i * delta_L.  Since k1 + k2 = k_pump, phi_1 + phi_2 is the pump
-    phase, one scalar for every pair.  phi_1 - phi_2 is the scalar carrier
-    (2 k_center - k_pump) * delta_L, reduced exactly, plus 2 delta * delta_L,
-    some thousands of radians, where plain float arithmetic is accurate to
-    ~1e-11 rad.  So each pair costs one multiply-add and one cosine, and
+    phi_i = k_i * delta_L.  phi_1 + phi_2 is the pump phase, one scalar for
+    every pair.  phi_1 - phi_2 is 2 delta * delta_L, some thousands of
+    radians, where plain float arithmetic is accurate to ~1e-11 rad.  So
     p_central comes back as a read-only broadcast of one value.
     """
-    carrier = fringe_phase(2.0 * profile.k_center - profile.k_pump, geometry)
     p_c, p_sl, p_ls = class_probabilities(
         np.cos(fringe_phase(profile.k_pump, geometry)),
-        np.cos(carrier + 2.0 * delta_L(geometry) * delta),
+        np.cos(2.0 * delta_L(geometry) * delta),
         geometry,
     )
     return np.broadcast_to(p_c, np.shape(delta)), p_sl, p_ls

@@ -1,9 +1,9 @@
 """Spectral model of the down-converted photon pairs.
 
-The pair source emits signal/idler wavenumbers constrained to k1 + k2 = k_pump.
-The marginal signal spectrum |phi(k)|^2 is either Gaussian or rectangular,
-parameterized by a 1/e half-width ``delta_k`` of the amplitude phi(k).  The
-coherence length of the down-converted field is 1/delta_k.
+The pair source emits degenerate signal/idler wavenumbers, k1 + k2 = k_pump,
+centred on k_pump/2.  The signal spectrum |phi(k)|^2 is either Gaussian or
+rectangular, parameterized by a 1/e half-width ``delta_k`` of the amplitude
+phi(k).  The coherence length of the down-converted field is 1/delta_k.
 """
 from __future__ import annotations
 
@@ -25,17 +25,16 @@ class SpectralShape(Enum):
 
 @dataclass(frozen=True)
 class SpectralProfile:
-    """Signal-photon spectrum around ``k_center`` (defaults to k_pump/2).
+    """Signal-photon spectrum of a degenerate pair, centred on k_pump/2.
 
     ``delta_k`` is the 1/e half-width of the amplitude phi(k); for the
     Gaussian shape this makes |phi|^2 a normal density with sigma = delta_k/2.
     The rectangular shape has support [k_center - delta_k, k_center + delta_k].
-    Normalization of |phi|^2 is fixed analytically at construction.
+    The idler's spectrum is the same.  Normalization of |phi|^2 is analytic.
     """
 
     k_pump: float
     delta_k: float
-    k_center: float | None = None
     shape: SpectralShape = SpectralShape.GAUSSIAN
 
     def __post_init__(self) -> None:
@@ -44,12 +43,11 @@ class SpectralProfile:
             raise DomainError(f"k_pump must be positive, got {self.k_pump}")
         if self.delta_k <= 0:
             raise DomainError(f"delta_k must be positive, got {self.delta_k}")
-        if self.k_center is None:
-            object.__setattr__(self, "k_center", self.k_pump / 2.0)
-        if not 0.0 < self.k_center < self.k_pump:
-            raise DomainError(
-                f"k_center must lie in (0, k_pump), got {self.k_center}"
-            )
+
+    @property
+    def k_center(self) -> float:
+        """Centre k_pump/2 of the signal spectrum."""
+        return self.k_pump / 2.0
 
     @property
     def sigma(self) -> float:
@@ -67,14 +65,10 @@ class SpectralProfile:
         inside = np.abs(k - self.k_center) <= half
         return np.where(inside, 1.0 / (2.0 * half), 0.0)
 
-    def support(self, n_widths: float = 6.0) -> tuple[float, float]:
+    def support(self) -> tuple[float, float]:
         """Integration bounds that capture the density to well below 1e-12."""
-        if self.shape is SpectralShape.RECTANGULAR:
-            return (self.k_center - self.delta_k, self.k_center + self.delta_k)
-        return (
-            self.k_center - n_widths * self.delta_k,
-            self.k_center + n_widths * self.delta_k,
-        )
+        half = (6.0 if self.shape is SpectralShape.GAUSSIAN else 1.0) * self.delta_k
+        return (self.k_center - half, self.k_center + half)
 
 
 def coherence_length(profile: SpectralProfile) -> float:

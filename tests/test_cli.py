@@ -181,6 +181,13 @@ class TestCliCommands:
             # period apart at one
             ("fringes", {"scan": {"n_points": 8, "span_periods": 4.0}}, "fringe phase"),
             ("fringes", {"scan": {"n_points": 8, "span_periods": 8.0}}, "fringe phase"),
+            (
+                "histogram",
+                {"source": {"shape": "lorentzian"}},
+                "source.shape must be one of ['gaussian', 'rectangular']",
+            ),
+            ("histogram", {"tac": {"n_channels": 10**19}}, "tac.n_channels"),
+            ("histogram", {"rates": {"rc0": 2.0e5}}, "pair_rate"),
         ],
         ids=[
             "negative_run",
@@ -202,6 +209,9 @@ class TestCliCommands:
             "spectrum_crosses_pump",
             "scan_on_two_phases",
             "scan_on_one_phase",
+            "unknown_shape",
+            "too_many_channels",
+            "rc0_over_pair_rate",
         ],
     )
     def test_bad_value_exit_code(self, tmp_path, capsys, command, overrides, key):
@@ -215,6 +225,55 @@ class TestCliCommands:
         assert re.match(rf"error: {section}[.:]", err)
         assert key in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, overrides",
+        [
+            ("histogram", {"rates": {"pair_rate": 1e300, "rc0": 1.0}}),
+            ("histogram", {"rates": {"pair_rate": 1e19}}),
+            ("histogram", {"rates": {"singles_background": 1e300}}),
+            ("histogram", {"run": {"duration_s": 1e300}}),
+            ("fringes", {"scan": {"duration_s": 1e300}}),
+            # 1e8 expected photons pass; one photon more does not
+            ("histogram", {"run": {"duration_s": 500.000005}}),
+        ],
+        ids=["pair_rate", "pair_rate_1e19", "background", "run", "scan", "limit"],
+    )
+    def test_photon_count_bounded(self, tmp_path, capsys, command, overrides):
+        # the expected photons of one acquisition size its arrays
+        cfg = write_config(tmp_path, overrides)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        (name,) = overrides
+        section = "scan" if name == "scan" else "run"
+        for key in ("rates.pair_rate", "rates.singles_background", f"{section}.duration_s"):
+            assert key in err
+        assert not out.exists()
+
+    def test_allocation_bounds_inclusive(self):
+        ExperimentConfig.from_dict({"run": {"duration_s": 500.0}})
+        ExperimentConfig.from_dict({"tac": {"n_channels": 65_536}})
+
+    def test_config_not_an_object(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, [1])
+        assert main(["print-config", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config file must be an object")
+
+    def test_validated_once(self, monkeypatch, capsys):
+        calls = []
+        validate = ExperimentConfig.validate
+
+        def counted(self):
+            calls.append(1)
+            return validate(self)
+
+        monkeypatch.setattr(ExperimentConfig, "validate", counted)
+        assert main(["print-config", "--seed", "5"]) == 0
+        assert json.loads(capsys.readouterr().out)["run"]["seed"] == 5
+        assert len(calls) == 1
 
     def test_empty_scan_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"scan": {"duration_s": 0}})

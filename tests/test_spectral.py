@@ -76,10 +76,6 @@ class TestProfile:
             total = simpson(prof.pdf(k), x=k)
             assert total == pytest.approx(1.0, abs=1e-9)
 
-    def test_center_out_of_range_rejected(self):
-        with pytest.raises(DomainError):
-            SpectralProfile(k_pump=1.0e7, delta_k=1.0, k_center=2.0e7)
-
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("field", ["k_pump", "delta_k"])
     def test_non_finite_rejected(self, field, value):
