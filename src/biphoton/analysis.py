@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
 
 from .detection import (
     DetectorModel,
@@ -25,7 +24,7 @@ from .detection import (
 )
 from .engines import SourceRates, generate_events
 from .errors import BoundaryError, DomainError, FitError
-from .interferometer import InterferometerGeometry, delta_L
+from .interferometer import SPEED_OF_LIGHT, InterferometerGeometry, delta_L
 from .spectral import TWO_PI, SpectralProfile
 
 

@@ -9,13 +9,12 @@ from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
 
 from .analysis import fringe_design
 from .detection import DetectorModel, TacConfig
 from .engines import SourceRates
 from .errors import BiphotonError, ConfigError
-from .interferometer import InterferometerGeometry, delta_L
+from .interferometer import SPEED_OF_LIGHT, InterferometerGeometry, delta_L
 from .spectral import (
     SpectralProfile,
     SpectralShape,
@@ -269,8 +268,23 @@ class ExperimentConfig:
                 "scan.span_periods must be a finite number of at least one "
                 f"fringe period, got {span!r}"
             )
+        # the scan lengthens the long arm, so its last point splits the peaks most
+        offsets = self.scan_offsets()
+        travel = float(offsets.max())
+        last = _build("scan", lambda: geometry.with_offset(travel))
+        last_split = delta_L(last) / SPEED_OF_LIGHT
+        if (
+            tac.electrical_delay < last_split
+            or tac.electrical_delay + last_split > tac.range
+        ):
+            raise ConfigError(
+                f"scan.span_periods = {span!r} moves the long arm by {travel:.6g} m; "
+                f"at the last scan point delta_L/c = {last_split:.6g} s puts a side "
+                f"peak outside the TAC (electrical delay {tac.electrical_delay} s, "
+                f"range {tac.range} s)"
+            )
         period = self.data["source"]["pump_wavelength_m"]
-        _build("scan", lambda: fringe_design(self.scan_offsets(), period))
+        _build("scan", lambda: fringe_design(offsets, period))
         seed = self.data["run"]["seed"]
         if not _is_int(seed) or seed < 0:
             raise ConfigError(

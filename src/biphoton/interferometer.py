@@ -19,6 +19,10 @@ phase that varies from pair to pair is phi_1 - phi_2 = 2 delta * delta_L:
 :func:`class_probabilities_pair` costs one multiply and one cosine per pair.
 The eight-term sum itself, with the single-photon port amplitudes it is
 built from, lives in ``tests/oracle.py`` as the reference it is tested against.
+
+``SPEED_OF_LIGHT`` is c = 299 792 458 m/s, exact by the SI definition of the
+metre (BIPM, *The International System of Units*, 9th ed., 2019); every
+arm-length-to-time conversion in the package uses it.
 """
 from __future__ import annotations
 
@@ -27,10 +31,11 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
 
 from .errors import DomainError, require_finite
 from .spectral import TWO_PI, SpectralProfile
+
+SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.constants import c
 
 from biphoton import (
     DetectorModel,
@@ -15,6 +14,7 @@ from biphoton import (
 )
 from biphoton.analysis import _fixed_visibility_fit, acquire_scan_corpus, gate_scan
 from biphoton.errors import BoundaryError, FitError
+from biphoton.interferometer import SPEED_OF_LIGHT
 from conftest import flatness_pvalue
 
 PUMP = 427e-9
@@ -68,7 +68,7 @@ class TestRegime:
         assert classify_regime(1e-9, geometry) is Regime.QUANTUM
 
     def test_boundary_rejected(self, geometry):
-        split = 0.55 / c
+        split = 0.55 / SPEED_OF_LIGHT
         with pytest.raises(BoundaryError):
             classify_regime(split, geometry)
 

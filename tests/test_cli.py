@@ -72,6 +72,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="scan.span_periods"):
             ExperimentConfig.from_dict({"scan": {"span_periods": span}})
 
+    def test_span_kept_inside_tac(self):
+        # at the defaults the last scan point may lengthen the long arm by
+        # (10 ns - 0.55 m / c) * c = 2.448 m, about 5.73e6 periods
+        ExperimentConfig.from_dict({"scan": {"span_periods": 1e6, "n_points": 24}})
+        with pytest.raises(ConfigError, match="scan.span_periods"):
+            ExperimentConfig.from_dict({"scan": {"span_periods": 6e6, "n_points": 23}})
+
     def test_hash_stable_and_sensitive(self):
         a = ExperimentConfig.default().config_hash()
         b = ExperimentConfig.default().config_hash()
@@ -188,6 +195,12 @@ class TestCliCommands:
             ),
             ("histogram", {"tac": {"n_channels": 10**19}}, "tac.n_channels"),
             ("histogram", {"rates": {"rc0": 2.0e5}}, "pair_rate"),
+            # the last scan point moves the long arm by about 4e293 m
+            (
+                "fringes",
+                {"scan": {"span_periods": 1e300, "n_points": 8, "duration_s": 0.001}},
+                "scan.span_periods",
+            ),
         ],
         ids=[
             "negative_run",
@@ -212,6 +225,7 @@ class TestCliCommands:
             "unknown_shape",
             "too_many_channels",
             "rc0_over_pair_rate",
+            "huge_span",
         ],
     )
     def test_bad_value_exit_code(self, tmp_path, capsys, command, overrides, key):
@@ -335,24 +349,25 @@ class TestCliCommands:
         assert json.loads(out)["run"]["seed"] == 123
 
 
-def test_import_leaves_out_optimize_and_stats(tmp_path):
-    # they are most of the start-up cost and, with scipy.integrate, much of
-    # the memory, and no command needs them
+def test_commands_run_without_scipy(tmp_path):
+    # scipy is a test-only dependency: importing it is most of the start-up
+    # cost and memory of a run, and no command needs it.  A None entry in
+    # sys.modules makes every scipy import raise ImportError.
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    cfg = write_config(tmp_path, SMALL_RUN)
     code = (
-        "import sys, biphoton.cli; "
-        "print([m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules]); "
-        "biphoton.cli.main(['compare', '--out', sys.argv[1]]); "
-        "print([m for m in ('scipy.integrate',) if m in sys.modules])"
+        "import sys; sys.modules['scipy'] = None; import biphoton.cli; "
+        "out, cfg = sys.argv[1:]; "
+        "print([biphoton.cli.main([*args, '--config', cfg, '--out', f'{out}/{i}']) "
+        "for i, args in enumerate([['print-config'], ['histogram'], "
+        "['fringes', '--window', '1', '--window', '5'], ['compare']])])"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path)],
+        [sys.executable, "-c", code, str(tmp_path), cfg],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
-        check=True,
     )
-    lines = proc.stdout.splitlines()
-    assert lines[0] == "[]"  # after the import
-    assert lines[-1] == "[]"  # after compare
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0]", proc.stderr

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.constants import c
 
 from biphoton import (
     DetectorModel,
@@ -18,6 +17,7 @@ from biphoton import detection
 from biphoton.detection import _accept_free, detect_clicks, tac_differences
 from biphoton.engines import EventStream
 from biphoton.errors import DomainError, PreconditionError
+from biphoton.interferometer import SPEED_OF_LIGHT
 from conftest import phase_geometry
 from oracle import (
     TRUTH_SIDE_LS,
@@ -28,7 +28,7 @@ from oracle import (
 
 IDEAL = DetectorModel(timing_jitter_sigma=0.0, dead_time=0.0, efficiency=1.0)
 TAC = TacConfig(electrical_delay=10e-9, range=20e-9, n_channels=4096)
-DT_SPLIT = 0.55 / c  # 1.8346 ns
+DT_SPLIT = 0.55 / SPEED_OF_LIGHT  # 1.8346 ns
 
 #: time unit of the oracle tests, 2**-30 s (about 0.93 ns).  Sums of a few
 #: whole multiples are exact, so ties such as a stop exactly at start + range

@@ -27,6 +27,7 @@ from biphoton.engines import (
     EventStream,
     classical_bracket,
     expected_class_probabilities,
+    normalization_check,
     residual_integral,
     sample_pair_outcomes,
     side_class_rate,
@@ -130,6 +131,25 @@ class TestResidualIntegral:
         for dl in (0.2 * LCOH, LCOH, 3 * LCOH):
             expected = math.exp(-0.5 * (profile.delta_k * dl) ** 2)
             assert residual_integral(profile, dl) == pytest.approx(expected, abs=1e-9)
+
+
+class TestNormalizationCheck:
+    @pytest.mark.parametrize("shape", list(SpectralShape))
+    def test_matches_scipy_simpson(self, k_pump, shape):
+        # the oracle doubles the same grid with scipy's Simpson rule
+        profile = SpectralProfile(k_pump=k_pump, delta_k=1.0 / LCOH, shape=shape)
+        expected = quadrature_mean(profile, np.ones_like)
+        assert normalization_check(profile) == pytest.approx(expected, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("shape", list(SpectralShape))
+    def test_mis_normalized_rejected(self, k_pump, shape):
+        class Doubled(SpectralProfile):
+            def pdf(self, k):
+                return 2.0 * super().pdf(k)
+
+        profile = Doubled(k_pump=k_pump, delta_k=1.0 / LCOH, shape=shape)
+        with pytest.raises(DomainError, match="not normalized"):
+            normalization_check(profile)
 
 
 class TestClosedFormAverages:

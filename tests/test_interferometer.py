@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy import constants
 
 from biphoton import InterferometerGeometry, delta_L
 from biphoton.errors import DomainError
 from biphoton.interferometer import (
+    SPEED_OF_LIGHT,
     class_probabilities_pair,
     fringe_phase,
     offset_for_phase,
@@ -24,6 +26,11 @@ from oracle import (
 
 K_427NM = 14714719.688945167
 PROFILE_427NM = SpectralProfile(k_pump=K_427NM, delta_k=1e4)
+
+
+def test_speed_of_light_is_codata():
+    # exact by the SI definition of the metre; scipy's CODATA value is the oracle
+    assert SPEED_OF_LIGHT == constants.c
 
 
 class TestDeltaL:
