@@ -37,7 +37,7 @@ from .engines import (
 )
 from .errors import BiphotonError, ConfigError
 from .interferometer import offset_for_phase
-from .spectral import TWO_PI
+from .spectral import TWO_PI, sample_signal
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -184,8 +184,10 @@ def cmd_compare(args) -> int:
         narrow = quantum_rate_narrow(profile, geom, rates)
         wide = quantum_rate_wide(profile, geom, rates)
         classical = classical_rate(profile, geom, rates)
-        cmc_mean, cmc_err = classical_monte_carlo(profile, geom, n_mc, rng)
-        outcomes = sample_pair_outcomes(profile, geom, rates, n_mc, rng)
+        # one draw of signal deviations serves both Monte Carlo columns
+        delta = sample_signal(profile, rng, n_mc)
+        cmc_mean, cmc_err = classical_monte_carlo(profile, geom, delta)
+        outcomes = sample_pair_outcomes(profile, geom, rates, delta, rng)
         qmc = float(np.mean(outcomes != 3)) * rates.pair_rate
         rows.append(
             {

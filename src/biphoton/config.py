@@ -268,6 +268,12 @@ class ExperimentConfig:
                 "scan.span_periods must be a finite number of at least one "
                 f"fringe period, got {span!r}"
             )
+        period = self.data["source"]["pump_wavelength_m"]
+        if not math.isfinite(span * period):
+            raise ConfigError(
+                f"scan.span_periods * source.pump_wavelength_m = {span!r} * "
+                f"{period!r} m overflows; the scan length must be finite"
+            )
         # the scan lengthens the long arm, so its last point splits the peaks most
         offsets = self.scan_offsets()
         travel = float(offsets.max())
@@ -283,7 +289,6 @@ class ExperimentConfig:
                 f"peak outside the TAC (electrical delay {tac.electrical_delay} s, "
                 f"range {tac.range} s)"
             )
-        period = self.data["source"]["pump_wavelength_m"]
         _build("scan", lambda: fringe_design(offsets, period))
         seed = self.data["run"]["seed"]
         if not _is_int(seed) or seed < 0:

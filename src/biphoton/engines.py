@@ -25,6 +25,14 @@ R * T * P_j, and that many uniform emission times.  The no-coincidence
 outcome splits further by port and arms, each split again a marking.
 Per-pair sampling, :func:`sample_pair_outcomes`, stays as the independent
 check of these rates.
+
+The two Monte Carlo engines take the signal deviations as an argument, so
+one draw from :func:`sample_signal` serves both.  With x = delta * delta_L
+the classical integrand (1 + cos phi_1)(1 - cos phi_2) is exactly
+(sin phi_c - sin x)^2, one sine per pair, where phi_c is the fringe phase of
+k_pump/2.  Both engines work through the deviations in blocks of
+``_BLOCK`` pairs, writing into one preallocated result, so the temporaries
+of a block stay in cache and only the draws and the result are full length.
 """
 from __future__ import annotations
 
@@ -42,7 +50,13 @@ from .interferometer import (
     fringe_phase,
     transit_times,
 )
-from .spectral import SpectralProfile, SpectralShape, sample_signal
+# re-exported: the Monte Carlo engines take its draws, and bench/selftest.py
+# calls it as biphoton.engines.sample_signal
+from .spectral import SpectralProfile, SpectralShape, sample_signal  # noqa: F401
+
+#: pairs per block of the Monte Carlo engines: the block's temporaries stay
+#: in cache, and only the result array is as long as the draws
+_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -202,20 +216,32 @@ def classical_rate(
 def classical_monte_carlo(
     profile: SpectralProfile,
     geometry: InterferometerGeometry,
-    n_samples: int,
-    rng: np.random.Generator,
+    delta: np.ndarray,
 ) -> tuple[float, float]:
-    """Monte Carlo mean and standard error of the classical factor, over
-    signal deviations delta: phi_1 = fringe_phase(k_center) + delta * delta_L."""
-    if n_samples < 1:
-        raise DomainError("n_samples must be >= 1")
-    delta = sample_signal(profile, rng, n_samples)
-    # k2 = k_pump - k1, so the idler's phase is the pump phase minus the signal's
-    phase_1 = fringe_phase(profile.k_center, geometry) + delta_L(geometry) * delta
-    phase_2 = fringe_phase(profile.k_pump, geometry) - phase_1
-    vals = (1.0 + np.cos(phase_1)) * (1.0 - np.cos(phase_2))
+    """Monte Carlo mean and standard error of the classical factor over the
+    signal deviations ``delta`` (from :func:`sample_signal`).
+
+    phi_1 = phi_c + x with phi_c = fringe_phase(k_center) and x = delta_L * delta,
+    and k2 = k_pump - k1 makes phi_2 = phi_p - phi_1 = phi_c - x (mod 2 pi),
+    since the pump phase phi_p is 2 phi_c.  The integrand
+    (1 + cos phi_1)(1 - cos phi_2) is then exactly (sin phi_c - sin x)^2: one
+    sine per deviation, evaluated in blocks of ``_BLOCK`` into one array.
+    """
+    n = np.size(delta)
+    if n < 1:
+        raise DomainError("delta must hold at least one signal deviation")
+    dl = delta_L(geometry)
+    sin_c = math.sin(fringe_phase(profile.k_center, geometry))
+    vals = np.empty(n)
+    for start in range(0, n, _BLOCK):
+        stop = start + _BLOCK
+        block = vals[start:stop]
+        np.multiply(delta[start:stop], dl, out=block)
+        np.sin(block, out=block)
+        np.subtract(sin_c, block, out=block)
+        np.square(block, out=block)
     mean = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
+    stderr = float(np.std(vals, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return mean, stderr
 
 
@@ -243,20 +269,35 @@ def sample_pair_outcomes(
     profile: SpectralProfile,
     geometry: InterferometerGeometry,
     rates: SourceRates,
-    n_pairs: int,
+    delta: np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Outcome codes per pair: 0 central, 1 side_sl, 2 side_ls, 3 no coincidence."""
+    """Outcome codes per pair: 0 central, 1 side_sl, 2 side_ls, 3 no coincidence.
+
+    Pair i has signal deviation ``delta[i]`` (from :func:`sample_signal`) and
+    draws one uniform from ``rng``; its code is the number of cumulative
+    class thresholds the uniform clears.  The thresholds come from
+    :func:`class_probabilities_pair`, in blocks of ``_BLOCK`` pairs.
+    """
+    n = np.size(delta)
     scale = rates.pair_scale
-    delta = sample_signal(profile, rng, n_pairs)
-    p_c, p_sl, p_ls = class_probabilities_pair(delta, profile, geometry)
-    # cumulative class thresholds; p_central is one value for every pair
-    central = scale * float(p_c[0]) if n_pairs else 0.0
-    side_sl = central + scale * p_sl
-    side_ls = side_sl + scale * p_ls
-    u = rng.random(n_pairs)
-    # the thresholds never decrease, so the code is the number u clears
-    return (u >= central).astype(np.uint8) + (u >= side_sl) + (u >= side_ls)
+    u = rng.random(n)
+    codes = np.empty(n, dtype=np.uint8)
+    for start in range(0, n, _BLOCK):
+        stop = start + _BLOCK
+        p_c, p_sl, p_ls = class_probabilities_pair(delta[start:stop], profile, geometry)
+        # p_central is one value for every pair
+        central = scale * float(p_c[0])
+        side_sl = central + scale * p_sl
+        side_ls = side_sl + scale * p_ls
+        block = u[start:stop]
+        # the thresholds never decrease, so the code is the number u clears
+        codes[start:stop] = (
+            (block >= central).astype(np.uint8)
+            + (block >= side_sl)
+            + (block >= side_ls)
+        )
+    return codes
 
 
 @dataclass

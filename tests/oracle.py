@@ -21,6 +21,11 @@ agree in distribution, not bit for bit.
 Simpson quadrature over the signal spectrum is the oracle of the closed-form
 spectral averages in ``biphoton.engines``.
 
+The literal classical integrand (1 + cos phi_1)(1 - cos phi_2), with the
+idler's phase phi_2 = phi_p - phi_1, is the oracle of
+``biphoton.engines.classical_monte_carlo``, which evaluates the same product
+as (sin phi_c - sin x)^2 on the same signal deviations.
+
 Dekker's exact two-product (Numer. Math. 18, 224, 1971) with ``np.fmod`` is
 the oracle of the exact rational reduction in
 ``biphoton.interferometer.fringe_phase``.  It works on arrays, so it also
@@ -42,9 +47,11 @@ from biphoton.errors import DomainError
 from biphoton.interferometer import (
     InterferometerGeometry,
     class_probabilities_pair,
+    delta_L,
+    fringe_phase,
     transit_times,
 )
-from biphoton.spectral import TWO_PI
+from biphoton.spectral import TWO_PI, sample_signal
 
 TRUTH_CENTRAL = 0
 TRUTH_SIDE_SL = 1
@@ -271,7 +278,8 @@ def generate_events_oracle(profile, geometry, rates, duration: float, rng):
 
     n_pairs = int(rng.poisson(rates.pair_rate * duration))
     emit = np.sort(rng.random(n_pairs) * duration)
-    outcome = sample_pair_outcomes(profile, geometry, rates, n_pairs, rng)
+    delta = sample_signal(profile, rng, n_pairs)
+    outcome = sample_pair_outcomes(profile, geometry, rates, delta, rng)
 
     times: list[np.ndarray] = []
     dets: list[np.ndarray] = []
@@ -333,6 +341,16 @@ def quadrature_mean(profile, func, tol: float = 1e-9) -> float:
         prev = val
         n *= 2
     raise RuntimeError("quadrature failed to converge")
+
+
+def classical_monte_carlo_oracle(profile, geometry, delta) -> tuple[float, float]:
+    """Mean and standard error of (1 + cos phi_1)(1 - cos phi_2) over the
+    signal deviations ``delta``: phi_1 = fringe_phase(k_center) + delta_L * delta,
+    and k2 = k_pump - k1 makes phi_2 the pump phase minus phi_1."""
+    phase_1 = fringe_phase(profile.k_center, geometry) + delta_L(geometry) * delta
+    phase_2 = fringe_phase(profile.k_pump, geometry) - phase_1
+    vals = (1.0 + np.cos(phase_1)) * (1.0 - np.cos(phase_2))
+    return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(vals.size))
 
 
 def expected_class_probabilities_oracle(profile, geometry, rates) -> dict:

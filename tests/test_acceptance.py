@@ -24,7 +24,7 @@ from biphoton.engines import (
     sample_pair_outcomes,
 )
 from biphoton.interferometer import InterferometerGeometry, delta_L
-from biphoton.spectral import SpectralProfile, coherence_length
+from biphoton.spectral import SpectralProfile, coherence_length, sample_signal
 
 from conftest import COHERENCE_LENGTH, PUMP_WAVELENGTH, flatness_pvalue, phase_geometry
 
@@ -234,14 +234,18 @@ def test_criterion_7_oracle_equivalence(profile_m, geometry_m):
     expected = expected_class_probabilities(profile_m, geom, rates)
     n = 1_000_000
     rng = np.random.default_rng(123)
-    outcomes = sample_pair_outcomes(profile_m, geom, rates, n, rng)
+    outcomes = sample_pair_outcomes(
+        profile_m, geom, rates, sample_signal(profile_m, rng, n), rng
+    )
     observed = np.bincount(outcomes, minlength=4)[:4]
     probs = np.array(
         [expected["central"], expected["side_sl"], expected["side_ls"], expected["none"]]
     )
     chi2_p = float(stats.chisquare(observed, n * probs).pvalue)
 
-    mc_mean, mc_err = classical_monte_carlo(profile_m, geom, n, rng)
+    mc_mean, mc_err = classical_monte_carlo(
+        profile_m, geom, sample_signal(profile_m, rng, n)
+    )
     analytic = classical_rate(profile_m, geom, rates)
     mc_rate = 0.5 * rates.rc0 * mc_mean
     classical_ok = abs(mc_rate - analytic) < 4.0 * (0.5 * rates.rc0 * mc_err)

@@ -4,14 +4,16 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
-from biphoton import cli
+from biphoton import cli, engines
 from biphoton.cli import main
 from biphoton.config import DEFAULTS, ExperimentConfig
 from biphoton.errors import ConfigError
+from biphoton.spectral import sample_signal
 
 
 def write_config(tmp_path, overrides, name="config.json"):
@@ -141,6 +143,31 @@ class TestCliCommands:
                 row["classical_mc_rate"] - row["classical_rate"]
             ) < 4 * max(row["classical_mc_stderr"], 1e-9)
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_compare_draws_once_per_row(self, tmp_path, monkeypatch, seed):
+        # one set of signal deviations per row serves both Monte Carlo columns
+        draws = []
+
+        def counted(profile, rng, size):
+            delta = sample_signal(profile, rng, size)
+            draws.append(delta.size)
+            return delta
+
+        for module in (cli, engines):
+            monkeypatch.setattr(module, "sample_signal", counted)
+        out = tmp_path / "out"
+        assert main(["compare", "--seed", str(seed), "--out", str(out)]) == 0
+        assert len(draws) == 9 and sum(draws) == 1_800_000
+        # each Monte Carlo rate within 5 standard errors of its closed form
+        pair_rate = DEFAULTS["rates"]["pair_rate"]
+        for row in json.loads((out / "compare.json").read_text())["rows"]:
+            diff = row["classical_mc_rate"] - row["classical_rate"]
+            assert abs(diff) <= 5.0 * row["classical_mc_stderr"]
+            p = row["quantum_wide_rate"] / pair_rate
+            sigma = pair_rate * math.sqrt(p * (1.0 - p) / row["quantum_mc_n"])
+            diff = row["quantum_mc_wide_rate"] - row["quantum_wide_rate"]
+            assert abs(diff) <= 5.0 * sigma
+
     def test_invalid_config_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, {"tac": {"range_s": 11e-9}})
         assert main(["histogram", "--config", cfg]) == 2
@@ -264,6 +291,26 @@ class TestCliCommands:
         section = "scan" if name == "scan" else "run"
         for key in ("rates.pair_rate", "rates.singles_background", f"{section}.duration_s"):
             assert key in err
+        assert not out.exists()
+
+    def test_scan_length_overflow_names_both_keys(self, tmp_path, capsys):
+        # span_periods * pump_wavelength_m is inf: refused before any scan
+        # offset is computed, so no NaN offset and no RuntimeWarning
+        cfg = write_config(
+            tmp_path,
+            {
+                "source": {"pump_wavelength_m": 1e10, "coherence_length_m": 1e12},
+                "scan": {"span_periods": 1e300, "n_points": 9},
+            },
+        )
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["fringes", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "scan.span_periods" in err and "source.pump_wavelength_m" in err
+        assert "RuntimeWarning" not in err
         assert not out.exists()
 
     def test_allocation_bounds_inclusive(self):

@@ -33,11 +33,12 @@ from biphoton.engines import (
     side_class_rate,
 )
 from biphoton.errors import DomainError
-from biphoton.interferometer import transit_times
+from biphoton.interferometer import class_probabilities_pair, transit_times
 from biphoton.spectral import SpectralShape, sample_signal, wavelength_to_wavenumber
 from conftest import PUMP_WAVELENGTH, phase_geometry
 from oracle import (
     class_probabilities_pair_oracle,
+    classical_monte_carlo_oracle,
     expected_class_probabilities_oracle,
     fringe_phase_oracle,
     generate_events_oracle,
@@ -214,12 +215,27 @@ class TestClassicalModel:
 
     def test_monte_carlo_matches_closed_form(self, profile, geometry, k_pump, rng):
         g = phase_geometry(geometry, k_pump, 1.1)
-        mean, stderr = classical_monte_carlo(profile, g, 10**6, rng)
+        delta = sample_signal(profile, rng, 10**6)
+        mean, stderr = classical_monte_carlo(profile, g, delta)
         assert abs(mean - classical_bracket(profile, g)) < 4 * stderr
 
-    def test_sample_count_validated(self, profile, geometry, rng):
+    @pytest.mark.parametrize("shape", list(SpectralShape))
+    def test_monte_carlo_matches_literal_integrand(self, k_pump, geometry, shape):
+        # (sin phi_c - sin x)^2 against (1 + cos phi_1)(1 - cos phi_2) on the
+        # same deviations; 50 001 leaves a partial last block
+        profile = SpectralProfile(k_pump=k_pump, delta_k=1.0 / LCOH, shape=shape)
+        delta = sample_signal(profile, np.random.default_rng(41), 50_001)
+        for i in range(9):
+            g = phase_geometry(geometry, k_pump, i * 2.0 * math.pi / 8.0)
+            g = g.with_offset(g.path_long_offset + 3.0 * PUMP_WAVELENGTH)
+            mean, stderr = classical_monte_carlo(profile, g, delta)
+            mean_o, stderr_o = classical_monte_carlo_oracle(profile, g, delta)
+            assert mean == pytest.approx(mean_o, rel=1e-9, abs=0)
+            assert stderr == pytest.approx(stderr_o, rel=1e-9, abs=0)
+
+    def test_sample_count_validated(self, profile, geometry):
         with pytest.raises(DomainError):
-            classical_monte_carlo(profile, geometry, 0, rng)
+            classical_monte_carlo(profile, geometry, np.empty(0))
 
 
 class TestSourceRates:
@@ -344,7 +360,8 @@ class TestEventGeneration:
         n_central = n_side = 0
         for phase in np.linspace(0, 2 * math.pi, 12, endpoint=False):
             g = phase_geometry(geometry, k_pump, phase)
-            outcomes = sample_pair_outcomes(profile, g, rates, 20000, rng)
+            delta = sample_signal(profile, rng, 20000)
+            outcomes = sample_pair_outcomes(profile, g, rates, delta, rng)
             n_central += int(np.sum(outcomes == 0))
             n_side += int(np.sum((outcomes == 1) | (outcomes == 2)))
         sigma = math.sqrt(n_central + n_side)
@@ -355,7 +372,8 @@ class TestEventGeneration:
     ):
         g = phase_geometry(geometry, k_pump, 2.0)
         n = 10**6
-        outcomes = sample_pair_outcomes(profile, g, rates, n, rng)
+        delta = sample_signal(profile, rng, n)
+        outcomes = sample_pair_outcomes(profile, g, rates, delta, rng)
         counts = np.array([np.sum(outcomes == i) for i in range(4)])
         probs = expected_class_probabilities(profile, g, rates)
         expected = n * np.array(
@@ -386,9 +404,9 @@ class TestEventGeneration:
         geom = phase_geometry(geom, k_pump, 2.0)
         rates = SourceRates(pair_rate=1.0e5, rc0=6.0e4)
         n = 2000
-        codes = sample_pair_outcomes(
-            profile, geom, rates, n, np.random.default_rng(77)
-        )
+        rng = np.random.default_rng(77)
+        delta = sample_signal(profile, rng, n)
+        codes = sample_pair_outcomes(profile, geom, rates, delta, rng)
 
         rng = np.random.default_rng(77)
         k1 = profile.k_center + sample_signal(profile, rng, n)
@@ -402,6 +420,22 @@ class TestEventGeneration:
             expected.append(int(np.searchsorted(edges, x, side="right")))
         assert codes.tolist() == expected
         assert set(expected) == {0, 1, 2, 3}
+
+    def test_outcomes_blocked_like_whole_array(self, profile, geometry, k_pump, rates):
+        # 20 001 pairs span three blocks, the last one partial
+        g = phase_geometry(geometry, k_pump, 2.0)
+        n = 20_001
+        rng = np.random.default_rng(5)
+        delta = sample_signal(profile, rng, n)
+        codes = sample_pair_outcomes(profile, g, rates, delta, rng)
+
+        rng = np.random.default_rng(5)
+        delta = sample_signal(profile, rng, n)
+        u = rng.random(n)
+        p_c, p_sl, p_ls = class_probabilities_pair(delta, profile, g)
+        edges = np.cumsum(rates.pair_scale * np.stack([p_c, p_sl, p_ls]), axis=0)
+        assert codes.tolist() == (u >= edges).sum(axis=0).tolist()
+        assert sample_pair_outcomes(profile, g, rates, delta[:0], rng).size == 0
 
     def test_background_only(self, geometry, profile, rng):
         rates = SourceRates(pair_rate=0.0, rc0=0.0, singles_background=5e4)
