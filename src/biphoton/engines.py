@@ -32,7 +32,10 @@ the classical integrand (1 + cos phi_1)(1 - cos phi_2) is exactly
 (sin phi_c - sin x)^2, one sine per pair, where phi_c is the fringe phase of
 k_pump/2.  Both engines work through the deviations in blocks of
 ``_BLOCK`` pairs, writing into one preallocated result, so the temporaries
-of a block stay in cache and only the draws and the result are full length.
+of a block stay in cache and only the deviations and the result are full
+length: the uniforms of the quantum engine are drawn block by block, and the
+classical standard error is taken in place, so repeated calls reuse the
+same memory with a steady number of page faults.
 """
 from __future__ import annotations
 
@@ -241,8 +244,12 @@ def classical_monte_carlo(
         np.subtract(sin_c, block, out=block)
         np.square(block, out=block)
     mean = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return mean, stderr
+    if n == 1:
+        return mean, 0.0
+    # np.std(vals, ddof=1) in place: the same sums, without a second array
+    vals -= mean
+    np.square(vals, out=vals)
+    return mean, math.sqrt(float(np.sum(vals)) / (n - 1)) / math.sqrt(n)
 
 
 def expected_class_probabilities(
@@ -277,11 +284,11 @@ def sample_pair_outcomes(
     Pair i has signal deviation ``delta[i]`` (from :func:`sample_signal`) and
     draws one uniform from ``rng``; its code is the number of cumulative
     class thresholds the uniform clears.  The thresholds come from
-    :func:`class_probabilities_pair`, in blocks of ``_BLOCK`` pairs.
+    :func:`class_probabilities_pair`, in blocks of ``_BLOCK`` pairs, and each
+    block draws its uniforms in turn, the same stream as one draw of ``n``.
     """
     n = np.size(delta)
     scale = rates.pair_scale
-    u = rng.random(n)
     codes = np.empty(n, dtype=np.uint8)
     for start in range(0, n, _BLOCK):
         stop = start + _BLOCK
@@ -290,12 +297,10 @@ def sample_pair_outcomes(
         central = scale * float(p_c[0])
         side_sl = central + scale * p_sl
         side_ls = side_sl + scale * p_ls
-        block = u[start:stop]
+        u = rng.random(np.size(p_sl))
         # the thresholds never decrease, so the code is the number u clears
         codes[start:stop] = (
-            (block >= central).astype(np.uint8)
-            + (block >= side_sl)
-            + (block >= side_ls)
+            (u >= central).astype(np.uint8) + (u >= side_sl) + (u >= side_ls)
         )
     return codes
 
