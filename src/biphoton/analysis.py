@@ -139,7 +139,14 @@ def acquire_scan_corpus(
     for i, offset in enumerate(offsets):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
         geom = geometry.with_offset(float(offset))
-        events = generate_events(profile, geom, rates, duration, rng)
+        events = generate_events(
+            profile,
+            geom,
+            rates,
+            duration,
+            rng,
+            (detector_a.efficiency, detector_b.efficiency),
+        )
         t_a, t_b = detect_streams(events, detector_a, detector_b, rng)
         hist = histogram_from_clicks(t_a, t_b, tac, duration)
         points.append(

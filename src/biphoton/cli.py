@@ -116,10 +116,16 @@ def cmd_histogram(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
     rng = np.random.default_rng(cfg.data["run"]["seed"])
+    detector = cfg.detector()
     events = generate_events(
-        cfg.profile(), cfg.geometry(), cfg.rates(), cfg.data["run"]["duration_s"], rng
+        cfg.profile(),
+        cfg.geometry(),
+        cfg.rates(),
+        cfg.data["run"]["duration_s"],
+        rng,
+        (detector.efficiency, detector.efficiency),
     )
-    hist = acquire_histogram(events, cfg.detector(), cfg.detector(), cfg.tac(), rng)
+    hist = acquire_histogram(events, detector, detector, cfg.tac(), rng)
     path = out / "histogram.csv"
     _guard_overwrite(path, cfg.config_hash(), args.force)
     hist.to_csv(path, config_hash=cfg.config_hash())

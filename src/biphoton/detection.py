@@ -1,11 +1,14 @@
 """Detectors, TAC and MCA simulation.
 
-Turns event streams into start-stop time-difference histograms.  Detector A
-provides the start pulse, detector B the stop pulse after a fixed electrical
-delay; the TAC is single-start/single-stop (starts arriving while a
-conversion is pending are dropped, a start with no stop inside the range
-times out).  The coincidence window is applied afterwards, on the recorded
-histogram, so the window choice is a delayed choice.
+Turns event streams into start-stop time-difference histograms.  The
+streams hold only detected photons: :func:`biphoton.engines.generate_events`
+applies each detector's efficiency as it draws them, and the detector model
+here adds timing jitter and dead time.  Detector A provides the start
+pulse, detector B the stop pulse after a fixed electrical delay; the TAC is
+single-start/single-stop (starts arriving while a conversion is pending are
+dropped, a start with no stop inside the range times out).  The coincidence
+window is applied afterwards, on the recorded histogram, so the window
+choice is a delayed choice.
 
 A detector with non-paralysable dead time and the TAC both go blind after
 an event they accept: a later event counts only if it arrives at or after
@@ -125,18 +128,19 @@ def _accept_free(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
 def detect_clicks(
     times: np.ndarray, model: DetectorModel, rng: np.random.Generator
 ) -> np.ndarray:
-    """Apply efficiency thinning, timing jitter, then dead-time suppression.
+    """Apply timing jitter, then dead-time suppression, to detected photons.
 
-    ``times`` may come in any order: the clicks are sorted after the jitter,
-    the one place the chain orders them, and returned sorted.  Dead time is
-    non-paralysable: a click is kept when ``t >= last + dead_time``, ``last``
-    being the last kept click, and a lost click does not extend the dead
-    period.  This is the TAC's busy-period rule with no stop, so both share
-    one kernel (``_accept_free``).
+    ``times`` are photons the detector has already detected: the efficiency
+    is applied where they are drawn, in
+    :func:`biphoton.engines.generate_events`, so ``model.efficiency`` is not
+    read here.  They may come in any order: the clicks are sorted after the
+    jitter, the one place the chain orders them, and returned sorted.  Dead
+    time is non-paralysable: a click is kept when ``t >= last + dead_time``,
+    ``last`` being the last kept click, and a lost click does not extend the
+    dead period.  This is the TAC's busy-period rule with no stop, so both
+    share one kernel (``_accept_free``).
     """
     times = np.asarray(times, dtype=float)
-    if model.efficiency < 1.0:
-        times = times[rng.random(times.size) < model.efficiency]
     if model.timing_jitter_sigma > 0 and times.size:
         times = times + rng.normal(0.0, model.timing_jitter_sigma, times.size)
     times = np.sort(times)
@@ -151,7 +155,17 @@ def detect_streams(
     detector_b: DetectorModel,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Detected click times at A and B, each sorted, for one event stream."""
+    """Detected click times at A and B, each sorted, for one event stream.
+
+    The stream must have been drawn with the detectors' efficiencies, or an
+    efficiency would be dropped or applied twice.
+    """
+    wanted = (detector_a.efficiency, detector_b.efficiency)
+    if events.efficiency != wanted:
+        raise PreconditionError(
+            f"event stream drawn at efficiencies {events.efficiency}, "
+            f"detectors have {wanted}"
+        )
     t_a = detect_clicks(events.a, detector_a, rng)
     t_b = detect_clicks(events.b, detector_b, rng)
     return t_a, t_b
@@ -210,7 +224,8 @@ def acquire_histogram(
     tac: TacConfig,
     rng: np.random.Generator,
 ) -> TacHistogram:
-    """Full chain: thinning, jitter, dead time, TAC pairing, MCA binning."""
+    """Full chain from detected photons: jitter, dead time, TAC pairing, MCA
+    binning."""
     t_a, t_b = detect_streams(events, detector_a, detector_b, rng)
     return histogram_from_clicks(t_a, t_b, tac, events.duration)
 

@@ -23,6 +23,10 @@ outcome then form independent Poisson processes of rates R * P_j.  An
 acquisition of length T is drawn as one Poisson count per outcome, mean
 R * T * P_j, and that many uniform emission times.  The no-coincidence
 outcome splits further by port and arms, each split again a marking.
+Detection is the last marking: each photon is detected independently with
+its detector's efficiency eta, so every cell splits by which of its photons
+are detected, and only detected photons are drawn.  Background clicks are
+drawn at eta times their rate, the same Poisson law as thinning them.
 Per-pair sampling, :func:`sample_pair_outcomes`, stays as the independent
 check of these rates.
 
@@ -307,19 +311,24 @@ def sample_pair_outcomes(
 
 @dataclass
 class EventStream:
-    """Photon arrival times at detectors A (``a``) and B (``b``), unsorted.
+    """Detected photon arrival times at detectors A (``a``) and B (``b``),
+    unsorted.
 
-    :func:`biphoton.detection.detect_clicks` orders the clicks after its
-    jitter, so nothing sorts the photon times before it.
+    :func:`generate_events` has already applied each detector's efficiency,
+    recorded in ``efficiency`` as (eta_A, eta_B), so every photon here is
+    one the detector sees.  :func:`biphoton.detection.detect_clicks` orders
+    the clicks after its jitter, so nothing sorts the photon times before it.
 
-    ``pairs_per_class`` counts the emitted pairs by outcome code of
-    :func:`sample_pair_outcomes`: central, side_sl, side_ls, no coincidence.
+    ``pairs_per_class`` counts the emitted pairs, detected or not, by outcome
+    code of :func:`sample_pair_outcomes`: central, side_sl, side_ls, no
+    coincidence.
     """
 
     a: np.ndarray
     b: np.ndarray
     duration: float
     pairs_per_class: np.ndarray
+    efficiency: tuple[float, float]
 
     def __len__(self) -> int:
         return self.a.size + self.b.size
@@ -331,8 +340,10 @@ def generate_events(
     rates: SourceRates,
     duration: float,
     rng: np.random.Generator,
+    efficiency: tuple[float, float] = (1.0, 1.0),
 ) -> EventStream:
-    """Simulate one acquisition: the photon arrival times at each detector.
+    """Simulate one acquisition: the detected photon arrival times at each
+    detector, whose efficiencies are ``efficiency`` = (eta_A, eta_B).
 
     Pairs are emitted as a Poisson process of rate R = ``pair_rate``.  Each
     pair lands in one of the three coincidence classes, with the spectral
@@ -342,43 +353,66 @@ def generate_events(
     takes either arm with even odds: both short, both long, or one of each,
     with odds 1/4, 1/4 and 1/2.  By the marking theorem each of these nine
     cells is an independent Poisson process, of rate R times the cell's
-    probability, so the acquisition draws one Poisson count per cell and
-    that many uniform emission times; the photons arrive after the transit
-    times of their arms.  Independent Poisson background clicks are added
-    on each detector.  Each detector's times come grouped by cell, unsorted.
+    probability.  Detection is one more marking: each photon of a cell is
+    detected independently with the efficiency eta of its detector, so a
+    cell splits into four sub-cells, both photons detected, only the first,
+    only the second, or neither.  The acquisition draws one Poisson count
+    per sub-cell, and one uniform emission time per pair of the sub-cells
+    with a detected photon; the photons arrive after the transit times of
+    their arms.  Independent Poisson background clicks, at rate
+    eta * ``singles_background``, are added on each detector.  Each
+    detector's times come grouped by sub-cell, unsorted.
+
+    At eta = 1 only the both-detected sub-cells have a nonzero mean, and a
+    Poisson draw of mean zero takes nothing from ``rng``, so the stream is
+    draw for draw the one of the nine cells alone.
     """
     if duration < 0:
         raise DomainError(f"duration must be nonnegative, got {duration}")
+    if not all(0.0 <= eta <= 1.0 for eta in efficiency):
+        raise DomainError(f"efficiencies must lie in [0, 1], got {efficiency}")
     t_short, t_long = transit_times(geometry)
     probs = expected_class_probabilities(profile, geometry, rates)
     p_none = max(probs["none"], 0.0)
-    # (probability, photon delays at A, photon delays at B)
+    # (probability, first photon, second photon), a photon as (detector, delay)
     cells = (
-        (probs["central"], (t_short,), (t_short,)),
-        (probs["side_sl"], (t_short,), (t_long,)),
-        (probs["side_ls"], (t_long,), (t_short,)),
-        (p_none / 8.0, (t_short, t_short), ()),
-        (p_none / 8.0, (t_long, t_long), ()),
-        (p_none / 4.0, (t_short, t_long), ()),
-        (p_none / 8.0, (), (t_short, t_short)),
-        (p_none / 8.0, (), (t_long, t_long)),
-        (p_none / 4.0, (), (t_short, t_long)),
+        (probs["central"], (0, t_short), (1, t_short)),
+        (probs["side_sl"], (0, t_short), (1, t_long)),
+        (probs["side_ls"], (0, t_long), (1, t_short)),
+        (p_none / 8.0, (0, t_short), (0, t_short)),
+        (p_none / 8.0, (0, t_long), (0, t_long)),
+        (p_none / 4.0, (0, t_short), (0, t_long)),
+        (p_none / 8.0, (1, t_short), (1, t_short)),
+        (p_none / 8.0, (1, t_long), (1, t_long)),
+        (p_none / 4.0, (1, t_short), (1, t_long)),
     )
-    mean = rates.pair_rate * duration * np.array([cell[0] for cell in cells])
-    counts = rng.poisson(mean)
-    emit = np.split(rng.random(int(counts.sum())) * duration, np.cumsum(counts)[:-1])
+    # each cell splits into sub-cells: both photons detected, only the first,
+    # only the second, neither; ``seen`` lists the photons of the first three
+    means, seen = [], []
+    for p, first, second in cells:
+        e1, e2 = efficiency[first[0]], efficiency[second[0]]
+        q1, q2 = 1.0 - e1, 1.0 - e2
+        means.append([p * e1 * e2, p * e1 * q2, p * q1 * e2, p * q1 * q2])
+        seen.extend(((first, second), (first,), (second,)))
+    counts = rng.poisson(rates.pair_rate * duration * np.array(means))
+    detected = counts[:, :3].ravel()
+    emit = np.split(
+        rng.random(int(detected.sum())) * duration, np.cumsum(detected)[:-1]
+    )
 
-    a, b = [], []
-    for times, (_, at_a, at_b) in zip(emit, cells):
-        a.extend(times + delay for delay in at_a)
-        b.extend(times + delay for delay in at_b)
-    for clicks in (a, b):
-        n_bg = int(rng.poisson(rates.singles_background * duration))
-        clicks.append(rng.random(n_bg) * duration)
+    clicks = ([], [])
+    for times, photons in zip(emit, seen):
+        for det, delay in photons:
+            clicks[det].append(times + delay)
+    for det in (0, 1):
+        n_bg = int(rng.poisson(efficiency[det] * rates.singles_background * duration))
+        clicks[det].append(rng.random(n_bg) * duration)
 
+    per_cell = counts.sum(axis=1)
     return EventStream(
-        a=np.concatenate(a),
-        b=np.concatenate(b),
+        a=np.concatenate(clicks[0]),
+        b=np.concatenate(clicks[1]),
         duration=duration,
-        pairs_per_class=np.append(counts[:3], counts[3:].sum()),
+        pairs_per_class=np.append(per_cell[:3], per_cell[3:].sum()),
+        efficiency=(float(efficiency[0]), float(efficiency[1])),
     )

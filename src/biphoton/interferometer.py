@@ -26,6 +26,7 @@ arm-length-to-time conversion in the package uses it.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -92,12 +93,20 @@ def fringe_phase(k: float, geometry: InterferometerGeometry) -> float:
     carries an absolute error of ~1e-9 rad, which would swamp nanometre-scale
     fringe structure.  So k * (L_base - S) is reduced mod 2*pi in exact
     rational arithmetic and rounded once, keeping the sign of k as
-    ``np.fmod`` does; the offset term k * offset is added after.
+    ``np.fmod`` does; the offset term k * offset is added after.  The
+    reduction is memoized on (k, L_base - S): a scan or a blocked Monte
+    Carlo engine asks for the same few values over and over.
     """
-    exact = Fraction(k) * Fraction(geometry.path_long_base - geometry.path_short)
-    period = Fraction(TWO_PI)
-    base = float(exact - math.trunc(exact / period) * period)
+    base = _reduced_base_phase(k, geometry.path_long_base - geometry.path_short)
     return base + k * geometry.path_long_offset
+
+
+@functools.lru_cache
+def _reduced_base_phase(k: float, length: float) -> float:
+    """k * length mod 2*pi, exact in rational arithmetic, rounded once."""
+    exact = Fraction(k) * Fraction(length)
+    period = Fraction(TWO_PI)
+    return float(exact - math.trunc(exact / period) * period)
 
 
 def offset_for_phase(

@@ -15,8 +15,14 @@ the other way when ``t - last`` lies within an ulp of the dead time.
 The merged event stream is the oracle of ``biphoton.engines.generate_events``:
 a signal wavenumber and an outcome drawn for every pair, and every photon of
 both detectors in one stable-sorted array, each labelled with its detector
-and its ground-truth class.  The two draw different random streams, so they
-agree in distribution, not bit for bit.
+and its ground-truth class.  ``generate_events`` draws only the photons its
+detectors detect; the oracle emits them all, and :func:`detect_oracle`
+thins them one photon at a time, one uniform each, as the detector model
+once did.  The two draw different random streams, so they agree in
+distribution, not bit for bit.  :func:`generate_events_nine_cells` is the
+generator before detection was folded in, one Poisson count per cell and
+every photon emitted; at unit efficiency ``generate_events`` must return
+exactly its arrays from the same stream.
 
 Simpson quadrature over the signal spectrum is the oracle of the closed-form
 spectral averages in ``biphoton.engines``.
@@ -42,7 +48,7 @@ import numpy as np
 
 from scipy.integrate import simpson
 
-from biphoton.engines import sample_pair_outcomes
+from biphoton.engines import expected_class_probabilities, sample_pair_outcomes
 from biphoton.errors import DomainError
 from biphoton.interferometer import (
     InterferometerGeometry,
@@ -270,7 +276,9 @@ def generate_events_oracle(profile, geometry, rates, duration: float, rng):
     """One acquisition as a merged stream ``(time, detector, truth)``.
 
     ``detector`` holds 0 for A and 1 for B; ``truth`` uses the TRUTH_* codes.
-    The RNG draws come in the same order as in ``generate_events``.
+    Every emitted photon is returned, detected or not.  With no pair to
+    draw, the oracle takes the same draws as ``generate_events`` at unit
+    efficiency: each detector's background count and times, A first.
     """
     if duration < 0:
         raise DomainError(f"duration must be nonnegative, got {duration}")
@@ -321,6 +329,46 @@ def generate_events_oracle(profile, geometry, rates, duration: float, rng):
     truth = np.concatenate(truths)
     order = np.argsort(time, kind="stable")
     return time[order], det[order], truth[order]
+
+
+def detect_oracle(times, efficiency: float, rng) -> np.ndarray:
+    """The photons a detector of quantum efficiency ``efficiency`` detects,
+    each independently: one uniform per photon, kept when below it."""
+    times = np.asarray(times, dtype=float)
+    return times[rng.random(times.size) < efficiency]
+
+
+def generate_events_nine_cells(profile, geometry, rates, duration: float, rng):
+    """``(a, b, pairs_per_class)`` of one acquisition with every photon
+    detected: one Poisson count per cell of the nine, that many uniform
+    emission times, then each detector's background."""
+    t_short, t_long = transit_times(geometry)
+    probs = expected_class_probabilities(profile, geometry, rates)
+    p_none = max(probs["none"], 0.0)
+    # (probability, photon delays at A, photon delays at B)
+    cells = (
+        (probs["central"], (t_short,), (t_short,)),
+        (probs["side_sl"], (t_short,), (t_long,)),
+        (probs["side_ls"], (t_long,), (t_short,)),
+        (p_none / 8.0, (t_short, t_short), ()),
+        (p_none / 8.0, (t_long, t_long), ()),
+        (p_none / 4.0, (t_short, t_long), ()),
+        (p_none / 8.0, (), (t_short, t_short)),
+        (p_none / 8.0, (), (t_long, t_long)),
+        (p_none / 4.0, (), (t_short, t_long)),
+    )
+    mean = rates.pair_rate * duration * np.array([cell[0] for cell in cells])
+    counts = rng.poisson(mean)
+    emit = np.split(rng.random(int(counts.sum())) * duration, np.cumsum(counts)[:-1])
+
+    a, b = [], []
+    for times, (_, at_a, at_b) in zip(emit, cells):
+        a.extend(times + delay for delay in at_a)
+        b.extend(times + delay for delay in at_b)
+    for clicks in (a, b):
+        n_bg = int(rng.poisson(rates.singles_background * duration))
+        clicks.append(rng.random(n_bg) * duration)
+    return np.concatenate(a), np.concatenate(b), np.append(counts[:3], counts[3:].sum())
 
 
 def quadrature_mean(profile, func, tol: float = 1e-9) -> float:

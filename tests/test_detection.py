@@ -15,7 +15,7 @@ from biphoton import (
 )
 from biphoton import detection
 from biphoton.detection import _accept_free, detect_clicks, tac_differences
-from biphoton.engines import EventStream
+from biphoton.engines import EventStream, expected_class_probabilities
 from biphoton.errors import DomainError, PreconditionError
 from biphoton.interferometer import SPEED_OF_LIGHT
 from conftest import phase_geometry
@@ -53,6 +53,7 @@ def make_stream(times_a, times_b, duration=1.0):
         b=np.sort(np.asarray(times_b, dtype=float)),
         duration=duration,
         pairs_per_class=np.zeros(4, dtype=np.int64),
+        efficiency=(1.0, 1.0),
     )
 
 
@@ -77,11 +78,34 @@ class TestDetectorModel:
         with pytest.raises(DomainError, match=field):
             DetectorModel(**{field: value})
 
-    def test_efficiency_thinning(self, rng):
-        model = DetectorModel(timing_jitter_sigma=0.0, dead_time=0.0, efficiency=0.3)
-        n = 10**5
-        kept = detect_clicks(np.linspace(0, 1, n), model, rng)
-        assert abs(kept.size - 0.3 * n) < 5 * math.sqrt(0.3 * 0.7 * n)
+    def test_efficiency_thinning(self, profile, geometry, rng):
+        # efficiency is applied where photons are drawn.  A pair puts one
+        # photon on each detector on average, a no-coincidence pair two on
+        # one, so the detected count is compound Poisson: mean eta R T,
+        # variance R T (eta + p_none eta^2), plus the thinned background
+        rates = SourceRates(pair_rate=1e5, rc0=1e5, singles_background=2e4)
+        duration, efficiency = 1.0, (0.3, 0.7)
+        stream = generate_events(profile, geometry, rates, duration, rng, efficiency)
+        n_pairs = rates.pair_rate * duration
+        p_none = expected_class_probabilities(profile, geometry, rates)["none"]
+        for clicks, eta in zip((stream.a, stream.b), efficiency):
+            n_bg = eta * rates.singles_background * duration
+            var = n_pairs * (eta + p_none * eta**2) + n_bg
+            assert abs(clicks.size - (eta * n_pairs + n_bg)) < 5 * math.sqrt(var)
+        # the pairs are counted as emitted, detected or not
+        assert abs(stream.pairs_per_class.sum() - n_pairs) < 5 * math.sqrt(n_pairs)
+
+    def test_stream_efficiency_must_match_detectors(
+        self, profile, geometry, rates, rng
+    ):
+        # a stream drawn at other efficiencies than the detectors' would have
+        # an efficiency dropped or applied twice
+        lossy = DetectorModel(timing_jitter_sigma=0.0, dead_time=0.0, efficiency=0.5)
+        stream = generate_events(profile, geometry, rates, 1e-3, rng, (0.5, 1.0))
+        assert acquire_histogram(stream, lossy, IDEAL, TAC, rng).total > 0
+        for det_a, det_b in ((IDEAL, IDEAL), (IDEAL, lossy), (lossy, lossy)):
+            with pytest.raises(PreconditionError, match="efficiencies"):
+                acquire_histogram(stream, det_a, det_b, TAC, rng)
 
 
 class TestTac:
@@ -267,7 +291,11 @@ class TestGateCount:
         time, detector, truth = generate_events_oracle(profile, g, rates, 0.02, rng)
         pair = truth <= TRUTH_SIDE_LS
         events = EventStream(
-            time[pair & (detector == 0)], time[pair & (detector == 1)], 0.02, None
+            time[pair & (detector == 0)],
+            time[pair & (detector == 1)],
+            0.02,
+            None,
+            (1.0, 1.0),
         )
         hist = acquire_histogram(events, IDEAL, IDEAL, TAC, rng)
         assert hist.total > 0

@@ -39,8 +39,10 @@ from conftest import PUMP_WAVELENGTH, phase_geometry
 from oracle import (
     class_probabilities_pair_oracle,
     classical_monte_carlo_oracle,
+    detect_oracle,
     expected_class_probabilities_oracle,
     fringe_phase_oracle,
+    generate_events_nine_cells,
     generate_events_oracle,
     quadrature_mean,
 )
@@ -302,15 +304,21 @@ class TestEventGeneration:
         n_runs, duration = 40, 0.02
         seeds = np.random.SeedSequence(cfg.data["run"]["seed"]).spawn(2 * n_runs)
 
+        efficiency = (detector.efficiency, detector.efficiency)
+
         def oracle_stream(rng):
             time, det, truth = generate_events_oracle(
                 profile, geometry, rates, duration, rng
             )
             pairs = np.bincount(truth, minlength=5)[:4] // 2
-            return EventStream(time[det == 0], time[det == 1], duration, pairs)
+            a, b = (
+                detect_oracle(time[det == d], eta, rng)
+                for d, eta in enumerate(efficiency)
+            )
+            return EventStream(a, b, duration, pairs, efficiency)
 
         def generator(rng):
-            return generate_events(profile, geometry, rates, duration, rng)
+            return generate_events(profile, geometry, rates, duration, rng, efficiency)
 
         t_short, t_long = transit_times(geometry)
         results = []
@@ -349,6 +357,69 @@ class TestEventGeneration:
         for col in range(gated.shape[1]):
             welch = stats.ttest_ind(gated[:, col], gated_o[:, col], equal_var=False)
             assert welch.pvalue > 0.001
+
+    @pytest.mark.parametrize("config", ["default", "experimental"])
+    def test_unit_efficiency_matches_nine_cells(self, config):
+        # at eta = 1 the sub-cells beside "both detected" have mean 0 and draw
+        # nothing: the same arrays, in the same order, from the same stream
+        cfg = ExperimentConfig.packaged(config)
+        args = (cfg.profile(), cfg.geometry(), cfg.rates(), 0.05)
+        rng = np.random.default_rng(cfg.data["run"]["seed"])
+        stream = generate_events(*args, rng, (1.0, 1.0))
+        rng_cells = np.random.default_rng(cfg.data["run"]["seed"])
+        a, b, pairs = generate_events_nine_cells(*args, rng_cells)
+        assert a.size > 0 and b.size > 0
+        assert np.array_equal(stream.a, a)
+        assert np.array_equal(stream.b, b)
+        assert np.array_equal(stream.pairs_per_class, pairs)
+        assert rng.random() == rng_cells.random()
+
+    @pytest.mark.parametrize("efficiency", [(0.25, 0.25), (0.3, 0.7)])
+    def test_detection_marking_matches_thinned_oracle(
+        self, profile, geometry, k_pump, efficiency
+    ):
+        # detected coincidences per class and singles per detector: folded
+        # into the generator's cells, against every oracle photon thinned
+        rates = SourceRates(pair_rate=1e5, rc0=1e5, singles_background=2e4)
+        g = phase_geometry(geometry, k_pump, 2.0)
+        duration = 0.5
+        t_short, t_long = transit_times(g)
+        split = t_long - t_short
+
+        def observed(a, b):
+            # a pair's two photons sit exactly b - a = 0 or +-split apart;
+            # photons of different pairs almost never come within 1e-13 s
+            a = np.sort(a)
+            per_class = [
+                int(
+                    np.sum(
+                        np.searchsorted(a, b - offset + 1e-13, side="right")
+                        - np.searchsorted(a, b - offset - 1e-13, side="left")
+                    )
+                )
+                for offset in (0.0, split, -split)
+            ]
+            return np.array(per_class + [a.size, b.size])
+
+        rng = np.random.default_rng(31)
+        stream = generate_events(profile, g, rates, duration, rng, efficiency)
+        got = observed(stream.a, stream.b)
+        time, det, _ = generate_events_oracle(profile, g, rates, duration, rng)
+        want = observed(
+            *(detect_oracle(time[det == d], eta, rng) for d, eta in enumerate(efficiency))
+        )
+
+        probs = expected_class_probabilities(profile, g, rates)
+        n_pairs = rates.pair_rate * duration
+        eta_ab = efficiency[0] * efficiency[1]
+        var = [
+            n_pairs * probs[name] * eta_ab for name in ("central", "side_sl", "side_ls")
+        ]
+        for eta in efficiency:
+            n_bg = eta * rates.singles_background * duration
+            var.append(n_pairs * (eta + probs["none"] * eta**2) + n_bg)
+        assert np.all(got[:3] > 100)
+        assert np.all(np.abs(got - want) < 5 * np.sqrt(2 * np.array(var)))
 
     def test_no_central_class_at_zero_phase(self, profile, geometry, k_pump, rates, rng):
         g = phase_geometry(geometry, k_pump, 0.0)
