@@ -5,6 +5,7 @@ import copy
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass
 from importlib import resources
 
@@ -25,45 +26,57 @@ from .spectral import (
 # Expected photons of one acquisition, 2 (pair_rate + singles_background)
 # duration, at most: about 5 GB at the ~48 B of peak memory a photon costs.
 MAX_PHOTONS = 1e8
-# The histogram holds one bin per MCA channel; 2**16 is the most MCAs have.
-MAX_CHANNELS = 65_536
 
-DEFAULTS: dict = {
+# section -> key -> (default, allowed values).  A key's type is its default's:
+# a float key takes a float or an int, either finite as a float, an int key
+# only an int, and bool is never a number.  A number key's allowed values are
+# an interval, each end open "(" ")" or closed "[" "]"; a string key's are a
+# tuple of choices.  The key names carry the units.
+KEYS: dict = {
     "source": {
-        "pump_wavelength_m": 427e-9,
-        "coherence_length_m": 100e-6,
-        "shape": "gaussian",
+        "pump_wavelength_m": (427e-9, "(0, inf)"),
+        "coherence_length_m": (100e-6, "(0, inf)"),
+        "shape": ("gaussian", tuple(s.value for s in SpectralShape)),
     },
     "geometry": {
-        "path_short_m": 0.5,
-        "path_long_base_m": 1.05,
-        "splitter_transmittance": 0.5,
-        "mode_overlap": 1.0,
+        "path_short_m": (0.5, "(-inf, inf)"),
+        "path_long_base_m": (1.05, "(-inf, inf)"),
+        "splitter_transmittance": (0.5, "(0, 1)"),
+        "mode_overlap": (1.0, "[0, 1]"),
     },
     "rates": {
-        "pair_rate": 1.0e5,
-        "rc0": 1.0e5,
-        "singles_background": 0.0,
+        "pair_rate": (1.0e5, "[0, inf)"),
+        "rc0": (1.0e5, "[0, inf)"),
+        "singles_background": (0.0, "[0, inf)"),
     },
     "detector": {
-        "jitter_sigma_s": 300e-12,
-        "dead_time_s": 0.0,
-        "efficiency": 1.0,
+        "jitter_sigma_s": (300e-12, "[0, inf)"),
+        "dead_time_s": (0.0, "[0, inf)"),
+        "efficiency": (1.0, "[0, 1]"),
     },
     "tac": {
-        "electrical_delay_s": 10e-9,
-        "range_s": 20e-9,
-        "n_channels": 4096,
+        # at zero the early side peak, at delay - delta_L/c < 0, misses the TAC
+        "electrical_delay_s": (10e-9, "(0, inf)"),
+        "range_s": (20e-9, "(0, inf)"),
+        # the histogram holds one bin per MCA channel; 2**16 is the most MCAs have
+        "n_channels": (4096, "[2, 65536]"),
     },
     "scan": {
-        "n_points": 24,
-        "span_periods": 2.0,
-        "duration_s": 0.04,
+        # a scan keeps one histogram, counts and edges, per point: 4096 points
+        # of 65536 channels take about 4.3 GB, near MAX_PHOTONS' 5 GB
+        "n_points": (24, "[8, 4096]"),
+        "span_periods": (2.0, "[1, inf)"),
+        "duration_s": (0.04, "[0, inf)"),
     },
     "run": {
-        "duration_s": 1.0,
-        "seed": 1,
+        "duration_s": (1.0, "[0, inf)"),
+        "seed": (1, "[0, inf)"),
     },
+}
+
+DEFAULTS: dict = {
+    section: {key: default for key, (default, _) in keys.items()}
+    for section, keys in KEYS.items()
 }
 
 
@@ -83,14 +96,23 @@ def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
     return out
 
 
-def _is_int(value) -> bool:
-    """True for an integer; bool is excluded although it subclasses int."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    """True for an int or float config value; bool and strings are excluded."""
-    return _is_int(value) or isinstance(value, float)
+def _refusal(name: str, value, default, allowed) -> str | None:
+    """Why ``value`` may not be the value of key ``name``; None when it may."""
+    if isinstance(default, str):
+        if value in allowed:
+            return None
+        return f"{name} must be one of {list(allowed)}, got {value!r}"
+    integer = isinstance(default, int)
+    types = int if integer else (int, float)
+    if isinstance(value, types) and not isinstance(value, bool):
+        lo, hi = (float(end) for end in allowed[1:-1].split(","))
+        above = lo <= value if allowed[0] == "[" else lo < value
+        below = value <= hi if allowed[-1] == "]" else value < hi
+        # the builders turn a float key's int into a float, which must be finite
+        if above and below and (integer or abs(value) <= sys.float_info.max):
+            return None
+    kind = "an integer" if integer else "a finite number"
+    return f"{name} must be {kind} in {allowed}, got {value!r}"
 
 
 def _build(section: str, builder):
@@ -121,10 +143,6 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         return cls.from_dict(read_config_file(path))
-
-    @classmethod
-    def default(cls) -> "ExperimentConfig":
-        return cls.from_dict({})
 
     @classmethod
     def packaged(cls, name: str) -> "ExperimentConfig":
@@ -187,29 +205,12 @@ class ExperimentConfig:
     def validate(self) -> list[str]:
         """Raise ConfigError on fatal problems; return non-fatal warnings."""
         warnings: list[str] = []
-        for section, defaults in DEFAULTS.items():
-            for key, default in defaults.items():
+        for section, keys in KEYS.items():
+            for key, (default, allowed) in keys.items():
                 value = self.data[section][key]
-                if _is_number(default) and not _is_number(value):
-                    raise ConfigError(
-                        f"{section}.{key} must be a number, got {value!r}"
-                    )
-        coherence = self.data["source"]["coherence_length_m"]
-        # NaN passes on to the profile builder, whose message names delta_k
-        if coherence <= 0:
-            raise ConfigError(
-                f"source.coherence_length_m must be positive, got {coherence!r}"
-            )
-        n_channels = self.data["tac"]["n_channels"]
-        if not _is_int(n_channels) or n_channels > MAX_CHANNELS:
-            raise ConfigError(
-                f"tac.n_channels must be an integer of at most {MAX_CHANNELS}, "
-                f"got {n_channels!r}"
-            )
-        shape = self.data["source"]["shape"]
-        shapes = [s.value for s in SpectralShape]
-        if shape not in shapes:
-            raise ConfigError(f"source.shape must be one of {shapes}, got {shape!r}")
+                refusal = _refusal(f"{section}.{key}", value, default, allowed)
+                if refusal:
+                    raise ConfigError(refusal)
         profile = _build("source", self.profile)
         lo, hi = profile.support()
         if not (lo > 0.0 and hi < profile.k_pump):
@@ -222,15 +223,10 @@ class ExperimentConfig:
             )
         geometry = _build("geometry", self.geometry)
         rates = _build("rates", self.rates)
-        _build("detector", self.detector)
+        detector = _build("detector", self.detector)
         tac = _build("tac", self.tac)
         for section in ("run", "scan"):
             duration = self.data[section]["duration_s"]
-            if not 0.0 <= duration < math.inf:
-                raise ConfigError(
-                    f"{section}.duration_s must be a finite nonnegative number, "
-                    f"got {duration!r}"
-                )
             photons = 2.0 * (rates.pair_rate + rates.singles_background) * duration
             if photons > MAX_PHOTONS:
                 raise ConfigError(
@@ -249,25 +245,23 @@ class ExperimentConfig:
         split = dl / SPEED_OF_LIGHT
         if tac.electrical_delay < split:
             raise ConfigError(
-                f"electrical delay {tac.electrical_delay} s is smaller than "
+                f"tac.electrical_delay_s = {tac.electrical_delay} s is smaller than "
                 f"delta_L/c = {split} s; the early side peak falls outside the TAC"
             )
         if tac.electrical_delay + split > tac.range:
             raise ConfigError(
-                f"electrical delay {tac.electrical_delay} s plus delta_L/c = "
-                f"{split} s exceeds the TAC range {tac.range} s"
+                f"tac.electrical_delay_s = {tac.electrical_delay} s plus delta_L/c = "
+                f"{split} s exceeds tac.range_s = {tac.range} s"
             )
-        n_points = self.data["scan"]["n_points"]
-        if not _is_int(n_points):
-            raise ConfigError(f"scan.n_points must be an integer, got {n_points!r}")
-        if n_points < 8:
-            raise ConfigError("scan needs at least 8 points")
-        span = self.data["scan"]["span_periods"]
-        if not 1.0 <= span < math.inf:
+        # a start-stop difference carries the jitter of both detectors
+        spread = math.sqrt(2.0) * detector.timing_jitter_sigma
+        if not spread < tac.range:
             raise ConfigError(
-                "scan.span_periods must be a finite number of at least one "
-                f"fringe period, got {span!r}"
+                f"detector.jitter_sigma_s = {detector.timing_jitter_sigma!r} s: "
+                f"sqrt(2) * jitter = {spread:.6g} s, the spread of a start-stop "
+                f"difference, must be less than tac.range_s = {tac.range!r} s"
             )
+        span = self.data["scan"]["span_periods"]
         period = self.data["source"]["pump_wavelength_m"]
         if not math.isfinite(span * period):
             raise ConfigError(
@@ -290,11 +284,6 @@ class ExperimentConfig:
                 f"range {tac.range} s)"
             )
         _build("scan", lambda: fringe_design(offsets, period))
-        seed = self.data["run"]["seed"]
-        if not _is_int(seed) or seed < 0:
-            raise ConfigError(
-                f"run.seed must be a nonnegative integer, got {seed!r}"
-            )
         return warnings
 
     # serialization ------------------------------------------------------

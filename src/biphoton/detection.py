@@ -31,9 +31,9 @@ from .engines import EventStream
 class DetectorModel:
     """Timing jitter (Gaussian sigma), dead time, and quantum efficiency."""
 
-    timing_jitter_sigma: float = 300e-12
-    dead_time: float = 50e-9
-    efficiency: float = 1.0
+    timing_jitter_sigma: float
+    dead_time: float
+    efficiency: float
 
     def __post_init__(self) -> None:
         require_finite(
@@ -51,9 +51,9 @@ class DetectorModel:
 class TacConfig:
     """TAC/MCA settings: stop-channel delay, conversion range, channel count."""
 
-    electrical_delay: float = 10e-9
-    range: float = 20e-9
-    n_channels: int = 4096
+    electrical_delay: float
+    range: float
+    n_channels: int
 
     def __post_init__(self) -> None:
         require_finite(

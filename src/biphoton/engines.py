@@ -75,9 +75,9 @@ class SourceRates:
     for probabilities to stay below one, unless no pair is drawn at all.
     """
 
-    pair_rate: float = 1.0e5
-    rc0: float = 1.0e5
-    singles_background: float = 0.0
+    pair_rate: float
+    rc0: float
+    singles_background: float
 
     def __post_init__(self) -> None:
         require_finite(

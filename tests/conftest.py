@@ -31,7 +31,7 @@ def geometry():
 
 @pytest.fixture
 def rates():
-    return SourceRates(pair_rate=1.0e5, rc0=1.0e5)
+    return SourceRates(pair_rate=1.0e5, rc0=1.0e5, singles_background=0.0)
 
 
 @pytest.fixture

@@ -47,7 +47,7 @@ def fringe_visibility(rate_fn, profile, geometry, rates):
 @pytest.fixture(scope="module")
 def desk_corpus(profile_m, geometry_m, tac_m):
     """24-point fringe scan at delta_L = 0.55 m, ~2e3 coincidences per point."""
-    rates = SourceRates(pair_rate=1e5, rc0=1e5)
+    rates = SourceRates(pair_rate=1e5, rc0=1e5, singles_background=0.0)
     detector = DetectorModel(timing_jitter_sigma=300e-12, dead_time=0.0, efficiency=1.0)
     offsets = np.linspace(0.0, 2.0 * PERIOD, 24, endpoint=False)
     start = time.perf_counter()
@@ -72,7 +72,7 @@ def geometry_m():
 
 @pytest.fixture(scope="module")
 def tac_m():
-    return TacConfig()
+    return TacConfig(electrical_delay=10e-9, range=20e-9, n_channels=4096)
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +93,7 @@ def experimental_corpus():
 
 
 def test_criterion_1_analytic_visibilities(profile_m, geometry_m):
-    rates = SourceRates(pair_rate=1e5, rc0=1e5)
+    rates = SourceRates(pair_rate=1e5, rc0=1e5, singles_background=0.0)
     v_narrow = fringe_visibility(quantum_rate_narrow, profile_m, geometry_m, rates)
     wide_geom = InterferometerGeometry(
         path_short=0.5, path_long_base=0.5 + 100.0 * COHERENCE_LENGTH
@@ -229,7 +229,7 @@ def test_criterion_6_flat_singles(experimental_corpus):
 
 def test_criterion_7_oracle_equivalence(profile_m, geometry_m):
     start = time.perf_counter()
-    rates = SourceRates(pair_rate=1e5, rc0=1e5)
+    rates = SourceRates(pair_rate=1e5, rc0=1e5, singles_background=0.0)
     geom = phase_geometry(geometry_m, profile_m.k_pump, np.pi / 3.0)
     expected = expected_class_probabilities(profile_m, geom, rates)
     n = 1_000_000

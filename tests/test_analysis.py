@@ -19,7 +19,7 @@ from conftest import flatness_pvalue
 
 PUMP = 427e-9
 IDEAL = DetectorModel(timing_jitter_sigma=300e-12, dead_time=0.0, efficiency=1.0)
-TAC = TacConfig()
+TAC = TacConfig(electrical_delay=10e-9, range=20e-9, n_channels=4096)
 
 
 def synthetic_scan(

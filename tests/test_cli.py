@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 
 from biphoton import cli, engines
 from biphoton.cli import main
-from biphoton.config import DEFAULTS, ExperimentConfig
+from biphoton.config import DEFAULTS, KEYS, ExperimentConfig
 from biphoton.errors import ConfigError
 from biphoton.spectral import sample_signal
 
@@ -30,7 +31,7 @@ SMALL_RUN = {
 
 class TestConfig:
     def test_defaults_validate(self):
-        cfg = ExperimentConfig.default()
+        cfg = ExperimentConfig.from_dict({})
         assert cfg.validate() == []
 
     def test_unknown_key_rejected(self):
@@ -82,8 +83,8 @@ class TestConfig:
             ExperimentConfig.from_dict({"scan": {"span_periods": 6e6, "n_points": 23}})
 
     def test_hash_stable_and_sensitive(self):
-        a = ExperimentConfig.default().config_hash()
-        b = ExperimentConfig.default().config_hash()
+        a = ExperimentConfig.from_dict({}).config_hash()
+        b = ExperimentConfig.from_dict({}).config_hash()
         c = ExperimentConfig.from_dict({"run": {"seed": 2}}).config_hash()
         assert a == b
         assert a != c
@@ -91,6 +92,40 @@ class TestConfig:
     def test_packaged_experimental(self):
         cfg = ExperimentConfig.packaged("experimental")
         assert cfg.data["geometry"]["mode_overlap"] == 0.8
+
+    def test_hashes_pinned(self):
+        # a table row that changes a default's value or type (1.0e5 must stay
+        # a float) changes the hash of every output
+        assert ExperimentConfig.from_dict({}).config_hash() == "c28abc8a12da"
+        experimental = ExperimentConfig.packaged("experimental")
+        assert experimental.config_hash() == "0fe62f031860"
+
+    def test_fuzzed_overrides_end_in_config_error(self):
+        # random overrides of 1-3 keys either validate or raise ConfigError,
+        # never another exception (and, with warnings as errors, no warning)
+        rng = random.Random(16)
+        names = [(section, key) for section in KEYS for key in KEYS[section]]
+        odd = [math.nan, math.inf, -math.inf, True, None, "1", "gaussian",
+               0, -1, 2, 1e12, 10**12, 10**400, 1e300, 1e-300]
+        outcomes = set()
+        for _ in range(2000):
+            overrides = {}
+            for section, key in rng.sample(names, rng.randint(1, 3)):
+                default = KEYS[section][key][0]
+                if rng.random() < 0.5 or isinstance(default, str):
+                    value = rng.choice(odd)
+                elif isinstance(default, int):
+                    value = rng.randint(-2, 2 * default)
+                else:
+                    value = (default or 1e-9) * 10 ** rng.uniform(-6, 6)
+                    value *= rng.choice([1, 1, 1, -1])
+                overrides.setdefault(section, {})[key] = value
+            try:
+                ExperimentConfig.from_dict(overrides)
+                outcomes.add("accepted")
+            except ConfigError:
+                outcomes.add("refused")
+        assert outcomes == {"accepted", "refused"}
 
 
 class TestCliCommands:
@@ -197,7 +232,11 @@ class TestCliCommands:
             ("histogram", {"rates": {"pair_rate": math.nan}}, "pair_rate"),
             ("histogram", {"rates": {"singles_background": math.inf}}, "background"),
             ("histogram", {"rates": {"rc0": math.nan}}, "rc0"),
-            ("histogram", {"source": {"coherence_length_m": math.nan}}, "delta_k"),
+            (
+                "histogram",
+                {"source": {"coherence_length_m": math.nan}},
+                "source.coherence_length_m",
+            ),
             ("histogram", {"geometry": {"path_short_m": math.nan}}, "path_short"),
             ("histogram", {"rates": {"pair_rate": "1"}}, "rates.pair_rate"),
             ("histogram", {"geometry": {"path_short_m": None}}, "geometry.path_short_m"),
@@ -228,6 +267,9 @@ class TestCliCommands:
                 {"scan": {"span_periods": 1e300, "n_points": 8, "duration_s": 0.001}},
                 "scan.span_periods",
             ),
+            ("print-config", {"scan": {"n_points": 10**12}}, "scan.n_points"),
+            # sqrt(2) * 7 s of jitter spreads each peak far past the TAC
+            ("fringes", {"detector": {"jitter_sigma_s": 7}}, "tac.range_s"),
         ],
         ids=[
             "negative_run",
@@ -253,6 +295,8 @@ class TestCliCommands:
             "too_many_channels",
             "rc0_over_pair_rate",
             "huge_span",
+            "huge_n_points",
+            "jitter_beyond_tac",
         ],
     )
     def test_bad_value_exit_code(self, tmp_path, capsys, command, overrides, key):
@@ -315,7 +359,49 @@ class TestCliCommands:
 
     def test_allocation_bounds_inclusive(self):
         ExperimentConfig.from_dict({"run": {"duration_s": 500.0}})
-        ExperimentConfig.from_dict({"tac": {"n_channels": 65_536}})
+        # every closed end of every key's interval is accepted
+        for section, keys in KEYS.items():
+            for key, (default, allowed) in keys.items():
+                if isinstance(default, str):
+                    continue
+                lo, hi = (float(end) for end in allowed[1:-1].split(","))
+                for end, closed in ((lo, allowed[0] == "["), (hi, allowed[-1] == "]")):
+                    if closed:
+                        value = type(default)(end)
+                        ExperimentConfig.from_dict({section: {key: value}})
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            (section, key)
+            for section, keys in KEYS.items()
+            for key, (default, _) in keys.items()
+            if not isinstance(default, str)
+        ],
+    )
+    def test_every_key_refuses_outside_values(self, tmp_path, capsys, section, key):
+        default, allowed = KEYS[section][key]
+        lo, hi = (float(end) for end in allowed[1:-1].split(","))
+        values = [math.nan, math.inf, True, "1"]
+        # just past each finite end: the end itself when open, else one step out
+        for end, closed, step in (
+            (lo, allowed[0] == "[", -1), (hi, allowed[-1] == "]", 1)
+        ):
+            if not math.isfinite(end):
+                continue
+            if isinstance(default, int):
+                values.append(int(end) + step if closed else int(end))
+            else:
+                values.append(math.nextafter(end, step * math.inf) if closed else end)
+        for value in values:
+            cfg = write_config(tmp_path, {section: {key: value}})
+            out = tmp_path / "out"
+            assert main(["print-config", "--config", cfg, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1, err
+            assert err.startswith(f"error: {section}.{key} must be "), err
+            assert f" in {allowed}, got {value!r}" in err, err
+            assert not out.exists()
 
     def test_config_not_an_object(self, tmp_path, capsys):
         cfg = write_config(tmp_path, [1])

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -60,9 +61,9 @@ def make_stream(times_a, times_b, duration=1.0):
 class TestDetectorModel:
     def test_invalid_parameters(self):
         with pytest.raises(DomainError):
-            DetectorModel(efficiency=1.5)
+            DetectorModel(timing_jitter_sigma=0.0, dead_time=0.0, efficiency=1.5)
         with pytest.raises(DomainError):
-            DetectorModel(timing_jitter_sigma=-1.0)
+            DetectorModel(timing_jitter_sigma=-1.0, dead_time=0.0, efficiency=1.0)
 
     def test_dead_time_suppression(self, rng):
         model = DetectorModel(timing_jitter_sigma=0.0, dead_time=50e-9, efficiency=1.0)
@@ -76,7 +77,7 @@ class TestDetectorModel:
     )
     def test_non_finite_parameters_rejected(self, field, value):
         with pytest.raises(DomainError, match=field):
-            DetectorModel(**{field: value})
+            replace(IDEAL, **{field: value})
 
     def test_efficiency_thinning(self, profile, geometry, rng):
         # efficiency is applied where photons are drawn.  A pair puts one
@@ -128,7 +129,7 @@ class TestTac:
         self, profile, geometry, k_pump, rng
     ):
         # low rate so TAC pileup cannot fake a central count
-        rates = SourceRates(pair_rate=5e3, rc0=5e3)
+        rates = SourceRates(pair_rate=5e3, rc0=5e3, singles_background=0.0)
         g = phase_geometry(geometry, k_pump, 0.0)
         events = generate_events(profile, g, rates, 0.5, rng)
         hist = acquire_histogram(events, IDEAL, IDEAL, TAC, rng)
@@ -161,7 +162,7 @@ class TestTac:
     def test_exact_central_count_without_jitter(
         self, profile, geometry, k_pump, rng
     ):
-        rates = SourceRates(pair_rate=5e3, rc0=5e3)
+        rates = SourceRates(pair_rate=5e3, rc0=5e3, singles_background=0.0)
         g = phase_geometry(geometry, k_pump, math.pi)
         events = generate_events(profile, g, rates, 0.2, rng)
         hist = acquire_histogram(events, IDEAL, IDEAL, TAC, rng)
@@ -173,7 +174,7 @@ class TestTac:
     @pytest.mark.parametrize("field", ["electrical_delay", "range", "n_channels"])
     def test_non_finite_config_rejected(self, field, value):
         with pytest.raises(DomainError, match=field):
-            TacConfig(**{field: value})
+            replace(TAC, **{field: value})
 
     @pytest.mark.parametrize(
         "starts, stops",
@@ -220,7 +221,9 @@ class TestStateMachineOracles:
     @example(starts=[1.2, 1.5, 2.2], stops=[2.2, 3.0], delay=0, range_ticks=1)
     @example(starts=[0.4, 0.5], stops=[1.4000000000000001], delay=0, range_ticks=1)
     def test_tac_matches_loop(self, starts, stops, delay, range_ticks):
-        tac = TacConfig(electrical_delay=delay * UNIT, range=range_ticks * UNIT)
+        tac = TacConfig(
+            electrical_delay=delay * UNIT, range=range_ticks * UNIT, n_channels=4096
+        )
         starts = np.sort(np.array(starts)) * UNIT
         stops = np.sort(np.array(stops)) * UNIT
         with pytest.MonkeyPatch.context() as mp:
@@ -262,8 +265,8 @@ class TestStateMachineOracles:
         # 1e6 pairs/s: about 5 % of clicks fall within 50 ns of the previous
         rates = SourceRates(pair_rate=1e6, rc0=1e6, singles_background=2e5)
         events = generate_events(profile, geometry, rates, 0.01, rng)
-        jitter = DetectorModel(timing_jitter_sigma=300e-12, dead_time=0.0)
-        dead = DetectorModel(timing_jitter_sigma=0.0, dead_time=50e-9)
+        jitter = replace(IDEAL, timing_jitter_sigma=300e-12)
+        dead = replace(IDEAL, dead_time=50e-9)
         kept = []
         for photons in (events.a, events.b):
             clicks = detect_clicks(photons, jitter, rng)

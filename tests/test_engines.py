@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -174,7 +175,7 @@ class TestClosedFormAverages:
             splitter_transmittance=t,
             mode_overlap=mu,
         )
-        rates = SourceRates(pair_rate=1.0e5, rc0=scale * 1.0e5)
+        rates = SourceRates(pair_rate=1.0e5, rc0=scale * 1.0e5, singles_background=0.0)
         closed = expected_class_probabilities(profile, geom, rates)
         quad = expected_class_probabilities_oracle(profile, geom, rates)
         for name in ("central", "side_sl", "side_ls", "none"):
@@ -243,17 +244,17 @@ class TestClassicalModel:
 class TestSourceRates:
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
-            SourceRates(pair_rate=-1.0)
+            SourceRates(pair_rate=-1.0, rc0=0.0, singles_background=0.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["pair_rate", "rc0", "singles_background"])
-    def test_non_finite_rejected(self, field, value):
+    def test_non_finite_rejected(self, rates, field, value):
         with pytest.raises(DomainError, match=field):
-            SourceRates(**{field: value})
+            replace(rates, **{field: value})
 
     def test_scale_over_unity_rejected(self):
         with pytest.raises(DomainError, match=r"rc0 .*pair_rate"):
-            SourceRates(pair_rate=1e4, rc0=2e4)
+            SourceRates(pair_rate=1e4, rc0=2e4, singles_background=0.0)
 
 
 class TestEventGeneration:
@@ -473,7 +474,7 @@ class TestEventGeneration:
             mode_overlap=0.8,
         )
         geom = phase_geometry(geom, k_pump, 2.0)
-        rates = SourceRates(pair_rate=1.0e5, rc0=6.0e4)
+        rates = SourceRates(pair_rate=1.0e5, rc0=6.0e4, singles_background=0.0)
         n = 2000
         rng = np.random.default_rng(77)
         delta = sample_signal(profile, rng, n)
