@@ -22,7 +22,7 @@ from .detection import (
     gate_count,
     histogram_from_clicks,
 )
-from .engines import SourceRates, generate_events
+from .engines import SourceRates
 from .errors import BoundaryError, DomainError, FitError
 from .interferometer import SPEED_OF_LIGHT, InterferometerGeometry, delta_L
 from .spectral import TWO_PI, SpectralProfile
@@ -139,15 +139,9 @@ def acquire_scan_corpus(
     for i, offset in enumerate(offsets):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
         geom = geometry.with_offset(float(offset))
-        events = generate_events(
-            profile,
-            geom,
-            rates,
-            duration,
-            rng,
-            (detector_a.efficiency, detector_b.efficiency),
+        t_a, t_b = detect_streams(
+            profile, geom, rates, detector_a, detector_b, duration, rng
         )
-        t_a, t_b = detect_streams(events, detector_a, detector_b, rng)
         hist = histogram_from_clicks(t_a, t_b, tac, duration)
         points.append(
             ScanPoint(

@@ -30,7 +30,6 @@ from .detection import acquire_histogram
 from .engines import (
     classical_monte_carlo,
     classical_rate,
-    generate_events,
     quantum_rate_narrow,
     quantum_rate_wide,
     sample_pair_outcomes,
@@ -117,15 +116,16 @@ def cmd_histogram(args) -> int:
     out = _out_dir(args)
     rng = np.random.default_rng(cfg.data["run"]["seed"])
     detector = cfg.detector()
-    events = generate_events(
+    hist = acquire_histogram(
         cfg.profile(),
         cfg.geometry(),
         cfg.rates(),
+        detector,
+        detector,
+        cfg.tac(),
         cfg.data["run"]["duration_s"],
         rng,
-        (detector.efficiency, detector.efficiency),
     )
-    hist = acquire_histogram(events, detector, detector, cfg.tac(), rng)
     path = out / "histogram.csv"
     _guard_overwrite(path, cfg.config_hash(), args.force)
     hist.to_csv(path, config_hash=cfg.config_hash())

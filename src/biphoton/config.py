@@ -39,8 +39,9 @@ KEYS: dict = {
         "shape": ("gaussian", tuple(s.value for s in SpectralShape)),
     },
     "geometry": {
-        "path_short_m": (0.5, "(-inf, inf)"),
-        "path_long_base_m": (1.05, "(-inf, inf)"),
+        "path_short_m": (0.5, "[0, inf)"),
+        # open at 0: the long arm must exceed the short one, which is at least 0
+        "path_long_base_m": (1.05, "(0, inf)"),
         "splitter_transmittance": (0.5, "(0, 1)"),
         "mode_overlap": (1.0, "[0, 1]"),
     },
@@ -211,6 +212,17 @@ class ExperimentConfig:
                 refusal = _refusal(f"{section}.{key}", value, default, allowed)
                 if refusal:
                     raise ConfigError(refusal)
+        geo, r = self.data["geometry"], self.data["rates"]
+        if not geo["path_long_base_m"] > geo["path_short_m"]:
+            raise ConfigError(
+                f"geometry.path_long_base_m = {geo['path_long_base_m']} m must "
+                f"exceed geometry.path_short_m = {geo['path_short_m']} m"
+            )
+        if r["pair_rate"] and r["rc0"] > r["pair_rate"]:
+            raise ConfigError(
+                f"rates.rc0 = {r['rc0']} must not exceed rates.pair_rate = "
+                f"{r['pair_rate']}; per-pair probabilities would exceed 1"
+            )
         profile = _build("source", self.profile)
         lo, hi = profile.support()
         if not (lo > 0.0 and hi < profile.k_pump):
@@ -305,5 +317,5 @@ def read_config_file(path) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an int past Python's digit limit
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc

@@ -1,14 +1,14 @@
 """Detectors, TAC and MCA simulation.
 
-Turns event streams into start-stop time-difference histograms.  The
-streams hold only detected photons: :func:`biphoton.engines.generate_events`
-applies each detector's efficiency as it draws them, and the detector model
-here adds timing jitter and dead time.  Detector A provides the start
-pulse, detector B the stop pulse after a fixed electrical delay; the TAC is
-single-start/single-stop (starts arriving while a conversion is pending are
-dropped, a start with no stop inside the range times out).  The coincidence
-window is applied afterwards, on the recorded histogram, so the window
-choice is a delayed choice.
+Turns one acquisition into a start-stop time-difference histogram.
+:func:`detect_streams` draws only the photons its detectors detect, with
+:func:`biphoton.engines.generate_events` at their efficiencies, and the
+detector model here adds timing jitter and dead time.  Detector A provides
+the start pulse, detector B the stop pulse after a fixed electrical delay;
+the TAC is single-start/single-stop (starts arriving while a conversion is
+pending are dropped, a start with no stop inside the range times out).  The
+coincidence window is applied afterwards, on the recorded histogram, so the
+window choice is a delayed choice.
 
 A detector with non-paralysable dead time and the TAC both go blind after
 an event they accept: a later event counts only if it arrives at or after
@@ -23,8 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engines import SourceRates, generate_events
 from .errors import DomainError, PreconditionError, require_finite
-from .engines import EventStream
+from .interferometer import InterferometerGeometry
+from .spectral import SpectralProfile
 
 
 @dataclass(frozen=True)
@@ -150,22 +152,21 @@ def detect_clicks(
 
 
 def detect_streams(
-    events: EventStream,
+    profile: SpectralProfile,
+    geometry: InterferometerGeometry,
+    rates: SourceRates,
     detector_a: DetectorModel,
     detector_b: DetectorModel,
+    duration: float,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Detected click times at A and B, each sorted, for one event stream.
+    """Sorted click times at A and B of one acquisition of length ``duration``.
 
-    The stream must have been drawn with the detectors' efficiencies, or an
-    efficiency would be dropped or applied twice.
+    Its photons are drawn at the detectors' own efficiencies, so each is
+    applied exactly once; then jitter and dead time act, A first.
     """
-    wanted = (detector_a.efficiency, detector_b.efficiency)
-    if events.efficiency != wanted:
-        raise PreconditionError(
-            f"event stream drawn at efficiencies {events.efficiency}, "
-            f"detectors have {wanted}"
-        )
+    efficiency = (detector_a.efficiency, detector_b.efficiency)
+    events = generate_events(profile, geometry, rates, duration, rng, efficiency)
     t_a = detect_clicks(events.a, detector_a, rng)
     t_b = detect_clicks(events.b, detector_b, rng)
     return t_a, t_b
@@ -218,16 +219,21 @@ def histogram_from_clicks(
 
 
 def acquire_histogram(
-    events: EventStream,
+    profile: SpectralProfile,
+    geometry: InterferometerGeometry,
+    rates: SourceRates,
     detector_a: DetectorModel,
     detector_b: DetectorModel,
     tac: TacConfig,
+    duration: float,
     rng: np.random.Generator,
 ) -> TacHistogram:
-    """Full chain from detected photons: jitter, dead time, TAC pairing, MCA
-    binning."""
-    t_a, t_b = detect_streams(events, detector_a, detector_b, rng)
-    return histogram_from_clicks(t_a, t_b, tac, events.duration)
+    """Full chain of one acquisition: detected photons, jitter, dead time,
+    TAC pairing, MCA binning."""
+    t_a, t_b = detect_streams(
+        profile, geometry, rates, detector_a, detector_b, duration, rng
+    )
+    return histogram_from_clicks(t_a, t_b, tac, duration)
 
 
 def gate_count(hist: TacHistogram, window_center: float, window_width: float) -> int:

@@ -315,9 +315,8 @@ class EventStream:
     unsorted.
 
     :func:`generate_events` has already applied each detector's efficiency,
-    recorded in ``efficiency`` as (eta_A, eta_B), so every photon here is
-    one the detector sees.  :func:`biphoton.detection.detect_clicks` orders
-    the clicks after its jitter, so nothing sorts the photon times before it.
+    so every photon here is one the detector sees.  Detection sorts the
+    clicks after its jitter, so nothing sorts the photon times before it.
 
     ``pairs_per_class`` counts the emitted pairs, detected or not, by outcome
     code of :func:`sample_pair_outcomes`: central, side_sl, side_ls, no
@@ -328,7 +327,6 @@ class EventStream:
     b: np.ndarray
     duration: float
     pairs_per_class: np.ndarray
-    efficiency: tuple[float, float]
 
     def __len__(self) -> int:
         return self.a.size + self.b.size
@@ -414,5 +412,4 @@ def generate_events(
         b=np.concatenate(clicks[1]),
         duration=duration,
         pairs_per_class=np.append(per_cell[:3], per_cell[3:].sum()),
-        efficiency=(float(efficiency[0]), float(efficiency[1])),
     )

@@ -13,6 +13,7 @@ from biphoton import (
     fit_visibility,
 )
 from biphoton.analysis import _fixed_visibility_fit, acquire_scan_corpus, gate_scan
+from biphoton.detection import acquire_histogram
 from biphoton.errors import BoundaryError, FitError
 from biphoton.interferometer import SPEED_OF_LIGHT
 from conftest import flatness_pvalue
@@ -258,6 +259,26 @@ class TestScanPipeline:
         wide = gate_scan(corpus, TAC, 5e-9)
         narrow = gate_scan(corpus, TAC, 1e-9)
         assert np.all(wide.coincidences >= narrow.coincidences)
+
+    def test_scan_point_is_one_acquisition(self, profile, geometry, rates):
+        # a scan point and a lone acquisition share one chain: the same seed
+        # gives the same histogram, lossy detectors with dead time included
+        det_a = DetectorModel(
+            timing_jitter_sigma=300e-12, dead_time=50e-9, efficiency=0.6
+        )
+        det_b = DetectorModel(
+            timing_jitter_sigma=200e-12, dead_time=0.0, efficiency=0.8
+        )
+        offsets = 0.3 * PUMP + np.linspace(0.0, 2 * PUMP, 8, endpoint=False)
+        seed = 11
+        corpus = acquire_scan_corpus(
+            profile, geometry, rates, det_a, det_b, TAC, offsets, 0.02, seed
+        )
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+        geom = geometry.with_offset(offsets[0])
+        hist = acquire_histogram(profile, geom, rates, det_a, det_b, TAC, 0.02, rng)
+        assert hist.total > 0
+        assert np.array_equal(hist.counts, corpus[0].hist.counts)
 
     def test_zero_duration_points(self, profile, geometry, rates):
         offsets = np.linspace(0.0, 2 * PUMP, 8, endpoint=False)

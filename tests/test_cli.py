@@ -18,8 +18,9 @@ from biphoton.spectral import sample_signal
 
 
 def write_config(tmp_path, overrides, name="config.json"):
+    """``overrides`` as a JSON file; a string is written as it stands."""
     path = tmp_path / name
-    path.write_text(json.dumps(overrides))
+    path.write_text(overrides if isinstance(overrides, str) else json.dumps(overrides))
     return str(path)
 
 
@@ -260,7 +261,14 @@ class TestCliCommands:
                 "source.shape must be one of ['gaussian', 'rectangular']",
             ),
             ("histogram", {"tac": {"n_channels": 10**19}}, "tac.n_channels"),
-            ("histogram", {"rates": {"rc0": 2.0e5}}, "pair_rate"),
+            ("histogram", {"rates": {"rc0": 2.0e5}}, "rates.pair_rate"),
+            (
+                "histogram",
+                {"geometry": {"path_long_base_m": 0.4}},
+                "geometry.path_long_base_m = 0.4 m must exceed geometry.path_short_m",
+            ),
+            # one digit past Python's 4300-digit limit on int parsing
+            ("print-config", '{"run": {"seed": 1' + "0" * 5000 + "}}", "5001 digits"),
             # the last scan point moves the long arm by about 4e293 m
             (
                 "fringes",
@@ -294,6 +302,8 @@ class TestCliCommands:
             "unknown_shape",
             "too_many_channels",
             "rc0_over_pair_rate",
+            "long_arm_not_longer",
+            "seed_past_digit_limit",
             "huge_span",
             "huge_n_points",
             "jitter_beyond_tac",
@@ -305,9 +315,13 @@ class TestCliCommands:
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        # the message opens with the config section the bad value sits in
-        (section,) = overrides
-        assert re.match(rf"error: {section}[.:]", err)
+        # the message opens with the config section the bad value sits in; a
+        # file the JSON reader refuses has no section yet
+        if isinstance(overrides, str):
+            assert err.startswith("error: config file ")
+        else:
+            (section,) = overrides
+            assert re.match(rf"error: {section}[.:]", err)
         assert key in err
         assert not out.exists()
 

@@ -15,8 +15,14 @@ from biphoton import (
     generate_events,
 )
 from biphoton import detection
-from biphoton.detection import _accept_free, detect_clicks, tac_differences
-from biphoton.engines import EventStream, expected_class_probabilities
+from biphoton.detection import (
+    _accept_free,
+    detect_clicks,
+    detect_streams,
+    histogram_from_clicks,
+    tac_differences,
+)
+from biphoton.engines import expected_class_probabilities
 from biphoton.errors import DomainError, PreconditionError
 from biphoton.interferometer import SPEED_OF_LIGHT
 from conftest import phase_geometry
@@ -48,14 +54,12 @@ def _accept_free_checked(starts, ends):
     return _accept_free(starts, ends)
 
 
-def make_stream(times_a, times_b, duration=1.0):
-    return EventStream(
-        a=np.sort(np.asarray(times_a, dtype=float)),
-        b=np.sort(np.asarray(times_b, dtype=float)),
-        duration=duration,
-        pairs_per_class=np.zeros(4, dtype=np.int64),
-        efficiency=(1.0, 1.0),
-    )
+def ideal_histogram(times_a, times_b, duration, rng):
+    """Detected photons through ideal detectors and the TAC: the chain of
+    ``acquire_histogram`` after the photons are drawn."""
+    t_a = detect_clicks(times_a, IDEAL, rng)
+    t_b = detect_clicks(times_b, IDEAL, rng)
+    return histogram_from_clicks(t_a, t_b, TAC, duration)
 
 
 class TestDetectorModel:
@@ -96,24 +100,30 @@ class TestDetectorModel:
         # the pairs are counted as emitted, detected or not
         assert abs(stream.pairs_per_class.sum() - n_pairs) < 5 * math.sqrt(n_pairs)
 
-    def test_stream_efficiency_must_match_detectors(
-        self, profile, geometry, rates, rng
-    ):
-        # a stream drawn at other efficiencies than the detectors' would have
-        # an efficiency dropped or applied twice
-        lossy = DetectorModel(timing_jitter_sigma=0.0, dead_time=0.0, efficiency=0.5)
-        stream = generate_events(profile, geometry, rates, 1e-3, rng, (0.5, 1.0))
-        assert acquire_histogram(stream, lossy, IDEAL, TAC, rng).total > 0
-        for det_a, det_b in ((IDEAL, IDEAL), (IDEAL, lossy), (lossy, lossy)):
-            with pytest.raises(PreconditionError, match="efficiencies"):
-                acquire_histogram(stream, det_a, det_b, TAC, rng)
+    def test_detectors_set_their_own_efficiency(self, profile, geometry, rng):
+        # an acquisition draws its photons at each detector's efficiency:
+        # the same compound Poisson counts as above, now as clicks
+        rates = SourceRates(pair_rate=1e5, rc0=1e5, singles_background=2e4)
+        duration = 1.0
+        detectors = [
+            replace(IDEAL, timing_jitter_sigma=300e-12, efficiency=eta)
+            for eta in (0.3, 0.7)
+        ]
+        clicks = detect_streams(profile, geometry, rates, *detectors, duration, rng)
+        n_pairs = rates.pair_rate * duration
+        p_none = expected_class_probabilities(profile, geometry, rates)["none"]
+        for times, detector in zip(clicks, detectors):
+            eta = detector.efficiency
+            n_bg = eta * rates.singles_background * duration
+            var = n_pairs * (eta + p_none * eta**2) + n_bg
+            assert abs(times.size - (eta * n_pairs + n_bg)) < 5 * math.sqrt(var)
+            assert np.all(np.diff(times) >= 0)
 
 
 class TestTac:
     def test_three_peak_positions(self, profile, geometry, k_pump, rates, rng):
         g = phase_geometry(geometry, k_pump, math.pi / 2)
-        events = generate_events(profile, g, rates, 0.05, rng)
-        hist = acquire_histogram(events, IDEAL, IDEAL, TAC, rng)
+        hist = acquire_histogram(profile, g, rates, IDEAL, IDEAL, TAC, 0.05, rng)
         centers = hist.bin_centers
         for expected in (
             TAC.electrical_delay - DT_SPLIT,
@@ -131,8 +141,7 @@ class TestTac:
         # low rate so TAC pileup cannot fake a central count
         rates = SourceRates(pair_rate=5e3, rc0=5e3, singles_background=0.0)
         g = phase_geometry(geometry, k_pump, 0.0)
-        events = generate_events(profile, g, rates, 0.5, rng)
-        hist = acquire_histogram(events, IDEAL, IDEAL, TAC, rng)
+        hist = acquire_histogram(profile, g, rates, IDEAL, IDEAL, TAC, 0.5, rng)
         n_central = gate_count(hist, TAC.electrical_delay, 1e-9)
         left = gate_count(hist, TAC.electrical_delay - DT_SPLIT, 1e-9)
         right = gate_count(hist, TAC.electrical_delay + DT_SPLIT, 1e-9)
@@ -140,8 +149,7 @@ class TestTac:
         assert abs(left - right) < 3 * math.sqrt(left + right)
 
     def test_empty_stream(self, rng):
-        events = make_stream(np.array([]), np.array([]))
-        hist = acquire_histogram(events, IDEAL, IDEAL, TAC, rng)
+        hist = ideal_histogram(np.array([]), np.array([]), 1.0, rng)
         assert hist.total == 0
 
     def test_single_start_single_stop(self):
@@ -165,7 +173,7 @@ class TestTac:
         rates = SourceRates(pair_rate=5e3, rc0=5e3, singles_background=0.0)
         g = phase_geometry(geometry, k_pump, math.pi)
         events = generate_events(profile, g, rates, 0.2, rng)
-        hist = acquire_histogram(events, IDEAL, IDEAL, TAC, rng)
+        hist = ideal_histogram(events.a, events.b, 0.2, rng)
         n_truth = int(events.pairs_per_class[0])
         assert gate_count(hist, TAC.electrical_delay, 1e-9) == n_truth
 
@@ -281,8 +289,7 @@ class TestStateMachineOracles:
 class TestGateCount:
     def make_hist(self, profile, geometry, k_pump, rates, rng):
         g = phase_geometry(geometry, k_pump, math.pi / 2)
-        events = generate_events(profile, g, rates, 0.02, rng)
-        return acquire_histogram(events, IDEAL, IDEAL, TAC, rng)
+        return acquire_histogram(profile, g, rates, IDEAL, IDEAL, TAC, 0.02, rng)
 
     def test_five_ns_window_includes_all_peaks(
         self, profile, geometry, k_pump, rates, rng
@@ -293,14 +300,9 @@ class TestGateCount:
         g = phase_geometry(geometry, k_pump, math.pi / 2)
         time, detector, truth = generate_events_oracle(profile, g, rates, 0.02, rng)
         pair = truth <= TRUTH_SIDE_LS
-        events = EventStream(
-            time[pair & (detector == 0)],
-            time[pair & (detector == 1)],
-            0.02,
-            None,
-            (1.0, 1.0),
+        hist = ideal_histogram(
+            time[pair & (detector == 0)], time[pair & (detector == 1)], 0.02, rng
         )
-        hist = acquire_histogram(events, IDEAL, IDEAL, TAC, rng)
         assert hist.total > 0
         assert gate_count(hist, TAC.electrical_delay, 5e-9) == hist.total
 
@@ -333,8 +335,9 @@ class TestAccidentalFloor:
     def test_background_only_rate(self, profile, geometry, rng):
         rates = SourceRates(pair_rate=0.0, rc0=0.0, singles_background=2e4)
         duration = 2.0
-        events = generate_events(profile, geometry, rates, duration, rng)
-        hist = acquire_histogram(events, IDEAL, IDEAL, TAC, rng)
+        hist = acquire_histogram(
+            profile, geometry, rates, IDEAL, IDEAL, TAC, duration, rng
+        )
         width = 5e-9
         got = gate_count(hist, TAC.electrical_delay, width)
         expected = 2e4 * 2e4 * width * duration
@@ -343,8 +346,7 @@ class TestAccidentalFloor:
 
 class TestSerialization:
     def test_csv_round_trip(self, profile, geometry, rates, rng, tmp_path):
-        events = generate_events(profile, geometry, rates, 0.01, rng)
-        hist = acquire_histogram(events, IDEAL, IDEAL, TAC, rng)
+        hist = acquire_histogram(profile, geometry, rates, IDEAL, IDEAL, TAC, 0.01, rng)
         path = tmp_path / "hist.csv"
         hist.to_csv(path, config_hash="abc123")
         header = path.read_text().splitlines()[:3]

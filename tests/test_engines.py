@@ -19,7 +19,7 @@ from biphoton import (
 )
 from biphoton.config import ExperimentConfig
 from biphoton.detection import (
-    detect_streams,
+    detect_clicks,
     gate_count,
     histogram_from_clicks,
     tac_differences,
@@ -316,7 +316,7 @@ class TestEventGeneration:
                 detect_oracle(time[det == d], eta, rng)
                 for d, eta in enumerate(efficiency)
             )
-            return EventStream(a, b, duration, pairs, efficiency)
+            return EventStream(a, b, duration, pairs)
 
         def generator(rng):
             return generate_events(profile, geometry, rates, duration, rng, efficiency)
@@ -335,7 +335,8 @@ class TestEventGeneration:
                     gaps = np.diff(np.sort(clicks))
                     twins[0] += np.sum(gaps < 1e-15)
                     twins[1] += np.sum(np.abs(gaps - (t_long - t_short)) < 1e-15)
-                t_a, t_b = detect_streams(stream, detector, detector, rng)
+                t_a = detect_clicks(stream.a, detector, rng)
+                t_b = detect_clicks(stream.b, detector, rng)
                 diffs.append(tac_differences(t_a, t_b, tac))
                 hist = histogram_from_clicks(t_a, t_b, tac, duration)
                 gated.append(
