@@ -26,7 +26,6 @@ from .detection import (  # noqa: F401
 from .engines import (  # noqa: F401
     EventStream,
     SourceRates,
-    classical_monte_carlo,
     classical_rate,
     generate_events,
     quantum_rate_narrow,

@@ -28,11 +28,10 @@ from .analysis import (
 from .config import ExperimentConfig, read_config_file
 from .detection import acquire_histogram
 from .engines import (
-    classical_monte_carlo,
     classical_rate,
+    pair_monte_carlo,
     quantum_rate_narrow,
     quantum_rate_wide,
-    sample_pair_outcomes,
 )
 from .errors import BiphotonError, ConfigError
 from .interferometer import offset_for_phase
@@ -192,9 +191,10 @@ def cmd_compare(args) -> int:
         classical = classical_rate(profile, geom, rates)
         # one draw of signal deviations serves both Monte Carlo columns
         delta = sample_signal(profile, rng, n_mc)
-        cmc_mean, cmc_err = classical_monte_carlo(profile, geom, delta)
-        outcomes = sample_pair_outcomes(profile, geom, rates, delta, rng)
-        qmc = float(np.mean(outcomes != 3)) * rates.pair_rate
+        cmc_mean, cmc_err, coincidences = pair_monte_carlo(
+            profile, geom, rates, delta, rng
+        )
+        qmc = coincidences / n_mc * rates.pair_rate
         rows.append(
             {
                 "phase_rad": phase,

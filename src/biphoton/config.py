@@ -310,12 +310,24 @@ class ExperimentConfig:
         return digest.hexdigest()[:12]
 
 
+def _parse_int(literal: str) -> int:
+    """A JSON integer literal as an int.  Python refuses to convert one of
+    more digits than its limit (4300 by default); that is a config error."""
+    try:
+        return int(literal)
+    except ValueError:
+        raise ConfigError(
+            f"config file holds an integer of {len(literal.lstrip('-'))} digits, "
+            f"past the {sys.get_int_max_str_digits()}-digit limit on integers"
+        ) from None
+
+
 def read_config_file(path) -> dict:
     """The raw key/value data of a JSON config file, not yet merged."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=_parse_int)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
-    except ValueError as exc:  # bad JSON, or an int past Python's digit limit
+    except ValueError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc

@@ -30,14 +30,18 @@ drawn at eta times their rate, the same Poisson law as thinning them.
 Per-pair sampling, :func:`sample_pair_outcomes`, stays as the independent
 check of these rates.
 
-The two Monte Carlo engines take the signal deviations as an argument, so
-one draw from :func:`sample_signal` serves both.  With x = delta * delta_L
-the classical integrand (1 + cos phi_1)(1 - cos phi_2) is exactly
-(sin phi_c - sin x)^2, one sine per pair, where phi_c is the fringe phase of
-k_pump/2.  Both engines work through the deviations in blocks of
-``_BLOCK`` pairs, writing into one preallocated result, so the temporaries
-of a block stay in cache and only the deviations and the result are full
-length: the uniforms of the quantum engine are drawn block by block, and the
+The Monte Carlo engines take the signal deviations as an argument, so one
+draw from :func:`sample_signal` serves both columns of ``compare``.  With
+x = delta * delta_L both columns are functions of one sine per pair,
+s = sin x.  The classical integrand (1 + cos phi_1)(1 - cos phi_2) is exactly
+(sin phi_c - s)^2, where phi_c is the fringe phase of k_pump/2, and the
+quantum kernel reads cos(phi_1 - phi_2) = cos 2x = 1 - 2 s^2.
+:func:`pair_monte_carlo` computes s once for both; the single-column engines
+:func:`classical_monte_carlo` and :func:`sample_pair_outcomes` remain as its
+reference.  Every engine works through the deviations in blocks of
+``_BLOCK`` pairs, so the temporaries of a block stay in cache and only the
+deviations and the classical integrand are full length: uniforms are drawn
+block by block, the same stream as one draw of all of them, and the
 classical standard error is taken in place, so repeated calls reuse the
 same memory with a steady number of page faults.
 """
@@ -309,6 +313,65 @@ def sample_pair_outcomes(
     return codes
 
 
+def pair_monte_carlo(
+    profile: SpectralProfile,
+    geometry: InterferometerGeometry,
+    rates: SourceRates,
+    delta: np.ndarray,
+    rng: np.random.Generator,
+) -> tuple[float, float, int]:
+    """Both Monte Carlo columns of ``compare`` from one sine per pair:
+    ``(classical_mean, classical_stderr, coincidences)``.
+
+    The classical mean and standard error are those of
+    :func:`classical_monte_carlo`, by the same float operations.
+    ``coincidences`` counts the pairs that :func:`sample_pair_outcomes`
+    would mark with a coincidence class (code 0, 1 or 2) on the same ``rng``
+    stream: one uniform per pair, drawn block by block, below the pair's
+    cumulative threshold.  The kernel reads cos 2x as 1 - 2 sin^2 x, which
+    differs from cos 2x by rounding alone, so a count can differ only where a
+    uniform lies within about 1e-16 of its threshold.
+    """
+    n = np.size(delta)
+    if n < 1:
+        raise DomainError("delta must hold at least one signal deviation")
+    dl = delta_L(geometry)
+    sin_c = math.sin(fringe_phase(profile.k_center, geometry))
+    cos_pump = np.cos(fringe_phase(profile.k_pump, geometry))
+    scale = rates.pair_scale
+    vals = np.empty(n)
+    cos_diff = np.empty(min(n, _BLOCK))
+    coincidences = 0
+    for start in range(0, n, _BLOCK):
+        stop = start + _BLOCK
+        block = vals[start:stop]
+        diff = cos_diff[: block.size]
+        np.multiply(delta[start:stop], dl, out=block)
+        np.sin(block, out=block)
+        # cos 2x = 1 - 2 s^2, before the classical integrand overwrites s
+        np.square(block, out=diff)
+        diff *= -2.0
+        diff += 1.0
+        p_c, p_sl, p_ls = class_probabilities(cos_pump, diff, geometry)
+        # the threshold of the last coincidence class, summed in place in the
+        # order sample_pair_outcomes sums it; a pair whose uniform lies below
+        # it is a coincidence
+        side_ls = np.multiply(p_sl, scale, out=p_sl)
+        side_ls += scale * float(p_c)
+        p_ls *= scale
+        side_ls += p_ls
+        u = rng.random(out=diff)
+        coincidences += int(np.count_nonzero(u < side_ls))
+        np.subtract(sin_c, block, out=block)
+        np.square(block, out=block)
+    mean = float(np.mean(vals))
+    if n == 1:
+        return mean, 0.0, coincidences
+    vals -= mean
+    np.square(vals, out=vals)
+    return mean, math.sqrt(float(np.sum(vals)) / (n - 1)) / math.sqrt(n), coincidences
+
+
 @dataclass
 class EventStream:
     """Detected photon arrival times at detectors A (``a``) and B (``b``),
@@ -320,13 +383,15 @@ class EventStream:
 
     ``pairs_per_class`` counts the emitted pairs, detected or not, by outcome
     code of :func:`sample_pair_outcomes`: central, side_sl, side_ls, no
-    coincidence.
+    coincidence.  ``lost`` counts, for A and B, the photons of those pairs
+    that reached the detector and went undetected, lost to its efficiency.
     """
 
     a: np.ndarray
     b: np.ndarray
     duration: float
     pairs_per_class: np.ndarray
+    lost: np.ndarray
 
     def __len__(self) -> int:
         return self.a.size + self.b.size
@@ -357,8 +422,9 @@ def generate_events(
     only the second, or neither.  The acquisition draws one Poisson count
     per sub-cell, and one uniform emission time per pair of the sub-cells
     with a detected photon; the photons arrive after the transit times of
-    their arms.  Independent Poisson background clicks, at rate
-    eta * ``singles_background``, are added on each detector.  Each
+    their arms.  The same counts give each detector's undetected photons,
+    ``lost``, at no further draw.  Independent Poisson background clicks,
+    at rate eta * ``singles_background``, are added on each detector.  Each
     detector's times come grouped by sub-cell, unsorted.
 
     At eta = 1 only the both-detected sub-cells have a nonzero mean, and a
@@ -386,13 +452,19 @@ def generate_events(
     )
     # each cell splits into sub-cells: both photons detected, only the first,
     # only the second, neither; ``seen`` lists the photons of the first three
-    means, seen = [], []
+    # and ``missed`` the detectors of the undetected photons of the last three
+    means, seen, missed = [], [], []
     for p, first, second in cells:
         e1, e2 = efficiency[first[0]], efficiency[second[0]]
         q1, q2 = 1.0 - e1, 1.0 - e2
         means.append([p * e1 * e2, p * e1 * q2, p * q1 * e2, p * q1 * q2])
         seen.extend(((first, second), (first,), (second,)))
+        missed.extend(((second[0],), (first[0],), (first[0], second[0])))
     counts = rng.poisson(rates.pair_rate * duration * np.array(means))
+    lost = [0, 0]
+    for n, dets in zip(counts[:, 1:].ravel().tolist(), missed):
+        for det in dets:
+            lost[det] += n
     detected = counts[:, :3].ravel()
     emit = np.split(
         rng.random(int(detected.sum())) * duration, np.cumsum(detected)[:-1]
@@ -412,4 +484,5 @@ def generate_events(
         b=np.concatenate(clicks[1]),
         duration=duration,
         pairs_per_class=np.append(per_cell[:3], per_cell[3:].sum()),
+        lost=np.array(lost),
     )

@@ -268,7 +268,11 @@ class TestCliCommands:
                 "geometry.path_long_base_m = 0.4 m must exceed geometry.path_short_m",
             ),
             # one digit past Python's 4300-digit limit on int parsing
-            ("print-config", '{"run": {"seed": 1' + "0" * 5000 + "}}", "5001 digits"),
+            (
+                "print-config",
+                '{"run": {"seed": 1' + "0" * 5000 + "}}",
+                "integer of 5001 digits, past the 4300-digit limit",
+            ),
             # the last scan point moves the long arm by about 4e293 m
             (
                 "fringes",
@@ -323,6 +327,8 @@ class TestCliCommands:
             (section,) = overrides
             assert re.match(rf"error: {section}[.:]", err)
         assert key in err
+        # the advice of Python's own digit-limit error is no use to a config user
+        assert "set_int_max_str_digits" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -518,3 +524,17 @@ def test_commands_run_without_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0]", proc.stderr
+
+
+def test_compare_is_seed_deterministic(tmp_path, capsys, monkeypatch):
+    # criterion 8's check for the command it does not run: the same seed
+    # gives the same table bytes and the same printed lines
+    runs = []
+    for run in ("a", "b"):
+        (tmp_path / run).mkdir()
+        monkeypatch.chdir(tmp_path / run)
+        assert main(["compare", "--seed", "4", "--out", "out"]) == 0
+        printed = capsys.readouterr()
+        runs.append((Path("out/compare.json").read_bytes(), printed.out, printed.err))
+    assert runs[0] == runs[1]
+    assert runs[0][1] == "wrote out/compare.json\n"

@@ -1,3 +1,4 @@
+import copy
 import math
 from dataclasses import replace
 
@@ -11,7 +12,6 @@ from biphoton import (
     InterferometerGeometry,
     SourceRates,
     SpectralProfile,
-    classical_monte_carlo,
     classical_rate,
     generate_events,
     quantum_rate_narrow,
@@ -27,8 +27,10 @@ from biphoton.detection import (
 from biphoton.engines import (
     EventStream,
     classical_bracket,
+    classical_monte_carlo,
     expected_class_probabilities,
     normalization_check,
+    pair_monte_carlo,
     residual_integral,
     sample_pair_outcomes,
     side_class_rate,
@@ -38,6 +40,7 @@ from biphoton.interferometer import class_probabilities_pair, transit_times
 from biphoton.spectral import SpectralShape, sample_signal, wavelength_to_wavenumber
 from conftest import PUMP_WAVELENGTH, phase_geometry
 from oracle import (
+    TRUTH_BACKGROUND,
     class_probabilities_pair_oracle,
     classical_monte_carlo_oracle,
     detect_oracle,
@@ -241,6 +244,36 @@ class TestClassicalModel:
             classical_monte_carlo(profile, geometry, np.empty(0))
 
 
+class TestPairMonteCarlo:
+    @pytest.mark.parametrize("n", [50_001, 2])
+    @pytest.mark.parametrize("mu", [1.0, 0.7])
+    @pytest.mark.parametrize("t", [0.5, 0.3])
+    @pytest.mark.parametrize("shape", list(SpectralShape))
+    def test_matches_reference_engines(self, k_pump, geometry, shape, t, mu, n):
+        # one sine per pair for both columns, against the classical engine
+        # and the per-pair outcomes on the same deviations and RNG stream, at
+        # the nine phases of compare; 50 001 leaves a partial last block
+        profile = SpectralProfile(k_pump=k_pump, delta_k=1.0 / LCOH, shape=shape)
+        base = replace(geometry, splitter_transmittance=t, mode_overlap=mu)
+        rates = SourceRates(pair_rate=1.0e5, rc0=6.0e4, singles_background=0.0)
+        for i in range(9):
+            g = phase_geometry(base, k_pump, i * 2.0 * math.pi / 8.0)
+            rng = np.random.default_rng(100 + i)
+            delta = sample_signal(profile, rng, n)
+            rng_ref = copy.deepcopy(rng)
+            mean, stderr, coincidences = pair_monte_carlo(profile, g, rates, delta, rng)
+            assert (mean, stderr) == classical_monte_carlo(profile, g, delta)
+            codes = sample_pair_outcomes(profile, g, rates, delta, rng_ref)
+            assert coincidences == np.count_nonzero(codes != 3)
+            assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+    def test_sample_count_validated(self, profile, geometry, rates, rng):
+        state = rng.bit_generator.state
+        with pytest.raises(DomainError):
+            pair_monte_carlo(profile, geometry, rates, np.empty(0), rng)
+        assert rng.bit_generator.state == state
+
+
 class TestSourceRates:
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
@@ -312,11 +345,15 @@ class TestEventGeneration:
                 profile, geometry, rates, duration, rng
             )
             pairs = np.bincount(truth, minlength=5)[:4] // 2
-            a, b = (
-                detect_oracle(time[det == d], eta, rng)
-                for d, eta in enumerate(efficiency)
-            )
-            return EventStream(a, b, duration, pairs)
+            clicks, lost = [], []
+            for d, eta in enumerate(efficiency):
+                # detect_oracle's draw, with its mask kept to count the
+                # undetected pair photons
+                mine = det == d
+                kept = rng.random(np.count_nonzero(mine)) < eta
+                clicks.append(time[mine][kept])
+                lost.append(np.count_nonzero(~kept & (truth[mine] != TRUTH_BACKGROUND)))
+            return EventStream(*clicks, duration, pairs, np.array(lost))
 
         def generator(rng):
             return generate_events(profile, geometry, rates, duration, rng, efficiency)
@@ -325,10 +362,12 @@ class TestEventGeneration:
         results = []
         for make, runs in ((generator, seeds[:n_runs]), (oracle_stream, seeds[n_runs:])):
             pairs, diffs, gated, twins = np.zeros(4), [], [], np.zeros(2)
+            lost = np.zeros(2)
             for seed in runs:
                 rng = np.random.default_rng(seed)
                 stream = make(rng)
                 pairs += stream.pairs_per_class
+                lost += stream.lost
                 # both photons of a no-coincidence pair at one detector: same
                 # arm (no gap) or different arms (a gap of delta_L / c)
                 for clicks in (stream.a, stream.b):
@@ -342,8 +381,12 @@ class TestEventGeneration:
                 gated.append(
                     [gate_count(hist, tac.electrical_delay, w) for w in (1e-9, 5e-9)]
                 )
-            results.append((pairs, np.concatenate(diffs), np.array(gated), twins))
-        (pairs, diffs, gated, twins), (pairs_o, diffs_o, gated_o, twins_o) = results
+            results.append(
+                (pairs, np.concatenate(diffs), np.array(gated), twins, lost)
+            )
+        generated, oracle = results
+        pairs, diffs, gated, twins, lost = generated
+        pairs_o, diffs_o, gated_o, twins_o, lost_o = oracle
 
         probs = expected_class_probabilities(profile, geometry, rates)
         expected = n_runs * rates.pair_rate * duration * np.array(
@@ -356,6 +399,9 @@ class TestEventGeneration:
         assert stats.chi2_contingency([pairs, pairs_o]).pvalue > 0.001
         assert stats.chi2_contingency([twins, twins_o]).pvalue > 0.001
         assert stats.ks_2samp(diffs, diffs_o).pvalue > 0.001
+        # a no-coincidence pair can lose both its photons at one detector,
+        # so a lost count varies up to twice as much as a Poisson count
+        assert np.all(np.abs(lost - lost_o) <= 5.0 * np.sqrt(2.0 * (lost + lost_o)))
         for col in range(gated.shape[1]):
             welch = stats.ttest_ind(gated[:, col], gated_o[:, col], equal_var=False)
             assert welch.pvalue > 0.001
@@ -422,6 +468,32 @@ class TestEventGeneration:
             var.append(n_pairs * (eta + probs["none"] * eta**2) + n_bg)
         assert np.all(got[:3] > 100)
         assert np.all(np.abs(got - want) < 5 * np.sqrt(2 * np.array(var)))
+
+    def test_lost_photons_balance_emitted(self, profile, geometry, k_pump):
+        # every photon the pairs send a detector is detected or lost; what
+        # they sent is read from the generator's first draw, its cell counts
+        class Recorder:
+            def __init__(self, rng):
+                self.rng, self.poisson_draws = rng, []
+
+            def poisson(self, lam):
+                self.poisson_draws.append(self.rng.poisson(lam))
+                return self.poisson_draws[-1]
+
+            def random(self, size):
+                return self.rng.random(size)
+
+        rates = SourceRates(pair_rate=1e5, rc0=1e5, singles_background=0.0)
+        g = phase_geometry(geometry, k_pump, 2.0)
+        rng = Recorder(np.random.default_rng(17))
+        stream = generate_events(profile, g, rates, 0.1, rng, (0.3, 0.7))
+        cells = rng.poisson_draws[0].sum(axis=1)
+        # a coincidence cell sends one photon to each detector; the other six
+        # send both photons to A (the first three) or to B
+        sent = cells[:3].sum() + 2 * np.array([cells[3:6].sum(), cells[6:].sum()])
+        assert sent.sum() == 2 * stream.pairs_per_class.sum()
+        assert np.all(stream.lost > 0)
+        assert np.array_equal(stream.lost + [stream.a.size, stream.b.size], sent)
 
     def test_no_central_class_at_zero_phase(self, profile, geometry, k_pump, rates, rng):
         g = phase_geometry(geometry, k_pump, 0.0)
