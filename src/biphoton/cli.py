@@ -26,14 +26,14 @@ from .analysis import (
     gate_scan,
 )
 from .config import ExperimentConfig, read_config_file
-from .detection import acquire_histogram
+from .detection import acquire_histogram, window_channels
 from .engines import (
     classical_rate,
     pair_monte_carlo,
     quantum_rate_narrow,
     quantum_rate_wide,
 )
-from .errors import BiphotonError, ConfigError
+from .errors import BiphotonError, ConfigError, DomainError
 from .interferometer import offset_for_phase
 from .spectral import TWO_PI, sample_signal
 
@@ -93,6 +93,7 @@ def _check_windows(windows_s, tac) -> None:
     silently overwriting the earlier, so they are refused too.
     """
     seen = {}
+    edges = tac.bin_edges
     for width in windows_s:
         tag = _window_tag(width)
         if tag in seen:
@@ -101,13 +102,10 @@ def _check_windows(windows_s, tac) -> None:
                 f"share the output tag {tag}; give distinct windows"
             )
         seen[tag] = width
-        lo = tac.electrical_delay - width / 2.0
-        hi = tac.electrical_delay + width / 2.0
-        if not (width > 0 and lo >= 0.0 and hi <= tac.range):
-            raise ConfigError(
-                f"--window {width * 1e9:g} ns must be positive and keep "
-                f"[{lo}, {hi}] s inside the TAC range [0, {tac.range}] s"
-            )
+        try:
+            window_channels(edges, tac.electrical_delay, width)
+        except DomainError as exc:
+            raise ConfigError(f"--window {width * 1e9:g} ns: {exc}") from exc
 
 
 def cmd_histogram(args) -> int:
@@ -191,9 +189,7 @@ def cmd_compare(args) -> int:
         classical = classical_rate(profile, geom, rates)
         # one draw of signal deviations serves both Monte Carlo columns
         delta = sample_signal(profile, rng, n_mc)
-        cmc_mean, cmc_err, coincidences = pair_monte_carlo(
-            profile, geom, rates, delta, rng
-        )
+        cmc_mean, cmc_err, coincidences = pair_monte_carlo(profile, geom, delta, rng)
         qmc = coincidences / n_mc * rates.pair_rate
         rows.append(
             {
@@ -201,8 +197,8 @@ def cmd_compare(args) -> int:
                 "quantum_narrow_rate": narrow,
                 "quantum_wide_rate": wide,
                 "classical_rate": classical,
-                "classical_mc_rate": 0.5 * rates.rc0 * cmc_mean,
-                "classical_mc_stderr": 0.5 * rates.rc0 * cmc_err,
+                "classical_mc_rate": 0.5 * rates.pair_rate * cmc_mean,
+                "classical_mc_stderr": 0.5 * rates.pair_rate * cmc_err,
                 "quantum_mc_wide_rate": qmc,
                 "quantum_mc_n": n_mc,
             }

@@ -47,7 +47,6 @@ KEYS: dict = {
     },
     "rates": {
         "pair_rate": (1.0e5, "[0, inf)"),
-        "rc0": (1.0e5, "[0, inf)"),
         "singles_background": (0.0, "[0, inf)"),
     },
     "detector": {
@@ -175,7 +174,6 @@ class ExperimentConfig:
         r = self.data["rates"]
         return SourceRates(
             pair_rate=r["pair_rate"],
-            rc0=r["rc0"],
             singles_background=r["singles_background"],
         )
 
@@ -212,16 +210,11 @@ class ExperimentConfig:
                 refusal = _refusal(f"{section}.{key}", value, default, allowed)
                 if refusal:
                     raise ConfigError(refusal)
-        geo, r = self.data["geometry"], self.data["rates"]
+        geo = self.data["geometry"]
         if not geo["path_long_base_m"] > geo["path_short_m"]:
             raise ConfigError(
                 f"geometry.path_long_base_m = {geo['path_long_base_m']} m must "
                 f"exceed geometry.path_short_m = {geo['path_short_m']} m"
-            )
-        if r["pair_rate"] and r["rc0"] > r["pair_rate"]:
-            raise ConfigError(
-                f"rates.rc0 = {r['rc0']} must not exceed rates.pair_rate = "
-                f"{r['pair_rate']}; per-pair probabilities would exceed 1"
             )
         profile = _build("source", self.profile)
         lo, hi = profile.support()

@@ -70,6 +70,11 @@ class TacConfig:
         if self.electrical_delay < 0:
             raise DomainError("electrical delay must be nonnegative")
 
+    @property
+    def bin_edges(self) -> np.ndarray:
+        """Edges of the MCA channels, evenly spaced over [0, range]."""
+        return np.linspace(0.0, self.range, self.n_channels + 1)
+
 
 @dataclass
 class TacHistogram:
@@ -211,7 +216,7 @@ def histogram_from_clicks(
     t_a: np.ndarray, t_b: np.ndarray, tac: TacConfig, duration: float
 ) -> TacHistogram:
     diffs = tac_differences(t_a, t_b, tac)
-    edges = np.linspace(0.0, tac.range, tac.n_channels + 1)
+    edges = tac.bin_edges
     counts, _ = np.histogram(diffs, bins=edges)
     return TacHistogram(
         bin_edges=edges, counts=counts.astype(np.int64), duration=duration
@@ -236,17 +241,36 @@ def acquire_histogram(
     return histogram_from_clicks(t_a, t_b, tac, duration)
 
 
-def gate_count(hist: TacHistogram, window_center: float, window_width: float) -> int:
-    """Counts in bins whose center lies inside the coincidence window."""
-    if window_width <= 0:
-        raise DomainError("window width must be positive")
+def window_channels(
+    bin_edges: np.ndarray, window_center: float, window_width: float
+) -> np.ndarray:
+    """Mask of the MCA channels a coincidence window takes: those whose bin
+    centre lies in [center - width/2, center + width/2].
+
+    Raises DomainError unless the width is positive and the window lies
+    inside the range of ``bin_edges`` and takes at least one channel; a NaN
+    width or centre fails these tests.
+    """
+    if not window_width > 0:
+        raise DomainError(f"window width must be positive, got {window_width}")
     lo = window_center - window_width / 2.0
     hi = window_center + window_width / 2.0
-    if lo < hist.bin_edges[0] or hi > hist.bin_edges[-1]:
+    if not (lo >= bin_edges[0] and hi <= bin_edges[-1]):
         raise DomainError(
-            f"window [{lo}, {hi}] falls outside the histogram range "
-            f"[{hist.bin_edges[0]}, {hist.bin_edges[-1]}]"
+            f"window [{lo}, {hi}] s falls outside the histogram range "
+            f"[{bin_edges[0]}, {bin_edges[-1]}] s"
         )
-    centers = hist.bin_centers
+    centers = 0.5 * (bin_edges[:-1] + bin_edges[1:])
     mask = (centers >= lo) & (centers <= hi)
+    if not mask.any():
+        raise DomainError(
+            f"window [{lo}, {hi}] s holds no MCA channel centre; the channels "
+            f"are {bin_edges[1] - bin_edges[0]:.6g} s wide"
+        )
+    return mask
+
+
+def gate_count(hist: TacHistogram, window_center: float, window_width: float) -> int:
+    """Counts in the channels :func:`window_channels` assigns the window."""
+    mask = window_channels(hist.bin_edges, window_center, window_width)
     return int(hist.counts[mask].sum())

@@ -13,6 +13,11 @@ here is the mean of cos(2 delta * delta_L) over the symmetric |phi|^2: its
 characteristic function at t = 2 delta_L, exp(-sigma^2 t^2 / 2) for the
 Gaussian shape and sinc(delta_k t) for the rectangular one.
 
+Every rate is R = ``pair_rate`` times a per-pair probability, since
+efficiency, background and mode overlap each have their own parameter: the
+narrow-window rate is R * p_central, (R/4)(1 - mu cos(k_p delta_L)) at
+T = 0.5, so R is the coincidence normalization R_c0 of the two-photon fringe.
+
 Event generation needs no wavenumber per pair.  Pairs are emitted as a
 Poisson process of rate R, and a pair's signal wavenumber serves only to
 pick its outcome, so each pair is independently marked with outcome j with
@@ -72,35 +77,19 @@ _BLOCK = 8192
 
 @dataclass(frozen=True)
 class SourceRates:
-    """Source and calibration rates.
-
-    ``rc0`` is the overall coincidence normalization; the per-pair coincidence
-    probability is scaled by rc0/pair_rate, so rc0 <= pair_rate is required
-    for probabilities to stay below one, unless no pair is drawn at all.
-    """
+    """Source rates, s^-1: ``pair_rate`` R of emitted pairs, which is also
+    the coincidence normalization (see above), and ``singles_background``
+    per detector."""
 
     pair_rate: float
-    rc0: float
     singles_background: float
 
     def __post_init__(self) -> None:
         require_finite(
-            pair_rate=self.pair_rate,
-            rc0=self.rc0,
-            singles_background=self.singles_background,
+            pair_rate=self.pair_rate, singles_background=self.singles_background
         )
-        if self.pair_rate < 0 or self.rc0 < 0 or self.singles_background < 0:
+        if self.pair_rate < 0 or self.singles_background < 0:
             raise DomainError("rates must be nonnegative")
-        if self.pair_rate and self.rc0 > self.pair_rate:
-            raise DomainError(
-                f"rc0 ({self.rc0}) must not exceed pair_rate ({self.pair_rate}); "
-                "per-pair probabilities would exceed 1"
-            )
-
-    @property
-    def pair_scale(self) -> float:
-        """Per-pair probability scale eta = rc0 / pair_rate."""
-        return self.rc0 / self.pair_rate if self.pair_rate else 0.0
 
 
 def normalization_check(profile: SpectralProfile, tol: float = 1e-9) -> float:
@@ -145,20 +134,33 @@ def residual_integral(profile: SpectralProfile, dl: float) -> float:
     return math.sin(x) / x if x else 1.0
 
 
-def _mean_class_probabilities(
-    profile: SpectralProfile, geometry: InterferometerGeometry
-) -> tuple[float, float, float]:
-    """Per-pair (p_central, p_short_long, p_long_short) averaged over |phi|^2.
+def expected_class_probabilities(
+    profile: SpectralProfile,
+    geometry: InterferometerGeometry,
+    rates: SourceRates,
+) -> dict[str, float]:
+    """Per-pair outcome probabilities, the class probabilities averaged over k1.
 
     The kernel is linear in cos((2 k1 - k_pump) * delta_L), so its mean is
     the kernel at :func:`residual_integral`; p_central does not depend on k1.
+    These are the outcome rates of :func:`generate_events` divided by R;
+    ``tests/oracle.py`` holds the quadrature they are checked against.
+    ``rates`` is not read.
     """
-    probs = class_probabilities(
-        np.cos(fringe_phase(profile.k_pump, geometry)),
-        residual_integral(profile, delta_L(geometry)),
-        geometry,
+    p_c, p_sl, p_ls = (
+        float(p)
+        for p in class_probabilities(
+            np.cos(fringe_phase(profile.k_pump, geometry)),
+            residual_integral(profile, delta_L(geometry)),
+            geometry,
+        )
     )
-    return tuple(float(p) for p in probs)
+    return {
+        "central": p_c,
+        "side_sl": p_sl,
+        "side_ls": p_ls,
+        "none": 1.0 - (p_c + p_sl + p_ls),
+    }
 
 
 def quantum_rate_narrow(
@@ -170,10 +172,11 @@ def quantum_rate_narrow(
 
     The central-class probability depends only on the pump phase
     k_p * delta_L, not on k1, so the spectral integral collapses:
-    rate = rc0 * p_central; for T = 0.5 this is (rc0/4)(1 - mu cos(k_p delta_L)).
+    rate = R * p_central with R = ``pair_rate``; for T = 0.5 this is
+    (R/4)(1 - mu cos(k_p delta_L)).
     """
-    p_c, _, _ = _mean_class_probabilities(profile, geometry)
-    return rates.rc0 * p_c
+    probs = expected_class_probabilities(profile, geometry, rates)
+    return rates.pair_rate * probs["central"]
 
 
 def side_class_rate(
@@ -181,9 +184,10 @@ def side_class_rate(
     geometry: InterferometerGeometry,
     rates: SourceRates,
 ) -> float:
-    """Summed rate of the two side classes, s^-1, averaged over k1."""
-    _, p_sl, p_ls = _mean_class_probabilities(profile, geometry)
-    return rates.rc0 * (p_sl + p_ls)
+    """Summed rate of the two side classes, s^-1, averaged over k1:
+    R * (p_short_long + p_long_short) with R = ``pair_rate``."""
+    probs = expected_class_probabilities(profile, geometry, rates)
+    return rates.pair_rate * (probs["side_sl"] + probs["side_ls"])
 
 
 def quantum_rate_wide(
@@ -194,7 +198,7 @@ def quantum_rate_wide(
     """Wide-window coincidence rate (all three classes), s^-1.
 
     For T = 0.5, mu = 1 this reproduces
-    (rc0/2) * mean[1 - cos(k_p dL)/2 - cos((k_p - 2 k1) dL)/2].
+    (R/2) * mean[1 - cos(k_p dL)/2 - cos((k_p - 2 k1) dL)/2], R = ``pair_rate``.
     """
     return quantum_rate_narrow(profile, geometry, rates) + side_class_rate(
         profile, geometry, rates
@@ -206,8 +210,8 @@ def classical_bracket(
 ) -> float:
     """Closed-form classical coincidence factor, phase-averaged value 1.
 
-    mean[(1 + cos k1 dL)(1 - cos k2 dL)] = 1 - cos(k_p dL)/2 - R/2,
-    where R is :func:`residual_integral`.  The single-photon fringe means of
+    mean[(1 + cos k1 dL)(1 - cos k2 dL)] = 1 - cos(k_p dL)/2 - r/2,
+    where r is :func:`residual_integral`.  The single-photon fringe means of
     cos k1 dL and cos k2 dL cancel, since the idler's spectrum is the signal's.
     """
     phase_p = fringe_phase(profile.k_pump, geometry)
@@ -220,8 +224,9 @@ def classical_rate(
     geometry: InterferometerGeometry,
     rates: SourceRates,
 ) -> float:
-    """Classical-model coincidence rate, s^-1, normalized like the quantum wide rate."""
-    return 0.5 * rates.rc0 * classical_bracket(profile, geometry)
+    """Classical-model coincidence rate, s^-1, normalized like the quantum wide
+    rate: (R/2) * :func:`classical_bracket`, R = ``pair_rate``."""
+    return 0.5 * rates.pair_rate * classical_bracket(profile, geometry)
 
 
 def classical_monte_carlo(
@@ -260,30 +265,9 @@ def classical_monte_carlo(
     return mean, math.sqrt(float(np.sum(vals)) / (n - 1)) / math.sqrt(n)
 
 
-def expected_class_probabilities(
-    profile: SpectralProfile,
-    geometry: InterferometerGeometry,
-    rates: SourceRates,
-) -> dict[str, float]:
-    """Per-pair outcome probabilities, the class probabilities averaged over k1.
-
-    The outcome rates of :func:`generate_events`; ``tests/oracle.py`` holds
-    the quadrature they are checked against.
-    """
-    scale = rates.pair_scale
-    p_c, p_sl, p_ls = (scale * p for p in _mean_class_probabilities(profile, geometry))
-    return {
-        "central": p_c,
-        "side_sl": p_sl,
-        "side_ls": p_ls,
-        "none": 1.0 - (p_c + p_sl + p_ls),
-    }
-
-
 def sample_pair_outcomes(
     profile: SpectralProfile,
     geometry: InterferometerGeometry,
-    rates: SourceRates,
     delta: np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
@@ -296,15 +280,14 @@ def sample_pair_outcomes(
     block draws its uniforms in turn, the same stream as one draw of ``n``.
     """
     n = np.size(delta)
-    scale = rates.pair_scale
     codes = np.empty(n, dtype=np.uint8)
     for start in range(0, n, _BLOCK):
         stop = start + _BLOCK
         p_c, p_sl, p_ls = class_probabilities_pair(delta[start:stop], profile, geometry)
         # p_central is one value for every pair
-        central = scale * float(p_c[0])
-        side_sl = central + scale * p_sl
-        side_ls = side_sl + scale * p_ls
+        central = float(p_c[0])
+        side_sl = central + p_sl
+        side_ls = side_sl + p_ls
         u = rng.random(np.size(p_sl))
         # the thresholds never decrease, so the code is the number u clears
         codes[start:stop] = (
@@ -316,7 +299,6 @@ def sample_pair_outcomes(
 def pair_monte_carlo(
     profile: SpectralProfile,
     geometry: InterferometerGeometry,
-    rates: SourceRates,
     delta: np.ndarray,
     rng: np.random.Generator,
 ) -> tuple[float, float, int]:
@@ -338,7 +320,6 @@ def pair_monte_carlo(
     dl = delta_L(geometry)
     sin_c = math.sin(fringe_phase(profile.k_center, geometry))
     cos_pump = np.cos(fringe_phase(profile.k_pump, geometry))
-    scale = rates.pair_scale
     vals = np.empty(n)
     cos_diff = np.empty(min(n, _BLOCK))
     coincidences = 0
@@ -356,9 +337,8 @@ def pair_monte_carlo(
         # the threshold of the last coincidence class, summed in place in the
         # order sample_pair_outcomes sums it; a pair whose uniform lies below
         # it is a coincidence
-        side_ls = np.multiply(p_sl, scale, out=p_sl)
-        side_ls += scale * float(p_c)
-        p_ls *= scale
+        side_ls = p_sl
+        side_ls += float(p_c)
         side_ls += p_ls
         u = rng.random(out=diff)
         coincidences += int(np.count_nonzero(u < side_ls))

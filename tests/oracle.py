@@ -287,7 +287,7 @@ def generate_events_oracle(profile, geometry, rates, duration: float, rng):
     n_pairs = int(rng.poisson(rates.pair_rate * duration))
     emit = np.sort(rng.random(n_pairs) * duration)
     delta = sample_signal(profile, rng, n_pairs)
-    outcome = sample_pair_outcomes(profile, geometry, rates, delta, rng)
+    outcome = sample_pair_outcomes(profile, geometry, delta, rng)
 
     times: list[np.ndarray] = []
     dets: list[np.ndarray] = []
@@ -401,16 +401,15 @@ def classical_monte_carlo_oracle(profile, geometry, delta) -> tuple[float, float
     return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(vals.size))
 
 
-def expected_class_probabilities_oracle(profile, geometry, rates) -> dict:
+def expected_class_probabilities_oracle(profile, geometry) -> dict:
     """Per-pair outcome probabilities, one quadrature of the kernel per class."""
-    scale = rates.pair_scale
     kc = profile.k_center
 
     def comp(idx):
         def f(k):
             return class_probabilities_pair(k - kc, profile, geometry)[idx]
 
-        return scale * quadrature_mean(profile, f)
+        return quadrature_mean(profile, f)
 
     p_c, p_sl, p_ls = comp(0), comp(1), comp(2)
     return {

@@ -47,7 +47,7 @@ def fringe_visibility(rate_fn, profile, geometry, rates):
 @pytest.fixture(scope="module")
 def desk_corpus(profile_m, geometry_m, tac_m):
     """24-point fringe scan at delta_L = 0.55 m, ~2e3 coincidences per point."""
-    rates = SourceRates(pair_rate=1e5, rc0=1e5, singles_background=0.0)
+    rates = SourceRates(pair_rate=1e5, singles_background=0.0)
     detector = DetectorModel(timing_jitter_sigma=300e-12, dead_time=0.0, efficiency=1.0)
     offsets = np.linspace(0.0, 2.0 * PERIOD, 24, endpoint=False)
     start = time.perf_counter()
@@ -93,7 +93,7 @@ def experimental_corpus():
 
 
 def test_criterion_1_analytic_visibilities(profile_m, geometry_m):
-    rates = SourceRates(pair_rate=1e5, rc0=1e5, singles_background=0.0)
+    rates = SourceRates(pair_rate=1e5, singles_background=0.0)
     v_narrow = fringe_visibility(quantum_rate_narrow, profile_m, geometry_m, rates)
     wide_geom = InterferometerGeometry(
         path_short=0.5, path_long_base=0.5 + 100.0 * COHERENCE_LENGTH
@@ -229,13 +229,13 @@ def test_criterion_6_flat_singles(experimental_corpus):
 
 def test_criterion_7_oracle_equivalence(profile_m, geometry_m):
     start = time.perf_counter()
-    rates = SourceRates(pair_rate=1e5, rc0=1e5, singles_background=0.0)
+    rates = SourceRates(pair_rate=1e5, singles_background=0.0)
     geom = phase_geometry(geometry_m, profile_m.k_pump, np.pi / 3.0)
     expected = expected_class_probabilities(profile_m, geom, rates)
     n = 1_000_000
     rng = np.random.default_rng(123)
     outcomes = sample_pair_outcomes(
-        profile_m, geom, rates, sample_signal(profile_m, rng, n), rng
+        profile_m, geom, sample_signal(profile_m, rng, n), rng
     )
     observed = np.bincount(outcomes, minlength=4)[:4]
     probs = np.array(
@@ -247,8 +247,8 @@ def test_criterion_7_oracle_equivalence(profile_m, geometry_m):
         profile_m, geom, sample_signal(profile_m, rng, n)
     )
     analytic = classical_rate(profile_m, geom, rates)
-    mc_rate = 0.5 * rates.rc0 * mc_mean
-    classical_ok = abs(mc_rate - analytic) < 4.0 * (0.5 * rates.rc0 * mc_err)
+    mc_rate = 0.5 * rates.pair_rate * mc_mean
+    classical_ok = abs(mc_rate - analytic) < 4.0 * (0.5 * rates.pair_rate * mc_err)
     elapsed = time.perf_counter() - start
 
     ok = chi2_p > 0.001 and classical_ok and elapsed < 30.0
@@ -256,7 +256,7 @@ def test_criterion_7_oracle_equivalence(profile_m, geometry_m):
         7,
         ok,
         f"class chi2 p={chi2_p:.3f}; classical MC {mc_rate:.1f} vs "
-        f"{analytic:.1f} (+/-{0.5 * rates.rc0 * mc_err:.1f}); {elapsed:.1f}s",
+        f"{analytic:.1f} (+/-{0.5 * rates.pair_rate * mc_err:.1f}); {elapsed:.1f}s",
     )
     assert ok, line
 

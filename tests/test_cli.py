@@ -38,6 +38,9 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"tipo": 1})
+        # the pair rate is the only rate knob; the old normalization key is gone
+        with pytest.raises(ConfigError, match="unknown config key: rates.rc0"):
+            ExperimentConfig.from_dict({"rates": {"rc0": 1e5}})
 
     def test_coherence_warning(self):
         cfg = ExperimentConfig.from_dict(
@@ -97,9 +100,9 @@ class TestConfig:
     def test_hashes_pinned(self):
         # a table row that changes a default's value or type (1.0e5 must stay
         # a float) changes the hash of every output
-        assert ExperimentConfig.from_dict({}).config_hash() == "c28abc8a12da"
+        assert ExperimentConfig.from_dict({}).config_hash() == "35faa932129b"
         experimental = ExperimentConfig.packaged("experimental")
-        assert experimental.config_hash() == "0fe62f031860"
+        assert experimental.config_hash() == "8fadb9211e84"
 
     def test_fuzzed_overrides_end_in_config_error(self):
         # random overrides of 1-3 keys either validate or raise ConfigError,
@@ -160,24 +163,28 @@ class TestCliCommands:
         assert narrow["regime"] == "quantum"
         assert narrow["visibility"] > wide["visibility"]
 
-    def test_compare_table(self, tmp_path):
-        cfg = write_config(tmp_path, SMALL_RUN)
+    # every rate is pair_rate times a per-pair probability, so each column
+    # scales with it, down to zero pairs
+    @pytest.mark.parametrize("pair_rate", [1e5, 1e6, 5e4, 0.0])
+    def test_compare_table(self, tmp_path, pair_rate):
+        cfg = write_config(tmp_path, {**SMALL_RUN, "rates": {"pair_rate": pair_rate}})
         out = tmp_path / "out"
         assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
         table = json.loads((out / "compare.json").read_text())
         rows = table["rows"]
         mid = rows[4]  # phase pi
-        assert mid["quantum_narrow_rate"] == pytest.approx(
-            0.5 * DEFAULTS["rates"]["rc0"], rel=1e-6
-        )
-        assert mid["quantum_wide_rate"] == pytest.approx(
-            0.75 * DEFAULTS["rates"]["rc0"], rel=1e-6
-        )
+        assert mid["quantum_narrow_rate"] == pytest.approx(0.5 * pair_rate, rel=1e-6)
+        assert mid["quantum_wide_rate"] == pytest.approx(0.75 * pair_rate, rel=1e-6)
+        assert mid["classical_rate"] == pytest.approx(0.75 * pair_rate, rel=1e-6)
         assert rows[0]["quantum_narrow_rate"] == pytest.approx(0.0, abs=1e-6)
         for row in rows:
             assert abs(
                 row["classical_mc_rate"] - row["classical_rate"]
             ) < 4 * max(row["classical_mc_stderr"], 1e-9)
+            # binomial spread of R times the coincidence fraction of n pairs
+            wide = row["quantum_wide_rate"]
+            sigma = math.sqrt(wide * (pair_rate - wide) / row["quantum_mc_n"])
+            assert abs(row["quantum_mc_wide_rate"] - wide) <= 5 * sigma
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_compare_draws_once_per_row(self, tmp_path, monkeypatch, seed):
@@ -232,7 +239,6 @@ class TestCliCommands:
             ("histogram", {"detector": {"jitter_sigma_s": math.inf}}, "jitter"),
             ("histogram", {"rates": {"pair_rate": math.nan}}, "pair_rate"),
             ("histogram", {"rates": {"singles_background": math.inf}}, "background"),
-            ("histogram", {"rates": {"rc0": math.nan}}, "rc0"),
             (
                 "histogram",
                 {"source": {"coherence_length_m": math.nan}},
@@ -261,7 +267,6 @@ class TestCliCommands:
                 "source.shape must be one of ['gaussian', 'rectangular']",
             ),
             ("histogram", {"tac": {"n_channels": 10**19}}, "tac.n_channels"),
-            ("histogram", {"rates": {"rc0": 2.0e5}}, "rates.pair_rate"),
             (
                 "histogram",
                 {"geometry": {"path_long_base_m": 0.4}},
@@ -294,7 +299,6 @@ class TestCliCommands:
             "infinite_jitter",
             "nan_pair_rate",
             "infinite_background",
-            "nan_rc0",
             "nan_coherence_length",
             "nan_path_short",
             "string_pair_rate",
@@ -305,7 +309,6 @@ class TestCliCommands:
             "scan_on_one_phase",
             "unknown_shape",
             "too_many_channels",
-            "rc0_over_pair_rate",
             "long_arm_not_longer",
             "seed_past_digit_limit",
             "huge_span",
@@ -334,7 +337,7 @@ class TestCliCommands:
     @pytest.mark.parametrize(
         "command, overrides",
         [
-            ("histogram", {"rates": {"pair_rate": 1e300, "rc0": 1.0}}),
+            ("histogram", {"rates": {"pair_rate": 1e300}}),
             ("histogram", {"rates": {"pair_rate": 1e19}}),
             ("histogram", {"rates": {"singles_background": 1e300}}),
             ("histogram", {"run": {"duration_s": 1e300}}),
@@ -452,7 +455,8 @@ class TestCliCommands:
         assert list((tmp_path / "out").iterdir()) == []
 
     # 1.0000001 ns shares the output tag 1ns with the first window
-    @pytest.mark.parametrize("window", ["30", "0", "-1", "1.0000001"])
+    # 0.001 ns lies between two MCA channel centres, so it holds no channel
+    @pytest.mark.parametrize("window", ["30", "0", "-1", "1.0000001", "0.001"])
     def test_window_checked_before_acquisition(
         self, tmp_path, capsys, monkeypatch, window
     ):

@@ -88,7 +88,7 @@ class TestDetectorModel:
         # photon on each detector on average, a no-coincidence pair two on
         # one, so the detected count is compound Poisson: mean eta R T,
         # variance R T (eta + p_none eta^2), plus the thinned background
-        rates = SourceRates(pair_rate=1e5, rc0=1e5, singles_background=2e4)
+        rates = SourceRates(pair_rate=1e5, singles_background=2e4)
         duration, efficiency = 1.0, (0.3, 0.7)
         stream = generate_events(profile, geometry, rates, duration, rng, efficiency)
         n_pairs = rates.pair_rate * duration
@@ -103,7 +103,7 @@ class TestDetectorModel:
     def test_detectors_set_their_own_efficiency(self, profile, geometry, rng):
         # an acquisition draws its photons at each detector's efficiency:
         # the same compound Poisson counts as above, now as clicks
-        rates = SourceRates(pair_rate=1e5, rc0=1e5, singles_background=2e4)
+        rates = SourceRates(pair_rate=1e5, singles_background=2e4)
         duration = 1.0
         detectors = [
             replace(IDEAL, timing_jitter_sigma=300e-12, efficiency=eta)
@@ -139,7 +139,7 @@ class TestTac:
         self, profile, geometry, k_pump, rng
     ):
         # low rate so TAC pileup cannot fake a central count
-        rates = SourceRates(pair_rate=5e3, rc0=5e3, singles_background=0.0)
+        rates = SourceRates(pair_rate=5e3, singles_background=0.0)
         g = phase_geometry(geometry, k_pump, 0.0)
         hist = acquire_histogram(profile, g, rates, IDEAL, IDEAL, TAC, 0.5, rng)
         n_central = gate_count(hist, TAC.electrical_delay, 1e-9)
@@ -170,7 +170,7 @@ class TestTac:
     def test_exact_central_count_without_jitter(
         self, profile, geometry, k_pump, rng
     ):
-        rates = SourceRates(pair_rate=5e3, rc0=5e3, singles_background=0.0)
+        rates = SourceRates(pair_rate=5e3, singles_background=0.0)
         g = phase_geometry(geometry, k_pump, math.pi)
         events = generate_events(profile, g, rates, 0.2, rng)
         hist = ideal_histogram(events.a, events.b, 0.2, rng)
@@ -271,7 +271,7 @@ class TestStateMachineOracles:
 
     def test_dense_stream_matches_loops(self, profile, geometry, rng):
         # 1e6 pairs/s: about 5 % of clicks fall within 50 ns of the previous
-        rates = SourceRates(pair_rate=1e6, rc0=1e6, singles_background=2e5)
+        rates = SourceRates(pair_rate=1e6, singles_background=2e5)
         events = generate_events(profile, geometry, rates, 0.01, rng)
         jitter = replace(IDEAL, timing_jitter_sigma=300e-12)
         dead = replace(IDEAL, dead_time=50e-9)
@@ -323,17 +323,33 @@ class TestGateCount:
         counts = [gate_count(hist, TAC.electrical_delay, w) for w in widths]
         assert all(a <= b for a, b in zip(counts, counts[1:]))
 
+    @pytest.mark.parametrize(
+        "center, width",
+        [(19e-9, 5e-9), (10e-9, math.nan), (math.nan, 5e-9)],
+        ids=["past_range", "nan_width", "nan_center"],
+    )
     def test_window_outside_range_rejected(
-        self, profile, geometry, k_pump, rates, rng
+        self, profile, geometry, k_pump, rates, rng, center, width
     ):
         hist = self.make_hist(profile, geometry, k_pump, rates, rng)
         with pytest.raises(DomainError):
-            gate_count(hist, 19e-9, 5e-9)
+            gate_count(hist, center, width)
+
+    def test_window_holding_no_channel_rejected(
+        self, profile, geometry, k_pump, rates, rng
+    ):
+        # channels are 20 ns / 4096 = 4.9 ps wide, and 10 ns is an edge: a
+        # 1 ps window there holds no channel centre, one on a centre holds it
+        hist = self.make_hist(profile, geometry, k_pump, rates, rng)
+        with pytest.raises(DomainError, match="no MCA channel"):
+            gate_count(hist, TAC.electrical_delay, 1e-12)
+        centre = hist.bin_centers[TAC.n_channels // 2]
+        assert gate_count(hist, centre, 1e-12) == hist.counts[TAC.n_channels // 2]
 
 
 class TestAccidentalFloor:
     def test_background_only_rate(self, profile, geometry, rng):
-        rates = SourceRates(pair_rate=0.0, rc0=0.0, singles_background=2e4)
+        rates = SourceRates(pair_rate=0.0, singles_background=2e4)
         duration = 2.0
         hist = acquire_histogram(
             profile, geometry, rates, IDEAL, IDEAL, TAC, duration, rng

@@ -58,28 +58,28 @@ class TestQuantumRates:
     def test_wide_extrema_beyond_coherence(self, profile, geometry, k_pump, rates):
         g = phase_geometry(geometry, k_pump, math.pi)
         assert quantum_rate_wide(profile, g, rates) == pytest.approx(
-            0.75 * rates.rc0, rel=1e-6
+            0.75 * rates.pair_rate, rel=1e-6
         )
         g = phase_geometry(geometry, k_pump, 0.0)
         assert quantum_rate_wide(profile, g, rates) == pytest.approx(
-            0.25 * rates.rc0, rel=1e-6
+            0.25 * rates.pair_rate, rel=1e-6
         )
 
     def test_wide_white_light_null(self, profile, k_pump, rates):
         # delta_L -> 0: side-class residual cancels the whole rate
         geom = InterferometerGeometry(path_short=0.5, path_long_base=0.5 + 1e-12)
         assert quantum_rate_wide(profile, geom, rates) == pytest.approx(
-            0.0, abs=1e-6 * rates.rc0
+            0.0, abs=1e-6 * rates.pair_rate
         )
 
     def test_narrow_extrema(self, profile, geometry, k_pump, rates):
         g = phase_geometry(geometry, k_pump, math.pi)
         assert quantum_rate_narrow(profile, g, rates) == pytest.approx(
-            0.5 * rates.rc0, rel=1e-9
+            0.5 * rates.pair_rate, rel=1e-9
         )
         g = phase_geometry(geometry, k_pump, 0.0)
         assert quantum_rate_narrow(profile, g, rates) == pytest.approx(
-            0.0, abs=1e-9 * rates.rc0
+            0.0, abs=1e-9 * rates.pair_rate
         )
 
     def test_narrow_visibility_equals_mode_overlap(self, profile, k_pump, rates):
@@ -165,10 +165,9 @@ class TestClosedFormAverages:
         t=st.floats(0.05, 0.95),
         mu=st.floats(0.0, 1.0),
         dl=st.floats(1e-7, 3e-4),
-        scale=st.floats(0.0, 1.0),
         shape=st.sampled_from(list(SpectralShape)),
     )
-    def test_class_probabilities_match_quadrature(self, t, mu, dl, scale, shape):
+    def test_class_probabilities_match_quadrature(self, t, mu, dl, shape):
         # delta_L from far below the 100 um coherence length to 3 times it
         k_pump = wavelength_to_wavenumber(PUMP_WAVELENGTH)
         profile = SpectralProfile(k_pump=k_pump, delta_k=1.0 / LCOH, shape=shape)
@@ -178,9 +177,9 @@ class TestClosedFormAverages:
             splitter_transmittance=t,
             mode_overlap=mu,
         )
-        rates = SourceRates(pair_rate=1.0e5, rc0=scale * 1.0e5, singles_background=0.0)
+        rates = SourceRates(pair_rate=1.0e5, singles_background=0.0)
         closed = expected_class_probabilities(profile, geom, rates)
-        quad = expected_class_probabilities_oracle(profile, geom, rates)
+        quad = expected_class_probabilities_oracle(profile, geom)
         for name in ("central", "side_sl", "side_ls", "none"):
             assert closed[name] == pytest.approx(quad[name], abs=1e-12)
         classes = [closed[name] for name in ("central", "side_sl", "side_ls")]
@@ -255,39 +254,34 @@ class TestPairMonteCarlo:
         # the nine phases of compare; 50 001 leaves a partial last block
         profile = SpectralProfile(k_pump=k_pump, delta_k=1.0 / LCOH, shape=shape)
         base = replace(geometry, splitter_transmittance=t, mode_overlap=mu)
-        rates = SourceRates(pair_rate=1.0e5, rc0=6.0e4, singles_background=0.0)
         for i in range(9):
             g = phase_geometry(base, k_pump, i * 2.0 * math.pi / 8.0)
             rng = np.random.default_rng(100 + i)
             delta = sample_signal(profile, rng, n)
             rng_ref = copy.deepcopy(rng)
-            mean, stderr, coincidences = pair_monte_carlo(profile, g, rates, delta, rng)
+            mean, stderr, coincidences = pair_monte_carlo(profile, g, delta, rng)
             assert (mean, stderr) == classical_monte_carlo(profile, g, delta)
-            codes = sample_pair_outcomes(profile, g, rates, delta, rng_ref)
+            codes = sample_pair_outcomes(profile, g, delta, rng_ref)
             assert coincidences == np.count_nonzero(codes != 3)
             assert rng.bit_generator.state == rng_ref.bit_generator.state
 
-    def test_sample_count_validated(self, profile, geometry, rates, rng):
+    def test_sample_count_validated(self, profile, geometry, rng):
         state = rng.bit_generator.state
         with pytest.raises(DomainError):
-            pair_monte_carlo(profile, geometry, rates, np.empty(0), rng)
+            pair_monte_carlo(profile, geometry, np.empty(0), rng)
         assert rng.bit_generator.state == state
 
 
 class TestSourceRates:
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
-            SourceRates(pair_rate=-1.0, rc0=0.0, singles_background=0.0)
+            SourceRates(pair_rate=-1.0, singles_background=0.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("field", ["pair_rate", "rc0", "singles_background"])
+    @pytest.mark.parametrize("field", ["pair_rate", "singles_background"])
     def test_non_finite_rejected(self, rates, field, value):
         with pytest.raises(DomainError, match=field):
             replace(rates, **{field: value})
-
-    def test_scale_over_unity_rejected(self):
-        with pytest.raises(DomainError, match=r"rc0 .*pair_rate"):
-            SourceRates(pair_rate=1e4, rc0=2e4, singles_background=0.0)
 
 
 class TestEventGeneration:
@@ -313,7 +307,7 @@ class TestEventGeneration:
         cfg = ExperimentConfig.packaged(config)
         profile, geometry, rates = cfg.profile(), cfg.geometry(), cfg.rates()
         if pair_rate is not None:
-            rates = SourceRates(pair_rate, pair_rate, rates.singles_background)
+            rates = SourceRates(pair_rate, rates.singles_background)
         rng = np.random.default_rng(cfg.data["run"]["seed"])
         stream = generate_events(profile, geometry, rates, duration, rng)
         rng_oracle = np.random.default_rng(cfg.data["run"]["seed"])
@@ -428,7 +422,7 @@ class TestEventGeneration:
     ):
         # detected coincidences per class and singles per detector: folded
         # into the generator's cells, against every oracle photon thinned
-        rates = SourceRates(pair_rate=1e5, rc0=1e5, singles_background=2e4)
+        rates = SourceRates(pair_rate=1e5, singles_background=2e4)
         g = phase_geometry(geometry, k_pump, 2.0)
         duration = 0.5
         t_short, t_long = transit_times(g)
@@ -483,7 +477,7 @@ class TestEventGeneration:
             def random(self, size):
                 return self.rng.random(size)
 
-        rates = SourceRates(pair_rate=1e5, rc0=1e5, singles_background=0.0)
+        rates = SourceRates(pair_rate=1e5, singles_background=0.0)
         g = phase_geometry(geometry, k_pump, 2.0)
         rng = Recorder(np.random.default_rng(17))
         stream = generate_events(profile, g, rates, 0.1, rng, (0.3, 0.7))
@@ -501,12 +495,12 @@ class TestEventGeneration:
         assert stream.pairs_per_class[0] == 0
         assert stream.pairs_per_class[1] + stream.pairs_per_class[2] > 0
 
-    def test_class_balance_phase_averaged(self, profile, geometry, k_pump, rates, rng):
+    def test_class_balance_phase_averaged(self, profile, geometry, k_pump, rng):
         n_central = n_side = 0
         for phase in np.linspace(0, 2 * math.pi, 12, endpoint=False):
             g = phase_geometry(geometry, k_pump, phase)
             delta = sample_signal(profile, rng, 20000)
-            outcomes = sample_pair_outcomes(profile, g, rates, delta, rng)
+            outcomes = sample_pair_outcomes(profile, g, delta, rng)
             n_central += int(np.sum(outcomes == 0))
             n_side += int(np.sum((outcomes == 1) | (outcomes == 2)))
         sigma = math.sqrt(n_central + n_side)
@@ -518,7 +512,7 @@ class TestEventGeneration:
         g = phase_geometry(geometry, k_pump, 2.0)
         n = 10**6
         delta = sample_signal(profile, rng, n)
-        outcomes = sample_pair_outcomes(profile, g, rates, delta, rng)
+        outcomes = sample_pair_outcomes(profile, g, delta, rng)
         counts = np.array([np.sum(outcomes == i) for i in range(4)])
         probs = expected_class_probabilities(profile, g, rates)
         expected = n * np.array(
@@ -547,11 +541,10 @@ class TestEventGeneration:
             mode_overlap=0.8,
         )
         geom = phase_geometry(geom, k_pump, 2.0)
-        rates = SourceRates(pair_rate=1.0e5, rc0=6.0e4, singles_background=0.0)
         n = 2000
         rng = np.random.default_rng(77)
         delta = sample_signal(profile, rng, n)
-        codes = sample_pair_outcomes(profile, geom, rates, delta, rng)
+        codes = sample_pair_outcomes(profile, geom, delta, rng)
 
         rng = np.random.default_rng(77)
         k1 = profile.k_center + sample_signal(profile, rng, n)
@@ -561,29 +554,29 @@ class TestEventGeneration:
             p_c, p_sl, p_ls = class_probabilities_pair_oracle(
                 k, profile.k_pump - k, geom
             )
-            edges = np.cumsum(np.array([p_c, p_sl, p_ls]) * rates.pair_scale)
+            edges = np.cumsum(np.array([p_c, p_sl, p_ls]))
             expected.append(int(np.searchsorted(edges, x, side="right")))
         assert codes.tolist() == expected
         assert set(expected) == {0, 1, 2, 3}
 
-    def test_outcomes_blocked_like_whole_array(self, profile, geometry, k_pump, rates):
+    def test_outcomes_blocked_like_whole_array(self, profile, geometry, k_pump):
         # 20 001 pairs span three blocks, the last one partial
         g = phase_geometry(geometry, k_pump, 2.0)
         n = 20_001
         rng = np.random.default_rng(5)
         delta = sample_signal(profile, rng, n)
-        codes = sample_pair_outcomes(profile, g, rates, delta, rng)
+        codes = sample_pair_outcomes(profile, g, delta, rng)
 
         rng = np.random.default_rng(5)
         delta = sample_signal(profile, rng, n)
         u = rng.random(n)
         p_c, p_sl, p_ls = class_probabilities_pair(delta, profile, g)
-        edges = np.cumsum(rates.pair_scale * np.stack([p_c, p_sl, p_ls]), axis=0)
+        edges = np.cumsum(np.stack([p_c, p_sl, p_ls]), axis=0)
         assert codes.tolist() == (u >= edges).sum(axis=0).tolist()
-        assert sample_pair_outcomes(profile, g, rates, delta[:0], rng).size == 0
+        assert sample_pair_outcomes(profile, g, delta[:0], rng).size == 0
 
     def test_background_only(self, geometry, profile, rng):
-        rates = SourceRates(pair_rate=0.0, rc0=0.0, singles_background=5e4)
+        rates = SourceRates(pair_rate=0.0, singles_background=5e4)
         stream = generate_events(profile, geometry, rates, 0.1, rng)
         assert stream.pairs_per_class.sum() == 0  # every click is background
         n_a = stream.a.size
