@@ -35,7 +35,7 @@ from .engines import (
 )
 from .errors import BiphotonError, ConfigError, DomainError
 from .interferometer import offset_for_phase
-from .spectral import TWO_PI, sample_signal
+from .spectral import TWO_PI
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -187,9 +187,7 @@ def cmd_compare(args) -> int:
         narrow = quantum_rate_narrow(profile, geom, rates)
         wide = quantum_rate_wide(profile, geom, rates)
         classical = classical_rate(profile, geom, rates)
-        # one draw of signal deviations serves both Monte Carlo columns
-        delta = sample_signal(profile, rng, n_mc)
-        cmc_mean, cmc_err, coincidences = pair_monte_carlo(profile, geom, delta, rng)
+        cmc_mean, cmc_err, coincidences = pair_monte_carlo(profile, geom, n_mc, rng)
         qmc = coincidences / n_mc * rates.pair_rate
         rows.append(
             {

@@ -62,8 +62,9 @@ KEYS: dict = {
         "n_channels": (4096, "[2, 65536]"),
     },
     "scan": {
-        # a scan keeps one histogram, counts and edges, per point: 4096 points
-        # of 65536 channels take about 4.3 GB, near MAX_PHOTONS' 5 GB
+        # a scan keeps one histogram of counts per point, all sharing the TAC's
+        # edges: 4096 points of 65536 channels take about 2.2 GB, below
+        # MAX_PHOTONS' 5 GB
         "n_points": (24, "[8, 4096]"),
         "span_periods": (2.0, "[1, inf)"),
         "duration_s": (0.04, "[0, inf)"),

@@ -18,6 +18,7 @@ for both.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -70,10 +71,16 @@ class TacConfig:
         if self.electrical_delay < 0:
             raise DomainError("electrical delay must be nonnegative")
 
-    @property
+    @functools.cached_property
     def bin_edges(self) -> np.ndarray:
-        """Edges of the MCA channels, evenly spaced over [0, range]."""
-        return np.linspace(0.0, self.range, self.n_channels + 1)
+        """Edges of the MCA channels, evenly spaced over [0, range].
+
+        Computed once and read-only, so every histogram of this TAC shares
+        the one array.
+        """
+        edges = np.linspace(0.0, self.range, self.n_channels + 1)
+        edges.flags.writeable = False
+        return edges
 
 
 @dataclass

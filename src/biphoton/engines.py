@@ -35,20 +35,21 @@ drawn at eta times their rate, the same Poisson law as thinning them.
 Per-pair sampling, :func:`sample_pair_outcomes`, stays as the independent
 check of these rates.
 
-The Monte Carlo engines take the signal deviations as an argument, so one
-draw from :func:`sample_signal` serves both columns of ``compare``.  With
-x = delta * delta_L both columns are functions of one sine per pair,
-s = sin x.  The classical integrand (1 + cos phi_1)(1 - cos phi_2) is exactly
-(sin phi_c - s)^2, where phi_c is the fringe phase of k_pump/2, and the
-quantum kernel reads cos(phi_1 - phi_2) = cos 2x = 1 - 2 s^2.
-:func:`pair_monte_carlo` computes s once for both; the single-column engines
-:func:`classical_monte_carlo` and :func:`sample_pair_outcomes` remain as its
-reference.  Every engine works through the deviations in blocks of
-``_BLOCK`` pairs, so the temporaries of a block stay in cache and only the
-deviations and the classical integrand are full length: uniforms are drawn
-block by block, the same stream as one draw of all of them, and the
-classical standard error is taken in place, so repeated calls reuse the
-same memory with a steady number of page faults.
+The single-column Monte Carlo engines take the signal deviations as an
+argument.  :func:`pair_monte_carlo`, which fills both columns of ``compare``,
+draws them itself.  With x = delta * delta_L both columns are functions of
+one sine per pair, s = sin x.  The classical integrand
+(1 + cos phi_1)(1 - cos phi_2) is exactly (sin phi_c - s)^2, where phi_c is
+the fringe phase of k_pump/2, and the quantum kernel reads
+cos(phi_1 - phi_2) = cos 2x = 1 - 2 s^2, so the coincidence threshold is
+a + b s^2.  :func:`pair_monte_carlo` computes s once for both; the
+single-column engines :func:`classical_monte_carlo` and
+:func:`sample_pair_outcomes` remain as its reference.  Every engine works in
+blocks of ``_BLOCK`` pairs, so the temporaries of a block stay in cache:
+what an engine draws it draws block by block, the same stream as one draw
+of all of it, and the classical standard error is taken in place.
+In :func:`pair_monte_carlo` only the sines are full length, so repeated
+calls reuse the same memory instead of faulting in fresh pages.
 """
 from __future__ import annotations
 
@@ -66,9 +67,7 @@ from .interferometer import (
     fringe_phase,
     transit_times,
 )
-# re-exported: the Monte Carlo engines take its draws, and bench/selftest.py
-# calls it as biphoton.engines.sample_signal
-from .spectral import SpectralProfile, SpectralShape, sample_signal  # noqa: F401
+from .spectral import SpectralProfile, SpectralShape, sample_signal
 
 #: pairs per block of the Monte Carlo engines: the block's temporaries stay
 #: in cache, and only the result array is as long as the draws
@@ -299,49 +298,54 @@ def sample_pair_outcomes(
 def pair_monte_carlo(
     profile: SpectralProfile,
     geometry: InterferometerGeometry,
-    delta: np.ndarray,
+    n: int,
     rng: np.random.Generator,
 ) -> tuple[float, float, int]:
-    """Both Monte Carlo columns of ``compare`` from one sine per pair:
-    ``(classical_mean, classical_stderr, coincidences)``.
+    """Both Monte Carlo columns of ``compare`` from ``n`` pairs and one sine
+    per pair: ``(classical_mean, classical_stderr, coincidences)``.
 
-    The classical mean and standard error are those of
-    :func:`classical_monte_carlo`, by the same float operations.
-    ``coincidences`` counts the pairs that :func:`sample_pair_outcomes`
-    would mark with a coincidence class (code 0, 1 or 2) on the same ``rng``
-    stream: one uniform per pair, drawn block by block, below the pair's
-    cumulative threshold.  The kernel reads cos 2x as 1 - 2 sin^2 x, which
-    differs from cos 2x by rounding alone, so a count can differ only where a
-    uniform lies within about 1e-16 of its threshold.
+    The pairs are drawn here, block by block with :func:`sample_signal`, the
+    same stream as one draw of ``n``, and each block's sines s = sin x go
+    straight into the one full-length array.  A second pass then draws the
+    uniforms block by block, as :func:`sample_pair_outcomes` does after that
+    draw, and counts the pairs whose uniform lies below the threshold of the
+    last coincidence class.  That threshold p_c + p_sl + p_ls is linear in
+    cos 2x = 1 - 2 s^2 (no clamp acts for mu <= 1), so it is a + b s^2 with
+    a and b from the kernel at cos 2x = +1 and -1.  The threshold differs
+    from the reference's by rounding alone, so a count can differ only where
+    a uniform lies within about 1e-16 of it.  The sines then become the
+    classical integrand (sin phi_c - s)^2 in place, and its mean and
+    standard error are those of :func:`classical_monte_carlo`, by the same
+    float operations.
     """
-    n = np.size(delta)
     if n < 1:
-        raise DomainError("delta must hold at least one signal deviation")
+        raise DomainError(f"need at least one pair, got n = {n}")
     dl = delta_L(geometry)
     sin_c = math.sin(fringe_phase(profile.k_center, geometry))
     cos_pump = np.cos(fringe_phase(profile.k_pump, geometry))
+    # the coincidence threshold is a at s = 0 (cos 2x = 1) and a + b at
+    # s^2 = 1 (cos 2x = -1)
+    a, a_plus_b = (
+        float(sum(class_probabilities(cos_pump, cos_diff, geometry)))
+        for cos_diff in (1.0, -1.0)
+    )
+    b = a_plus_b - a
     vals = np.empty(n)
-    cos_diff = np.empty(min(n, _BLOCK))
+    for start in range(0, n, _BLOCK):
+        block = vals[start : start + _BLOCK]
+        np.multiply(sample_signal(profile, rng, block.size), dl, out=block)
+        np.sin(block, out=block)
+    threshold = np.empty(min(n, _BLOCK))
+    uniforms = np.empty_like(threshold)
     coincidences = 0
     for start in range(0, n, _BLOCK):
-        stop = start + _BLOCK
-        block = vals[start:stop]
-        diff = cos_diff[: block.size]
-        np.multiply(delta[start:stop], dl, out=block)
-        np.sin(block, out=block)
-        # cos 2x = 1 - 2 s^2, before the classical integrand overwrites s
-        np.square(block, out=diff)
-        diff *= -2.0
-        diff += 1.0
-        p_c, p_sl, p_ls = class_probabilities(cos_pump, diff, geometry)
-        # the threshold of the last coincidence class, summed in place in the
-        # order sample_pair_outcomes sums it; a pair whose uniform lies below
-        # it is a coincidence
-        side_ls = p_sl
-        side_ls += float(p_c)
-        side_ls += p_ls
-        u = rng.random(out=diff)
-        coincidences += int(np.count_nonzero(u < side_ls))
+        block = vals[start : start + _BLOCK]
+        thr = threshold[: block.size]
+        np.square(block, out=thr)
+        thr *= b
+        thr += a
+        u = rng.random(out=uniforms[: block.size])
+        coincidences += int(np.count_nonzero(u < thr))
         np.subtract(sin_c, block, out=block)
         np.square(block, out=block)
     mean = float(np.mean(vals))

@@ -280,6 +280,15 @@ class TestScanPipeline:
         assert hist.total > 0
         assert np.array_equal(hist.counts, corpus[0].hist.counts)
 
+    def test_histograms_share_edges(self, profile, geometry, rates):
+        # one read-only edge array per TAC, not one copy per scan point
+        tac = TacConfig(electrical_delay=10e-9, range=20e-9, n_channels=4096)
+        offsets = np.linspace(0.0, 2 * PUMP, 8, endpoint=False)
+        corpus = acquire_scan_corpus(
+            profile, geometry, rates, IDEAL, IDEAL, tac, offsets, 0.001, 3
+        )
+        assert all(point.hist.bin_edges is tac.bin_edges for point in corpus)
+
     def test_zero_duration_points(self, profile, geometry, rates):
         offsets = np.linspace(0.0, 2 * PUMP, 8, endpoint=False)
         corpus = acquire_scan_corpus(

@@ -177,6 +177,14 @@ class TestTac:
         n_truth = int(events.pairs_per_class[0])
         assert gate_count(hist, TAC.electrical_delay, 1e-9) == n_truth
 
+    def test_bin_edges_read_only(self):
+        tac = TacConfig(electrical_delay=10e-9, range=20e-9, n_channels=8)
+        edges = tac.bin_edges
+        assert tac.bin_edges is edges
+        assert np.array_equal(edges, np.linspace(0.0, 20e-9, 9))
+        with pytest.raises(ValueError):
+            edges[0] = 1.0
+
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["electrical_delay", "range", "n_channels"])

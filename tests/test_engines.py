@@ -1,5 +1,6 @@
 import copy
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -244,22 +245,23 @@ class TestClassicalModel:
 
 
 class TestPairMonteCarlo:
-    @pytest.mark.parametrize("n", [50_001, 2])
+    @pytest.mark.parametrize("n", [50_001, 8193, 8192, 8191, 2, 1])
     @pytest.mark.parametrize("mu", [1.0, 0.7])
-    @pytest.mark.parametrize("t", [0.5, 0.3])
+    @pytest.mark.parametrize("t", [0.5, 0.3, 0.7])
     @pytest.mark.parametrize("shape", list(SpectralShape))
     def test_matches_reference_engines(self, k_pump, geometry, shape, t, mu, n):
         # one sine per pair for both columns, against the classical engine
-        # and the per-pair outcomes on the same deviations and RNG stream, at
-        # the nine phases of compare; 50 001 leaves a partial last block
+        # and the per-pair outcomes on deviations drawn from a copy of the
+        # RNG, at the nine phases of compare; 8191, 8193 and 50 001 leave a
+        # partial last block, 8192 fills exactly one
         profile = SpectralProfile(k_pump=k_pump, delta_k=1.0 / LCOH, shape=shape)
         base = replace(geometry, splitter_transmittance=t, mode_overlap=mu)
         for i in range(9):
             g = phase_geometry(base, k_pump, i * 2.0 * math.pi / 8.0)
             rng = np.random.default_rng(100 + i)
-            delta = sample_signal(profile, rng, n)
             rng_ref = copy.deepcopy(rng)
-            mean, stderr, coincidences = pair_monte_carlo(profile, g, delta, rng)
+            mean, stderr, coincidences = pair_monte_carlo(profile, g, n, rng)
+            delta = sample_signal(profile, rng_ref, n)
             assert (mean, stderr) == classical_monte_carlo(profile, g, delta)
             codes = sample_pair_outcomes(profile, g, delta, rng_ref)
             assert coincidences == np.count_nonzero(codes != 3)
@@ -268,8 +270,21 @@ class TestPairMonteCarlo:
     def test_sample_count_validated(self, profile, geometry, rng):
         state = rng.bit_generator.state
         with pytest.raises(DomainError):
-            pair_monte_carlo(profile, geometry, np.empty(0), rng)
+            pair_monte_carlo(profile, geometry, 0, rng)
         assert rng.bit_generator.state == state
+
+    def test_one_full_length_array(self, profile, geometry, rng):
+        # the sines are the only array as long as the draws: the peak stays
+        # within a quarter of it above 8 bytes per pair
+        n = 200_000
+        pair_monte_carlo(profile, geometry, n, rng)  # memoize the phases
+        tracemalloc.start()
+        try:
+            pair_monte_carlo(profile, geometry, n, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 8 * n
 
 
 class TestSourceRates:
