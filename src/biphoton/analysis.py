@@ -14,14 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .detection import (
-    DetectorModel,
-    TacConfig,
-    TacHistogram,
-    detect_streams,
-    gate_count,
-    histogram_from_clicks,
-)
+from .detection import DetectorModel, TacConfig, acquire_histogram, gate_count
 from .engines import SourceRates
 from .errors import BoundaryError, DomainError, FitError
 from .interferometer import SPEED_OF_LIGHT, InterferometerGeometry, delta_L
@@ -109,13 +102,15 @@ class VisibilityReport:
 
 
 @dataclass
-class ScanPoint:
-    """One acquisition of a fringe scan: histogram plus singles rates."""
+class ScanCorpus:
+    """A fringe scan acquired once: per point its offset, its clicks at A and
+    B (``clicks``, one row each) and its MCA counts (one row of ``counts``),
+    every row binned on the TAC's one array of ``bin_edges``."""
 
-    offset: float
-    hist: TacHistogram
-    singles_a: float
-    singles_b: float
+    offsets: np.ndarray
+    clicks: np.ndarray
+    counts: np.ndarray
+    bin_edges: np.ndarray
     duration: float
 
 
@@ -129,44 +124,47 @@ def acquire_scan_corpus(
     offsets,
     duration: float,
     seed: int,
-) -> list[ScanPoint]:
+) -> ScanCorpus:
     """Simulate the full scan once; every window analysis reuses this corpus.
 
-    Each scan point runs on an independently derived seed, so points can be
-    computed in any order (or in parallel) with identical results.
+    Point ``i`` is one :func:`acquire_histogram` run on its own stream,
+    ``SeedSequence(seed, spawn_key=(i,))``, so points can be computed in any
+    order (or in parallel) with identical results.  Each run's counts go
+    straight into their row of one preallocated int64 matrix.
     """
-    points = []
+    offsets = np.array(offsets, dtype=float)
+    corpus = ScanCorpus(
+        offsets=offsets,
+        clicks=np.empty((offsets.size, 2), dtype=np.int64),
+        counts=np.empty((offsets.size, tac.n_channels), dtype=np.int64),
+        bin_edges=tac.bin_edges,
+        duration=duration,
+    )
     for i, offset in enumerate(offsets):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
         geom = geometry.with_offset(float(offset))
-        t_a, t_b = detect_streams(
-            profile, geom, rates, detector_a, detector_b, duration, rng
+        hist = acquire_histogram(
+            profile, geom, rates, detector_a, detector_b, tac, duration, rng
         )
-        hist = histogram_from_clicks(t_a, t_b, tac, duration)
-        points.append(
-            ScanPoint(
-                offset=float(offset),
-                hist=hist,
-                singles_a=t_a.size / duration if duration > 0 else 0.0,
-                singles_b=t_b.size / duration if duration > 0 else 0.0,
-                duration=duration,
-            )
-        )
-    return points
+        corpus.counts[i] = hist.counts
+        corpus.clicks[i] = hist.clicks_a, hist.clicks_b
+    return corpus
 
 
-def gate_scan(
-    corpus: list[ScanPoint], tac: TacConfig, window_width: float
-) -> FringeScan:
-    """Delayed-choice window applied to an already acquired corpus."""
+def gate_scan(corpus: ScanCorpus, tac: TacConfig, window_width: float) -> FringeScan:
+    """Delayed-choice window applied to an already acquired corpus: one
+    channel mask gates every point."""
+    duration = corpus.duration
+    if duration > 0:
+        singles = corpus.clicks / duration
+    else:
+        singles = np.zeros(corpus.clicks.shape)
     return FringeScan(
-        offsets=np.array([p.offset for p in corpus]),
-        singles_a=np.array([p.singles_a for p in corpus]),
-        singles_b=np.array([p.singles_b for p in corpus]),
-        coincidences=np.array(
-            [gate_count(p.hist, tac.electrical_delay, window_width) for p in corpus]
-        ),
-        duration=corpus[0].duration if corpus else 0.0,
+        offsets=corpus.offsets,
+        singles_a=singles[:, 0],
+        singles_b=singles[:, 1],
+        coincidences=gate_count(corpus, tac.electrical_delay, window_width),
+        duration=duration,
         window_width=window_width,
     )
 

@@ -24,7 +24,9 @@ from .spectral import (
 )
 
 # Expected photons of one acquisition, 2 (pair_rate + singles_background)
-# duration, at most: about 5 GB at the ~48 B of peak memory a photon costs.
+# duration, at most.  One acquisition's tracemalloc peak at run.duration_s = 10
+# (2e6 expected photons) is about 37 B a photon at the defaults and 27 B with
+# 50 ns dead time, so the cap holds it to about 3.7 GB.
 MAX_PHOTONS = 1e8
 
 # section -> key -> (default, allowed values).  A key's type is its default's:
@@ -62,9 +64,9 @@ KEYS: dict = {
         "n_channels": (4096, "[2, 65536]"),
     },
     "scan": {
-        # a scan keeps one histogram of counts per point, all sharing the TAC's
-        # edges: 4096 points of 65536 channels take about 2.2 GB, below
-        # MAX_PHOTONS' 5 GB
+        # a scan keeps one int64 count matrix, a row of n_channels per point:
+        # at 4096 points of 65536 channels it is 2 GiB (2.1 GB), held while
+        # each point acquires (at most about 3.7 GB, see MAX_PHOTONS)
         "n_points": (24, "[8, 4096]"),
         "span_periods": (2.0, "[1, inf)"),
         "duration_s": (0.04, "[0, inf)"),
@@ -248,17 +250,6 @@ class ExperimentConfig:
                 f"path difference {dl} m is below 100x the coherence length "
                 f"{lcoh} m; single-photon interference is not negligible"
             )
-        split = dl / SPEED_OF_LIGHT
-        if tac.electrical_delay < split:
-            raise ConfigError(
-                f"tac.electrical_delay_s = {tac.electrical_delay} s is smaller than "
-                f"delta_L/c = {split} s; the early side peak falls outside the TAC"
-            )
-        if tac.electrical_delay + split > tac.range:
-            raise ConfigError(
-                f"tac.electrical_delay_s = {tac.electrical_delay} s plus delta_L/c = "
-                f"{split} s exceeds tac.range_s = {tac.range} s"
-            )
         # a start-stop difference carries the jitter of both detectors
         spread = math.sqrt(2.0) * detector.timing_jitter_sigma
         if not spread < tac.range:
@@ -274,20 +265,20 @@ class ExperimentConfig:
                 f"scan.span_periods * source.pump_wavelength_m = {span!r} * "
                 f"{period!r} m overflows; the scan length must be finite"
             )
-        # the scan lengthens the long arm, so its last point splits the peaks most
+        # the offsets are >= 0 and only lengthen the long arm, so the last scan
+        # point splits the peaks most: if the TAC holds its three, it holds all
         offsets = self.scan_offsets()
         travel = float(offsets.max())
         last = _build("scan", lambda: geometry.with_offset(travel))
-        last_split = delta_L(last) / SPEED_OF_LIGHT
-        if (
-            tac.electrical_delay < last_split
-            or tac.electrical_delay + last_split > tac.range
-        ):
+        split = delta_L(last) / SPEED_OF_LIGHT
+        if tac.electrical_delay < split or tac.electrical_delay + split > tac.range:
             raise ConfigError(
-                f"scan.span_periods = {span!r} moves the long arm by {travel:.6g} m; "
-                f"at the last scan point delta_L/c = {last_split:.6g} s puts a side "
-                f"peak outside the TAC (electrical delay {tac.electrical_delay} s, "
-                f"range {tac.range} s)"
+                f"scan.span_periods = {span!r} moves the long arm by {travel:.6g} m, "
+                f"so delta_L/c runs from {dl / SPEED_OF_LIGHT:.6g} s at the first "
+                f"scan point to {split:.6g} s at the last; the TAC holds all three "
+                f"peaks only if tac.electrical_delay_s = {tac.electrical_delay!r} s "
+                f">= delta_L/c and tac.electrical_delay_s + delta_L/c <= "
+                f"tac.range_s = {tac.range!r} s at every point"
             )
         _build("scan", lambda: fringe_design(offsets, period))
         return warnings

@@ -85,11 +85,14 @@ class TacConfig:
 
 @dataclass
 class TacHistogram:
-    """Binned start-stop differences over [0, range]."""
+    """Binned start-stop differences over [0, range], and the clicks at A and
+    B of the acquisition they came from."""
 
     bin_edges: np.ndarray
     counts: np.ndarray
     duration: float
+    clicks_a: int
+    clicks_b: int
 
     @property
     def bin_centers(self) -> np.ndarray:
@@ -226,7 +229,11 @@ def histogram_from_clicks(
     edges = tac.bin_edges
     counts, _ = np.histogram(diffs, bins=edges)
     return TacHistogram(
-        bin_edges=edges, counts=counts.astype(np.int64), duration=duration
+        bin_edges=edges,
+        counts=counts.astype(np.int64),
+        duration=duration,
+        clicks_a=len(t_a),
+        clicks_b=len(t_b),
     )
 
 
@@ -277,7 +284,9 @@ def window_channels(
     return mask
 
 
-def gate_count(hist: TacHistogram, window_center: float, window_width: float) -> int:
-    """Counts in the channels :func:`window_channels` assigns the window."""
+def gate_count(hist, window_center: float, window_width: float):
+    """Counts in the channels :func:`window_channels` assigns the window,
+    summed over the last axis of ``hist.counts``: one count for a histogram,
+    one a row for a scan's count matrix."""
     mask = window_channels(hist.bin_edges, window_center, window_width)
-    return int(hist.counts[mask].sum())
+    return hist.counts[..., mask].sum(axis=-1)

@@ -12,7 +12,7 @@ from scipy import stats
 from biphoton.analysis import acquire_scan_corpus, fit_visibility, gate_scan
 from biphoton.cli import main
 from biphoton.config import ExperimentConfig
-from biphoton.detection import DetectorModel, TacConfig, TacHistogram, gate_count
+from biphoton.detection import DetectorModel, TacConfig, gate_count
 from biphoton.engines import (
     SourceRates,
     classical_monte_carlo,
@@ -162,10 +162,11 @@ def test_criterion_4_experimental_envelope(experimental_corpus):
     assert ok, line
 
 
-def _window_stats(hist, center, width):
-    mask = np.abs(hist.bin_centers - center) <= width / 2.0
-    t = hist.bin_centers[mask]
-    n = hist.counts[mask].astype(float)
+def _window_stats(edges, counts, center, width):
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    mask = np.abs(centers - center) <= width / 2.0
+    t = centers[mask]
+    n = counts[mask].astype(float)
     total = n.sum()
     mean = float((n * t).sum() / total)
     var = float((n * (t - mean) ** 2).sum() / total)
@@ -174,20 +175,16 @@ def _window_stats(hist, center, width):
 
 def test_criterion_5_tac_peak_structure(desk_corpus, geometry_m, tac_m):
     corpus, _ = desk_corpus
-    # the corpus runs without dead time, so its points simply add up
-    merged = TacHistogram(
-        bin_edges=corpus[0].hist.bin_edges,
-        counts=sum(p.hist.counts for p in corpus),
-        duration=sum(p.hist.duration for p in corpus),
-    )
+    # the corpus runs without dead time, so its rows simply add up
+    edges, merged = corpus.bin_edges, corpus.counts.sum(axis=0)
     dt = delta_L(geometry_m) / C
     delay = tac_m.electrical_delay
     # 1.2 ns windows: wide enough for stable centroids, narrow enough that
     # the 424 ps jitter tails of one peak stay out of its neighbours' windows
     width = 1.2e-9
-    n_c, mu_c, var_c = _window_stats(merged, delay, width)
-    n_sl, mu_sl, var_sl = _window_stats(merged, delay + dt, width)
-    n_ls, mu_ls, var_ls = _window_stats(merged, delay - dt, width)
+    n_c, mu_c, var_c = _window_stats(edges, merged, delay, width)
+    n_sl, mu_sl, var_sl = _window_stats(edges, merged, delay + dt, width)
+    n_ls, mu_ls, var_ls = _window_stats(edges, merged, delay - dt, width)
 
     three_peaks = min(n_c, n_sl, n_ls) > 100
     sep_hi = mu_sl - mu_c
@@ -199,10 +196,10 @@ def test_criterion_5_tac_peak_structure(desk_corpus, geometry_m, tac_m):
     side_total = n_sl + n_ls
     balance_ok = abs(n_c - side_total) < 3.0 * np.sqrt(n_c + side_total)
 
-    per_point_sides = [
-        gate_count(p.hist, delay + dt, width) + gate_count(p.hist, delay - dt, width)
-        for p in corpus
-    ]
+    # one window over every row at once gives each point's side counts
+    per_point_sides = gate_count(corpus, delay + dt, width) + gate_count(
+        corpus, delay - dt, width
+    )
     flat_p = flatness_pvalue(per_point_sides)
     flat_ok = flat_p > 0.001
 
@@ -218,8 +215,7 @@ def test_criterion_5_tac_peak_structure(desk_corpus, geometry_m, tac_m):
 
 def test_criterion_6_flat_singles(experimental_corpus):
     _, corpus = experimental_corpus
-    clicks_a = [p.singles_a * p.duration for p in corpus]
-    clicks_b = [p.singles_b * p.duration for p in corpus]
+    clicks_a, clicks_b = corpus.clicks.T
     p_a = flatness_pvalue(clicks_a)
     p_b = flatness_pvalue(clicks_b)
     ok = p_a > 0.001 and p_b > 0.001

@@ -1,22 +1,30 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from biphoton import (
     DetectorModel,
     FringeScan,
+    InterferometerGeometry,
     Regime,
+    SourceRates,
+    SpectralProfile,
     TacConfig,
     Verdict,
     classify_regime,
     fit_visibility,
+    gate_count,
+    wavelength_to_wavenumber,
 )
 from biphoton.analysis import _fixed_visibility_fit, acquire_scan_corpus, gate_scan
 from biphoton.detection import acquire_histogram
 from biphoton.errors import BoundaryError, FitError
 from biphoton.interferometer import SPEED_OF_LIGHT
-from conftest import flatness_pvalue
+from conftest import COHERENCE_LENGTH, flatness_pvalue
 
 PUMP = 427e-9
 IDEAL = DetectorModel(timing_jitter_sigma=300e-12, dead_time=0.0, efficiency=1.0)
@@ -238,6 +246,38 @@ class TestFixedVisibilityFit:
         assert loglik >= profile.max() - 1e-9
 
 
+LOSSY_A = DetectorModel(timing_jitter_sigma=300e-12, dead_time=50e-9, efficiency=0.6)
+LOSSY_B = DetectorModel(timing_jitter_sigma=200e-12, dead_time=0.0, efficiency=0.8)
+LOSSY_OFFSETS = 0.3 * PUMP + np.linspace(0.0, 2 * PUMP, 8, endpoint=False)
+LOSSY_SEED = 11
+LOSSY_DURATION = 0.02
+
+
+@pytest.fixture(scope="module")
+def lossy_scan():
+    """A corpus of lossy detectors with dead time, and each of its points
+    acquired alone by acquire_histogram on the point's derived seed."""
+    profile = SpectralProfile(
+        k_pump=wavelength_to_wavenumber(PUMP), delta_k=1.0 / COHERENCE_LENGTH
+    )
+    geometry = InterferometerGeometry(path_short=0.5, path_long_base=1.05)
+    rates = SourceRates(pair_rate=1.0e5, singles_background=2e4)
+    corpus = acquire_scan_corpus(
+        profile, geometry, rates, LOSSY_A, LOSSY_B, TAC,
+        LOSSY_OFFSETS, LOSSY_DURATION, LOSSY_SEED,
+    )
+    hists = []
+    for i, offset in enumerate(LOSSY_OFFSETS):
+        seed = np.random.SeedSequence(LOSSY_SEED, spawn_key=(i,))
+        hists.append(
+            acquire_histogram(
+                profile, geometry.with_offset(offset), rates, LOSSY_A, LOSSY_B,
+                TAC, LOSSY_DURATION, np.random.default_rng(seed),
+            )
+        )
+    return corpus, hists
+
+
 class TestScanPipeline:
     def test_end_to_end_fringe(self, profile, geometry, rates):
         offsets = np.linspace(0.0, 2 * PUMP, 16, endpoint=False)
@@ -260,34 +300,62 @@ class TestScanPipeline:
         narrow = gate_scan(corpus, TAC, 1e-9)
         assert np.all(wide.coincidences >= narrow.coincidences)
 
-    def test_scan_point_is_one_acquisition(self, profile, geometry, rates):
-        # a scan point and a lone acquisition share one chain: the same seed
-        # gives the same histogram, lossy detectors with dead time included
-        det_a = DetectorModel(
-            timing_jitter_sigma=300e-12, dead_time=50e-9, efficiency=0.6
-        )
-        det_b = DetectorModel(
-            timing_jitter_sigma=200e-12, dead_time=0.0, efficiency=0.8
-        )
-        offsets = 0.3 * PUMP + np.linspace(0.0, 2 * PUMP, 8, endpoint=False)
-        seed = 11
-        corpus = acquire_scan_corpus(
-            profile, geometry, rates, det_a, det_b, TAC, offsets, 0.02, seed
-        )
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-        geom = geometry.with_offset(offsets[0])
-        hist = acquire_histogram(profile, geom, rates, det_a, det_b, TAC, 0.02, rng)
-        assert hist.total > 0
-        assert np.array_equal(hist.counts, corpus[0].hist.counts)
+    def test_scan_point_is_one_acquisition(self, lossy_scan):
+        # every scan point and a lone acquisition share one chain: the same
+        # seed gives the same counts and clicks, row by row
+        corpus, hists = lossy_scan
+        assert np.array_equal(corpus.offsets, LOSSY_OFFSETS)
+        assert corpus.duration == LOSSY_DURATION
+        for i, hist in enumerate(hists):
+            assert hist.total > 0
+            assert np.array_equal(corpus.counts[i], hist.counts)
+            assert list(corpus.clicks[i]) == [hist.clicks_a, hist.clicks_b]
+        # the rows are distinct acquisitions, not one repeated
+        assert len({row.tobytes() for row in corpus.counts}) == len(hists)
+
+    @given(width=st.floats(min_value=0.01e-9, max_value=2 * TAC.electrical_delay))
+    @settings(max_examples=50, deadline=None)
+    @example(width=1e-9)
+    @example(width=2 * TAC.electrical_delay)
+    def test_gate_scan_gates_each_point_alone(self, lossy_scan, width):
+        # one mask over the matrix counts what gating each histogram would
+        corpus, hists = lossy_scan
+        scan = gate_scan(corpus, TAC, width)
+        for i, hist in enumerate(hists):
+            assert scan.coincidences[i] == gate_count(hist, TAC.electrical_delay, width)
+            assert scan.singles_a[i] == hist.clicks_a / LOSSY_DURATION
+            assert scan.singles_b[i] == hist.clicks_b / LOSSY_DURATION
+
+    def test_peak_memory_is_the_count_matrix(self, profile, geometry, rates):
+        # the rows are written into one preallocated matrix: stacking a list
+        # of per-point histograms would hold every count twice
+        tac = TacConfig(electrical_delay=10e-9, range=20e-9, n_channels=65536)
+        offsets = np.linspace(0.0, 2 * PUMP, 64, endpoint=False)
+        matrix_bytes = offsets.size * tac.n_channels * 8
+        tracemalloc.start()
+        try:
+            corpus = acquire_scan_corpus(
+                profile, geometry, rates, IDEAL, IDEAL, tac, offsets, 1e-4, 5
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert corpus.counts.nbytes == matrix_bytes
+        assert peak < 1.5 * matrix_bytes, f"peak {peak / 2**20:.1f} MiB"
 
     def test_histograms_share_edges(self, profile, geometry, rates):
-        # one read-only edge array per TAC, not one copy per scan point
+        # one read-only edge array per TAC, not one copy per scan point, and
+        # the counts one int64 matrix, a row per point
         tac = TacConfig(electrical_delay=10e-9, range=20e-9, n_channels=4096)
         offsets = np.linspace(0.0, 2 * PUMP, 8, endpoint=False)
         corpus = acquire_scan_corpus(
             profile, geometry, rates, IDEAL, IDEAL, tac, offsets, 0.001, 3
         )
-        assert all(point.hist.bin_edges is tac.bin_edges for point in corpus)
+        assert corpus.bin_edges is tac.bin_edges
+        assert corpus.counts.dtype == np.int64
+        assert corpus.counts.shape == (8, tac.n_channels)
+        assert corpus.clicks.dtype == np.int64
+        assert corpus.clicks.shape == (8, 2)
 
     def test_zero_duration_points(self, profile, geometry, rates):
         offsets = np.linspace(0.0, 2 * PUMP, 8, endpoint=False)
@@ -296,6 +364,7 @@ class TestScanPipeline:
         )
         scan = gate_scan(corpus, TAC, 5e-9)
         assert np.all(scan.coincidences == 0)
+        assert np.all(scan.singles_a == 0) and np.all(scan.singles_b == 0)
 
 
 class TestFlatness:
@@ -307,3 +376,4 @@ class TestFlatness:
         x = np.linspace(0, 2 * math.pi, 24)
         counts = 1000 * (1 + 0.5 * np.cos(x))
         assert flatness_pvalue(counts) < 1e-6
+
