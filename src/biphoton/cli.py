@@ -48,20 +48,42 @@ def _load_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _out_dir(args) -> Path:
-    if args.out:
-        path = Path(args.out)
-    else:
-        path = Path(os.environ.get("BIPHOTON_OUT", "out"))
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def _artifacts(args, config_hash: str, names: list[str]) -> list[Path]:
+    """The command's output paths, checked before any acquisition.
+
+    The output directory is created, and each path is guarded by
+    :func:`_guard_overwrite`, so a fault in any of them ends the command
+    before it has computed or written anything.
+    """
+    out = Path(args.out or os.environ.get("BIPHOTON_OUT", "out"))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot create output directory {out}: {exc.strerror}"
+        ) from exc
+    paths = [out / name for name in names]
+    for path in paths:
+        _guard_overwrite(path, config_hash, args.force)
+    return paths
 
 
 def _guard_overwrite(path: Path, config_hash: str, force: bool) -> None:
-    """Refuse to overwrite an artifact produced by a different configuration."""
-    if not path.exists() or force:
+    """Refuse an output path that is a directory, or, unless ``force``, one
+    holding an artifact of a different configuration.
+
+    Only the first 4096 bytes of an existing file are read; bytes that are
+    not UTF-8 hold no hash line.
+    """
+    if path.is_dir():
+        raise ConfigError(f"cannot write {path}: it is a directory")
+    if force or not path.exists():
         return
-    head = path.read_text()[:4096]
+    try:
+        with open(path, "rb") as fh:
+            head = fh.read(4096).decode("utf-8", errors="replace")
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
     for line in head.splitlines():
         token = None
         if line.startswith("# config_hash="):
@@ -75,9 +97,8 @@ def _guard_overwrite(path: Path, config_hash: str, force: bool) -> None:
             )
 
 
-def _write_json(path: Path, payload: dict, config_hash: str, force: bool) -> None:
+def _write_json(path: Path, payload: dict, config_hash: str) -> None:
     payload = {"config_hash": config_hash, **payload}
-    _guard_overwrite(path, config_hash, force)
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
@@ -110,7 +131,8 @@ def _check_windows(windows_s, tac) -> None:
 
 def cmd_histogram(args) -> int:
     cfg = _load_config(args)
-    out = _out_dir(args)
+    chash = cfg.config_hash()
+    (path,) = _artifacts(args, chash, ["histogram.csv"])
     rng = np.random.default_rng(cfg.data["run"]["seed"])
     detector = cfg.detector()
     hist = acquire_histogram(
@@ -123,9 +145,7 @@ def cmd_histogram(args) -> int:
         cfg.data["run"]["duration_s"],
         rng,
     )
-    path = out / "histogram.csv"
-    _guard_overwrite(path, cfg.config_hash(), args.force)
-    hist.to_csv(path, config_hash=cfg.config_hash())
+    hist.to_csv(path, config_hash=chash)
     print(f"wrote {path} ({hist.total} start-stop pairs)")
     return 0
 
@@ -135,7 +155,12 @@ def cmd_fringes(args) -> int:
     tac = cfg.tac()
     windows_s = [w * 1e-9 for w in (args.window or [5.0, 1.0])]
     _check_windows(windows_s, tac)
-    out = _out_dir(args)
+    chash = cfg.config_hash()
+    tags = [_window_tag(window) for window in windows_s]
+    scan_paths = _artifacts(args, chash, [f"fringes_scan_{tag}.csv" for tag in tags])
+    report_paths = _artifacts(
+        args, chash, [f"fringes_report_{tag}.json" for tag in tags]
+    )
     profile = cfg.profile()
     geometry = cfg.geometry()
     corpus = acquire_scan_corpus(
@@ -149,19 +174,16 @@ def cmd_fringes(args) -> int:
         cfg.data["scan"]["duration_s"],
         cfg.data["run"]["seed"],
     )
-    chash = cfg.config_hash()
     period = cfg.data["source"]["pump_wavelength_m"]
-    for window in windows_s:
-        tag = _window_tag(window)
+    for window, tag, scan_path, report_path in zip(
+        windows_s, tags, scan_paths, report_paths
+    ):
         scan = gate_scan(corpus, tac, window)
         regime = classify_regime(window, geometry)
         # fit before writing, so a scan that cannot be fitted leaves no file
         report = fit_visibility(scan, known_period=period, regime=regime)
-        scan_path = out / f"fringes_scan_{tag}.csv"
-        _guard_overwrite(scan_path, chash, args.force)
         scan.to_csv(scan_path, config_hash=chash)
-        report_path = out / f"fringes_report_{tag}.json"
-        _write_json(report_path, report.to_dict(), chash, args.force)
+        _write_json(report_path, report.to_dict(), chash)
         print(
             f"window {tag}: regime={regime.value} "
             f"V={report.visibility:.3f}+/-{report.visibility_sigma:.3f} "
@@ -172,7 +194,8 @@ def cmd_fringes(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = _load_config(args)
-    out = _out_dir(args)
+    chash = cfg.config_hash()
+    (path,) = _artifacts(args, chash, ["compare.json"])
     profile = cfg.profile()
     geometry = cfg.geometry()
     rates = cfg.rates()
@@ -201,8 +224,7 @@ def cmd_compare(args) -> int:
                 "quantum_mc_n": n_mc,
             }
         )
-    path = out / "compare.json"
-    _write_json(path, {"rows": rows}, cfg.config_hash(), args.force)
+    _write_json(path, {"rows": rows}, chash)
     print(f"wrote {path}")
     return 0
 

@@ -14,12 +14,13 @@ A detector with non-paralysable dead time and the TAC both go blind after
 an event they accept: a later event counts only if it arrives at or after
 the end of the last accepted event's busy period (the dead time, or the
 pending conversion).  One array kernel, ``_accept_free``, applies that rule
-for both.
+for both, in two tiers: an event free of the previous event's busy period
+is accepted and a busy event right after it rejected, all at once; only
+the later events of a run of busy events are decided in a short loop.
 """
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,28 +118,21 @@ def _accept_free(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     Event ``i`` would keep the device busy from ``starts[i]`` to ``ends[i]``;
     it is accepted when it arrives at or after the end of the last accepted
     event's busy period.  ``starts`` must be sorted and ``ends``
-    nondecreasing, so that end is the latest end of any accepted event, and
-    the previous event's end the latest of all earlier ones.  An event at or
-    after the previous event's end is accepted in bulk, whatever happened
-    before it.  An event before the end of the last bulk-accepted event is
-    rejected outright.  Only the rest, rare ones whose fate depends on an
-    earlier rejected event, are decided in a short loop, in order.
+    nondecreasing, so the rule has two tiers.  An event free of its
+    predecessor (``starts[i] >= ends[i - 1]``) is free of every earlier one,
+    so it is accepted; a busy event right after a free one is rejected.  Only
+    the later events of a run of busy events go through a short loop, in
+    order, each run starting from the end of the free event before it.
     """
-    free = np.ones(starts.size, dtype=bool)
-    free[1:] = starts[1:] >= ends[:-1]
-    free_end = np.maximum.accumulate(np.where(free, ends, -math.inf))
-    accepted = free.copy()
-    ambiguous = np.flatnonzero(~free & (starts >= free_end))
-    busy_until = -math.inf
-    for i, start, end, end_free in zip(
-        ambiguous.tolist(),
-        starts[ambiguous].tolist(),
-        ends[ambiguous].tolist(),
-        free_end[ambiguous].tolist(),
-    ):
-        if start >= max(end_free, busy_until):
+    accepted = np.ones(starts.size, dtype=bool)
+    accepted[1:] = starts[1:] >= ends[:-1]
+    busy = ~accepted
+    for i in (np.flatnonzero(busy[1:] & busy[:-1]) + 1).tolist():
+        if not busy[i - 2]:
+            busy_until = ends[i - 2]
+        if starts[i] >= busy_until:
             accepted[i] = True
-            busy_until = end
+            busy_until = ends[i]
     return accepted
 
 

@@ -11,6 +11,8 @@ machines that walk the sorted times one at a time.  The dead-time loop keeps
 a click when ``t >= last + dead_time``, the sum form the kernel and the TAC
 timeout compare in; the difference form ``t - last >= dead_time`` can round
 the other way when ``t - last`` lies within an ulp of the dead time.
+:func:`accept_free_oracle` is the busy-period rule they share, one event at
+a time, the oracle of the kernel itself.
 
 The merged event stream is the oracle of ``biphoton.engines.generate_events``:
 a signal wavenumber and an outcome drawn for every pair, and every photon of
@@ -256,6 +258,19 @@ def tac_differences_oracle(starts, stops, tac) -> np.ndarray:
         else:
             busy_until = start + tac.range
     return np.array(diffs, dtype=float)
+
+
+def accept_free_oracle(starts, ends) -> np.ndarray:
+    """Mask of the events a device that goes blind while busy accepts: event
+    ``i`` is accepted when ``starts[i]`` lies at or after the end of the last
+    accepted event's busy period, one event at a time."""
+    accepted = np.zeros(len(starts), dtype=bool)
+    busy_until = -math.inf
+    for i, (start, end) in enumerate(zip(starts, ends)):
+        if start >= busy_until:
+            accepted[i] = True
+            busy_until = end
+    return accepted
 
 
 def non_paralysable_oracle(times, dead_time: float) -> np.ndarray:

@@ -500,6 +500,61 @@ class TestCliCommands:
             ["histogram", "--config", other, "--out", str(out), "--force"]
         ) == 0
 
+    # each fault of an output path ends in one error line before any
+    # acquisition, and leaves every file as it was
+    @pytest.mark.parametrize(
+        "command, fault",
+        [
+            ("histogram", "out_is_file"),
+            ("compare", "out_below_file"),
+            ("fringes", "artifact_is_dir"),
+            ("fringes", "artifact_is_dir_forced"),
+            ("histogram", "foreign_hash_not_utf8"),
+        ],
+    )
+    def test_output_path_fault_exit_code(
+        self, tmp_path, capsys, monkeypatch, command, fault
+    ):
+        def no_acquisition(*args, **kwargs):
+            raise AssertionError("acquired before the output paths were checked")
+
+        for name in ("acquire_histogram", "acquire_scan_corpus", "pair_monte_carlo"):
+            monkeypatch.setattr(cli, name, no_acquisition)
+        cfg = write_config(tmp_path, SMALL_RUN)
+        blocker = tmp_path / "file"
+        blocker.write_text("a file, not a directory\n")
+        out = tmp_path / "out"
+        if fault == "out_is_file":
+            out = blocker
+        elif fault == "out_below_file":
+            out = blocker / "out"
+        elif fault.startswith("artifact_is_dir"):
+            # the second window's report: the first window's files come first
+            (out / "fringes_report_1ns.json").mkdir(parents=True)
+        else:
+            out.mkdir()
+            (out / "histogram.csv").write_bytes(b"# config_hash=0123abcd\n\xff\xfe\n")
+        argv = [command, "--config", cfg, "--out", str(out)]
+        if fault.endswith("forced"):
+            argv.append("--force")
+        before = {p: p.is_dir() or p.read_bytes() for p in tmp_path.rglob("*")}
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+        assert str(out) in err or str(out / "fringes_report_1ns.json") in err, err
+        assert {p: p.is_dir() or p.read_bytes() for p in tmp_path.rglob("*")} == before
+
+    def test_undecodable_artifact_is_overwritten(self, tmp_path):
+        # bytes that are not UTF-8 hold no hash line, like a file written by
+        # something else: the guard lets the command write over them
+        cfg = write_config(tmp_path, SMALL_RUN)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "histogram.csv").write_bytes(b"\xff\xfe" * 4096)
+        assert main(["histogram", "--config", cfg, "--out", str(out)]) == 0
+        assert (out / "histogram.csv").read_text().startswith("# duration_s=")
+
     def test_seed_override_changes_hash(self, tmp_path, capsys):
         assert main(["print-config", "--seed", "123"]) == 0
         out = capsys.readouterr().out

@@ -28,6 +28,7 @@ from biphoton.interferometer import SPEED_OF_LIGHT
 from conftest import phase_geometry
 from oracle import (
     TRUTH_SIDE_LS,
+    accept_free_oracle,
     generate_events_oracle,
     non_paralysable_oracle,
     tac_differences_oracle,
@@ -52,6 +53,66 @@ def _accept_free_checked(starts, ends):
     never decrease, which lets it take the previous end as the latest."""
     assert np.all(ends[1:] >= ends[:-1])
     return _accept_free(starts, ends)
+
+
+def longest_busy_run(starts, ends) -> int:
+    """Longest run of consecutive events that each start before the end of
+    the busy period of the event before them."""
+    longest = run = 0
+    for busy in (np.asarray(starts[1:]) < np.asarray(ends[:-1])).tolist():
+        run = run + 1 if busy else 0
+        longest = max(longest, run)
+    return longest
+
+
+def cluster_gaps(draw, limit: int) -> list[int]:
+    """Gaps in ticks between the 4 to 20 events of one cluster, each below
+    ``limit``: 0 for the first event, then one gap per later event."""
+    size = draw(st.integers(4, 20))
+    gap = st.integers(0, limit - 1)
+    return [0, *draw(st.lists(gap, min_size=size - 1, max_size=size - 1))]
+
+
+@st.composite
+def dead_time_runs(draw):
+    """Clicks in ticks, in 1 to 10 clusters, and the dead time in ticks.
+
+    Each click of a cluster comes less than the dead time after the one
+    before it, so a cluster after its first click is a run of at least three
+    busy clicks.  Clusters start at least a whole dead time apart.
+    """
+    dead = draw(st.integers(2, 12))
+    ticks, t = [], 0
+    for _ in range(draw(st.integers(1, 10))):
+        t += draw(st.integers(dead, 3 * dead))
+        for gap in cluster_gaps(draw, dead):
+            t += gap
+            ticks.append(float(t))
+    # just above a whole number of ticks, where t >= last + dead rounds
+    return ticks, draw(st.sampled_from([float(dead), math.nextafter(dead, math.inf)]))
+
+
+@st.composite
+def tac_runs(draw):
+    """Starts and stops in ticks, in 1 to 10 clusters, with the delay and the
+    range.
+
+    A cluster is starts each less than the range after the one before it,
+    then one stop after the last of them.  Each start of a cluster but the
+    first so arrives while the one before it is still converting or timing
+    out: a run of at least three busy starts.
+    """
+    range_ticks = draw(st.integers(2, 30))
+    delay = draw(st.integers(0, 12))
+    starts, stops, t = [], [], 0
+    for _ in range(draw(st.integers(1, 10))):
+        t += draw(st.integers(0, 2 * range_ticks))
+        for gap in cluster_gaps(draw, range_ticks):
+            t += gap
+            starts.append(float(t))
+        t += draw(st.integers(1, 2 * range_ticks))
+        stops.append(float(t - delay))
+    return starts, stops, delay, range_ticks
 
 
 def ideal_histogram(times_a, times_b, duration, rng):
@@ -276,6 +337,69 @@ class TestStateMachineOracles:
             mp.setattr(detection, "_accept_free", _accept_free_checked)
             got = detect_clicks(times, model, np.random.default_rng(0))
         assert np.array_equal(got, non_paralysable_oracle(np.sort(times), dead * UNIT))
+
+    @given(
+        events=st.lists(
+            st.tuples(st.integers(0, 8), st.integers(0, 20)), max_size=200
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    # (gap to the previous start, busy period): two runs of three busy events
+    # separated by one free event at 9; the second run starts over from 9's
+    # end, 12, so 11 is rejected though it lies past the first run's last end
+    @example(events=[(0, 3), (2, 3), (2, 3), (2, 3), (3, 3), (1, 3), (1, 3), (2, 3)])
+    # 3 is accepted inside the run that 2 opens, and its busy period blocks 5
+    @example(events=[(0, 3), (2, 3), (1, 3), (2, 3), (1, 3)])
+    def test_accept_free_matches_brute_force(self, events):
+        gaps = [gap for gap, _ in events]
+        busy = [length for _, length in events]
+        starts = np.cumsum(gaps, dtype=float)
+        ends = np.maximum.accumulate(starts + np.array(busy, dtype=float))
+        want = accept_free_oracle(starts, ends)
+        assert np.array_equal(_accept_free(starts, ends), want)
+
+    @given(clicks=dead_time_runs())
+    @settings(max_examples=200, deadline=None)
+    # two runs of three busy clicks separated by one free click at 9
+    @example(clicks=([0.0, 2.0, 4.0, 6.0, 9.0, 10.0, 11.0, 13.0], 3.0))
+    # 3 is kept inside the run that 2 opens, and its dead time blocks 5
+    @example(clicks=([0.0, 2.0, 3.0, 5.0, 6.0], 3.0))
+    def test_dead_time_long_busy_runs(self, clicks):
+        ticks, dead = clicks
+        model = replace(IDEAL, dead_time=dead * UNIT)
+        times = np.array(ticks) * UNIT
+        assert longest_busy_run(times, times + dead * UNIT) >= 3
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(detection, "_accept_free", _accept_free_checked)
+            got = detect_clicks(times, model, np.random.default_rng(0))
+        assert np.array_equal(got, non_paralysable_oracle(times, dead * UNIT))
+
+    @given(stream=tac_runs())
+    @settings(max_examples=200, deadline=None)
+    # the start at 0 times out at 5 and 3 is dropped; 6 arms the TAC inside
+    # that run, converts on the stop at 10 and so blocks 9.  The free start
+    # at 12 converts on the stop at 17 and blocks the run 13, 14, 16 after it
+    @example(
+        stream=([0.0, 3.0, 6.0, 9.0, 12.0, 13.0, 14.0, 16.0], [10.0, 17.0], 0, 5)
+    )
+    def test_tac_long_busy_runs(self, stream):
+        starts, stops, delay, range_ticks = stream
+        tac = TacConfig(
+            electrical_delay=delay * UNIT, range=range_ticks * UNIT, n_channels=4096
+        )
+        starts = np.array(starts) * UNIT
+        stops = np.array(stops) * UNIT
+        runs = []
+
+        def recorded(*args):
+            runs.append(longest_busy_run(*args))
+            return _accept_free_checked(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(detection, "_accept_free", recorded)
+            got = tac_differences(starts, stops, tac)
+        assert runs[0] >= 3
+        assert np.array_equal(got, tac_differences_oracle(starts, stops, tac))
 
     def test_dense_stream_matches_loops(self, profile, geometry, rng):
         # 1e6 pairs/s: about 5 % of clicks fall within 50 ns of the previous
