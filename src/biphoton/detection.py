@@ -153,7 +153,9 @@ def detect_clicks(
     """
     times = np.asarray(times, dtype=float)
     if model.timing_jitter_sigma > 0 and times.size:
-        times = times + rng.normal(0.0, model.timing_jitter_sigma, times.size)
+        jitter = rng.standard_normal(times.size)
+        jitter *= model.timing_jitter_sigma  # rng.normal(0.0, sigma, n), in place
+        times = np.add(times, jitter, out=jitter)
     times = np.sort(times)
     if model.dead_time > 0 and times.size:
         times = times[_accept_free(times, times + model.dead_time)]

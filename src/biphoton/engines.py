@@ -49,7 +49,9 @@ blocks of ``_BLOCK`` pairs, so the temporaries of a block stay in cache:
 what an engine draws it draws block by block, the same stream as one draw
 of all of it, and the classical standard error is taken in place.
 In :func:`pair_monte_carlo` only the sines are full length, so repeated
-calls reuse the same memory instead of faulting in fresh pages.
+calls reuse the same memory instead of faulting in fresh pages.  x reaches
+thousands of radians, so both engines of s reduce it by 2 pi before ``np.sin``,
+which leaves s within max(2.3e-16, ulp(x)) of sin x.
 """
 from __future__ import annotations
 
@@ -72,6 +74,20 @@ from .spectral import SpectralProfile, SpectralShape, sample_signal
 #: pairs per block of the Monte Carlo engines: the block's temporaries stay
 #: in cache, and only the result array is as long as the draws
 _BLOCK = 8192
+
+#: 2 pi in two parts (Cody & Waite, *Software Manual for the Elementary
+#: Functions*, 1980): hi keeps 26 bits, so k * hi is exact for |k| < 2^27
+_TWO_PI_HI = 6.283185243606567
+_TWO_PI_LO = 6.357301909411278e-08  # the double nearest 2 pi - hi
+
+
+def _sin_in_place(x: np.ndarray, k: np.ndarray, prod: np.ndarray) -> None:
+    """x <- sin r, r = (x - k hi) - k lo with k = rint(x / 2 pi): within
+    max(2.3e-16, ulp(x)) of sin x; ``k`` and ``prod`` are scratch like x."""
+    np.rint(np.multiply(x, 1.0 / (2.0 * math.pi), out=k), out=k)
+    x -= np.multiply(k, _TWO_PI_HI, out=prod)
+    x -= np.multiply(k, _TWO_PI_LO, out=prod)
+    np.sin(x, out=x)
 
 
 @dataclass(frozen=True)
@@ -240,7 +256,8 @@ def classical_monte_carlo(
     and k2 = k_pump - k1 makes phi_2 = phi_p - phi_1 = phi_c - x (mod 2 pi),
     since the pump phase phi_p is 2 phi_c.  The integrand
     (1 + cos phi_1)(1 - cos phi_2) is then exactly (sin phi_c - sin x)^2: one
-    sine per deviation, evaluated in blocks of ``_BLOCK`` into one array.
+    sine per deviation, in blocks of ``_BLOCK`` into one array, of x reduced
+    by 2 pi: within max(2.3e-16, ulp(x)) of sin x.
     """
     n = np.size(delta)
     if n < 1:
@@ -248,11 +265,12 @@ def classical_monte_carlo(
     dl = delta_L(geometry)
     sin_c = math.sin(fringe_phase(profile.k_center, geometry))
     vals = np.empty(n)
+    k, prod = np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK))
     for start in range(0, n, _BLOCK):
         stop = start + _BLOCK
         block = vals[start:stop]
         np.multiply(delta[start:stop], dl, out=block)
-        np.sin(block, out=block)
+        _sin_in_place(block, k[: block.size], prod[: block.size])
         np.subtract(sin_c, block, out=block)
         np.square(block, out=block)
     mean = float(np.mean(vals))
@@ -306,17 +324,18 @@ def pair_monte_carlo(
 
     The pairs are drawn here, block by block with :func:`sample_signal`, the
     same stream as one draw of ``n``, and each block's sines s = sin x go
-    straight into the one full-length array.  A second pass then draws the
-    uniforms block by block, as :func:`sample_pair_outcomes` does after that
-    draw, and counts the pairs whose uniform lies below the threshold of the
-    last coincidence class.  That threshold p_c + p_sl + p_ls is linear in
-    cos 2x = 1 - 2 s^2 (no clamp acts for mu <= 1), so it is a + b s^2 with
-    a and b from the kernel at cos 2x = +1 and -1.  The threshold differs
-    from the reference's by rounding alone, so a count can differ only where
-    a uniform lies within about 1e-16 of it.  The sines then become the
-    classical integrand (sin phi_c - s)^2 in place, and its mean and
-    standard error are those of :func:`classical_monte_carlo`, by the same
-    float operations.
+    straight into the one full-length array, x reduced by 2 pi as in
+    :func:`classical_monte_carlo`, within max(2.3e-16, ulp(x)) of sin x.
+    A second pass then draws the uniforms block by block, as
+    :func:`sample_pair_outcomes` does after that draw, and counts the pairs
+    whose uniform lies below the threshold of the last coincidence class.
+    That threshold p_c + p_sl + p_ls is linear in cos 2x = 1 - 2 s^2 (no
+    clamp acts for mu <= 1), so it is a + b s^2 with a and b from the kernel
+    at cos 2x = +1 and -1.  The threshold differs from the reference's by
+    rounding alone, so a count can differ only where a uniform lies within
+    about 1e-16 of it.  The sines then become the classical integrand
+    (sin phi_c - s)^2 in place, and its mean and standard error are those of
+    :func:`classical_monte_carlo`, by the same float operations.
     """
     if n < 1:
         raise DomainError(f"need at least one pair, got n = {n}")
@@ -331,12 +350,12 @@ def pair_monte_carlo(
     )
     b = a_plus_b - a
     vals = np.empty(n)
+    threshold = np.empty(min(n, _BLOCK))
+    uniforms = np.empty_like(threshold)
     for start in range(0, n, _BLOCK):
         block = vals[start : start + _BLOCK]
         np.multiply(sample_signal(profile, rng, block.size), dl, out=block)
-        np.sin(block, out=block)
-    threshold = np.empty(min(n, _BLOCK))
-    uniforms = np.empty_like(threshold)
+        _sin_in_place(block, threshold[: block.size], uniforms[: block.size])
     coincidences = 0
     for start in range(0, n, _BLOCK):
         block = vals[start : start + _BLOCK]

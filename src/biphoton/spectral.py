@@ -94,5 +94,7 @@ def sample_signal(
     validated, so no draw needs rejecting here.
     """
     if profile.shape is SpectralShape.GAUSSIAN:
-        return rng.normal(0.0, profile.sigma, size)
+        delta = rng.standard_normal(size)
+        delta *= profile.sigma  # rng.normal(0.0, sigma, size), in place
+        return delta
     return rng.uniform(-profile.delta_k, profile.delta_k, size)

@@ -268,6 +268,7 @@ def test_criterion_8_determinism(tmp_path):
         out = tmp_path / name
         assert main(["histogram", "--config", str(config), "--out", str(out)]) == 0
         assert main(["fringes", "--config", str(config), "--out", str(out)]) == 0
+        assert main(["compare", "--config", str(config), "--out", str(out)]) == 0
         outputs.append(
             b"".join(sorted(p.read_bytes() for p in out.iterdir()))
         )

@@ -18,6 +18,7 @@ from biphoton import (
     quantum_rate_narrow,
     quantum_rate_wide,
 )
+from biphoton import engines
 from biphoton.config import ExperimentConfig
 from biphoton.detection import (
     detect_clicks,
@@ -27,6 +28,7 @@ from biphoton.detection import (
 )
 from biphoton.engines import (
     EventStream,
+    _sin_in_place,
     classical_bracket,
     classical_monte_carlo,
     expected_class_probabilities,
@@ -49,6 +51,7 @@ from oracle import (
     fringe_phase_oracle,
     generate_events_nine_cells,
     generate_events_oracle,
+    pair_monte_carlo_oracle,
     quadrature_mean,
 )
 
@@ -285,6 +288,57 @@ class TestPairMonteCarlo:
         finally:
             tracemalloc.stop()
         assert peak < 1.25 * 8 * n
+
+
+class TestReducedSine:
+    @pytest.mark.parametrize(
+        "law, scale", [("normal", 2750.0), ("uniform", 1e6), ("uniform", 1e12)]
+    )
+    def test_matches_long_double_sine(self, law, scale):
+        # N(0, 2750) is x = delta * delta_L in compare; past |k| = 2^27 the
+        # product k * hi rounds, within half an ulp of x
+        rng = np.random.default_rng(23)
+        if law == "normal":
+            x = rng.normal(0.0, scale, 50_000)
+        else:
+            x = rng.uniform(-scale, scale, 50_000)
+        got = x.copy()
+        _sin_in_place(got, np.empty_like(x), np.empty_like(x))
+        error = np.abs(got - np.sin(x.astype(np.longdouble)))
+        assert np.all(error <= np.maximum(2.3e-16, np.spacing(np.abs(x))))
+
+    @pytest.mark.parametrize("n", [50_001, 8192, 8191])
+    @pytest.mark.parametrize("shape", list(SpectralShape))
+    def test_matches_unreduced_sine_kernel(self, k_pump, geometry, shape, n):
+        # the reduced sine moves the classical columns by rounding alone and
+        # leaves every coincidence count as it was, at the nine phases of
+        # compare
+        profile = SpectralProfile(k_pump=k_pump, delta_k=1.0 / LCOH, shape=shape)
+        for i in range(9):
+            g = phase_geometry(geometry, k_pump, i * 2.0 * math.pi / 8.0)
+            mean, stderr, coincidences = pair_monte_carlo(
+                profile, g, n, np.random.default_rng(100 + i)
+            )
+            ref_mean, ref_stderr, ref_coincidences = pair_monte_carlo_oracle(
+                profile, g, n, np.random.default_rng(100 + i)
+            )
+            assert coincidences == ref_coincidences
+            assert mean == pytest.approx(ref_mean, rel=1e-14, abs=0.0)
+            assert stderr == pytest.approx(ref_stderr, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("n", [1, 8191, 8192, 8193, 50_001])
+    def test_one_draw_per_pair(self, profile, geometry, rng, monkeypatch, n):
+        # the traced spectral.sample_signal.draws of compare counts pairs
+        sizes = []
+
+        def counted(profile, rng, size):
+            sizes.append(size)
+            return sample_signal(profile, rng, size)
+
+        monkeypatch.setattr(engines, "sample_signal", counted)
+        pair_monte_carlo(profile, geometry, n, rng)
+        assert sum(sizes) == n
+        assert len(sizes) == -(-n // engines._BLOCK)
 
 
 class TestSourceRates:
