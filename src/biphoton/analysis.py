@@ -61,19 +61,6 @@ class FringeScan:
         if np.any(self.coincidences < 0):
             raise DomainError("counts must be nonnegative")
 
-    def to_csv(self, path, config_hash: str = "") -> None:
-        with open(path, "w") as fh:
-            fh.write(f"# window_s={float(self.window_width)!r}\n")
-            fh.write(f"# config_hash={config_hash}\n")
-            fh.write("offset_m,singles_a,singles_b,coincidences,duration_s\n")
-            for o, sa, sb, cc in zip(
-                self.offsets, self.singles_a, self.singles_b, self.coincidences
-            ):
-                fh.write(
-                    f"{float(o)!r},{float(sa)!r},{float(sb)!r},"
-                    f"{int(cc)},{float(self.duration)!r}\n"
-                )
-
 
 @dataclass
 class VisibilityReport:

@@ -1,4 +1,4 @@
-"""Command-line front end.
+"""Command-line front end, and the one module that writes files.
 
 Subcommands:
   histogram    simulate one acquisition and write the TAC histogram CSV
@@ -6,13 +6,14 @@ Subcommands:
   compare      tabulate analytic and Monte Carlo rates over a phase grid
   print-config dump the fully resolved configuration
 
-Exit codes: 0 success, 2 configuration error, 3 runtime/fit error.
+Exit codes: 0 success, 1 stdout closed by its reader (nothing printed), 2
+configuration error or an output that cannot be written, 3 runtime/fit error.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -55,7 +56,7 @@ def _artifacts(args, config_hash: str, names: list[str]) -> list[Path]:
     :func:`_guard_overwrite`, so a fault in any of them ends the command
     before it has computed or written anything.
     """
-    out = Path(args.out or os.environ.get("BIPHOTON_OUT", "out"))
+    out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -97,9 +98,27 @@ def _guard_overwrite(path: Path, config_hash: str, force: bool) -> None:
             )
 
 
+def _write(path: Path, text: str) -> None:
+    """The one file writer: a path that cannot be written is a ConfigError."""
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+
+
+def _write_csv(path: Path, config_hash: str, meta: dict, **columns) -> None:
+    """``# key=value`` lines of ``meta`` and the hash, the column names, and
+    the rows; a scalar column repeats, and ``repr`` keeps every float exact."""
+    lines = [f"# {key}={value!r}" for key, value in meta.items()]
+    lines += [f"# config_hash={config_hash}", ",".join(columns)]
+    rows = zip(*(a.tolist() for a in np.broadcast_arrays(*columns.values())))
+    lines += [",".join(map(repr, row)) for row in rows]
+    _write(path, "\n".join(lines) + "\n")
+
+
 def _write_json(path: Path, payload: dict, config_hash: str) -> None:
     payload = {"config_hash": config_hash, **payload}
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _window_tag(width_s: float) -> str:
@@ -145,7 +164,8 @@ def cmd_histogram(args) -> int:
         cfg.data["run"]["duration_s"],
         rng,
     )
-    hist.to_csv(path, config_hash=chash)
+    _write_csv(path, chash, {"duration_s": float(hist.duration)},
+               bin_center_s=hist.bin_centers, count=hist.counts)
     print(f"wrote {path} ({hist.total} start-stop pairs)")
     return 0
 
@@ -182,7 +202,11 @@ def cmd_fringes(args) -> int:
         regime = classify_regime(window, geometry)
         # fit before writing, so a scan that cannot be fitted leaves no file
         report = fit_visibility(scan, known_period=period, regime=regime)
-        scan.to_csv(scan_path, config_hash=chash)
+        _write_csv(
+            scan_path, chash, {"window_s": float(scan.window_width)},
+            offset_m=scan.offsets, singles_a=scan.singles_a, singles_b=scan.singles_b,
+            coincidences=scan.coincidences, duration_s=float(scan.duration),
+        )
         _write_json(report_path, report.to_dict(), chash)
         print(
             f"window {tag}: regime={regime.value} "
@@ -247,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", metavar="PATH", help="JSON config file")
         p.add_argument("--seed", type=int, help="override run.seed")
-        p.add_argument("--out", metavar="DIR", help="output directory")
+        p.add_argument("--out", metavar="DIR", default="out", help="output directory")
         p.add_argument(
             "--force", action="store_true", help="overwrite mismatched outputs"
         )
@@ -278,16 +302,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed the pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        with contextlib.suppress(BrokenPipeError):
+            sys.stdout.close()  # so the interpreter's final flush writes nothing
+        return 1
     except BiphotonError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ConfigError) else 3
 
 
 if __name__ == "__main__":

@@ -103,14 +103,6 @@ class TacHistogram:
     def total(self) -> int:
         return int(self.counts.sum())
 
-    def to_csv(self, path, config_hash: str = "") -> None:
-        with open(path, "w") as fh:
-            fh.write(f"# duration_s={float(self.duration)!r}\n")
-            fh.write(f"# config_hash={config_hash}\n")
-            fh.write("bin_center_s,count\n")
-            for c, n in zip(self.bin_centers, self.counts):
-                fh.write(f"{float(c)!r},{int(n)}\n")
-
 
 def _accept_free(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """Mask of the events a device that goes blind while busy accepts.
@@ -152,12 +144,12 @@ def detect_clicks(
     share one kernel (``_accept_free``).
     """
     times = np.asarray(times, dtype=float)
-    if model.timing_jitter_sigma > 0 and times.size:
+    if model.timing_jitter_sigma > 0:
         jitter = rng.standard_normal(times.size)
         jitter *= model.timing_jitter_sigma  # rng.normal(0.0, sigma, n), in place
         times = np.add(times, jitter, out=jitter)
     times = np.sort(times)
-    if model.dead_time > 0 and times.size:
+    if model.dead_time > 0:
         times = times[_accept_free(times, times + model.dead_time)]
     return times
 
@@ -205,13 +197,8 @@ def tac_differences(
     stops = np.asarray(stops, dtype=float) + tac.electrical_delay
     if np.any(starts[1:] < starts[:-1]) or np.any(stops[1:] < stops[:-1]):
         raise PreconditionError("TAC starts and stops must be sorted")
-    nxt = np.searchsorted(stops, starts, side="right")
-    # starts with no later stop form a suffix and never convert
-    n = int(np.searchsorted(nxt, stops.size, side="left"))
-    if n == 0:
-        return np.empty(0, dtype=float)
-    starts = starts[:n]
-    stop = stops[nxt[:n]]
+    # a start with no later stop pairs with one at infinity: it times out
+    stop = np.append(stops, np.inf)[np.searchsorted(stops, starts, side="right")]
     diffs = stop - starts
     converts = diffs <= tac.range
     ends = np.where(converts, stop, starts + tac.range)

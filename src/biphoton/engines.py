@@ -5,7 +5,8 @@ Three mutually checkable routes to the same observables:
 * analytic quantum rates as closed-form averages over the signal spectrum
   (wide-window rate, narrow-window/central rate, and the side-class
   remainder),
-* the classical random-wavenumber model, closed form and Monte Carlo,
+* the classical random-wavenumber model, closed form and Monte Carlo, of an
+  ideal interferometer: it reads neither T nor mu, the quantum rates both,
 * Monte Carlo event generation producing each detector's photon arrival times.
 
 The pairs are degenerate, k1 = k_pump/2 + delta, so every spectral average
@@ -35,23 +36,18 @@ drawn at eta times their rate, the same Poisson law as thinning them.
 Per-pair sampling, :func:`sample_pair_outcomes`, stays as the independent
 check of these rates.
 
-The single-column Monte Carlo engines take the signal deviations as an
-argument.  :func:`pair_monte_carlo`, which fills both columns of ``compare``,
-draws them itself.  With x = delta * delta_L both columns are functions of
-one sine per pair, s = sin x.  The classical integrand
-(1 + cos phi_1)(1 - cos phi_2) is exactly (sin phi_c - s)^2, where phi_c is
-the fringe phase of k_pump/2, and the quantum kernel reads
-cos(phi_1 - phi_2) = cos 2x = 1 - 2 s^2, so the coincidence threshold is
-a + b s^2.  :func:`pair_monte_carlo` computes s once for both; the
-single-column engines :func:`classical_monte_carlo` and
-:func:`sample_pair_outcomes` remain as its reference.  Every engine works in
-blocks of ``_BLOCK`` pairs, so the temporaries of a block stay in cache:
-what an engine draws it draws block by block, the same stream as one draw
-of all of it, and the classical standard error is taken in place.
-In :func:`pair_monte_carlo` only the sines are full length, so repeated
-calls reuse the same memory instead of faulting in fresh pages.  x reaches
-thousands of radians, so both engines of s reduce it by 2 pi before ``np.sin``,
-which leaves s within max(2.3e-16, ulp(x)) of sin x.
+:func:`pair_monte_carlo` draws the signal deviations delta and fills both
+Monte Carlo columns of ``compare`` from one sine per pair, s = sin x with
+x = delta * delta_L.  The classical integrand (1 + cos phi_1)(1 - cos phi_2)
+is exactly (sin phi_c - s)^2, phi_c the fringe phase of k_pump/2, and the
+quantum kernel reads cos(phi_1 - phi_2) = cos 2x = 1 - 2 s^2, so the
+coincidence threshold is a + b s^2.  The single-column engines
+:func:`classical_monte_carlo` and :func:`sample_pair_outcomes`, which take
+delta as an argument, remain as its reference.  Every engine works in blocks
+of ``_BLOCK`` pairs, so a block's temporaries stay in cache: what it draws it
+draws block by block, the same stream as one draw of all of it, and only the
+sines are full length.  x reaches thousands of radians, so s is taken of x
+reduced by 2 pi, within max(2.3e-16, ulp(x)) of sin x.
 """
 from __future__ import annotations
 
@@ -228,6 +224,8 @@ def classical_bracket(
     mean[(1 + cos k1 dL)(1 - cos k2 dL)] = 1 - cos(k_p dL)/2 - r/2,
     where r is :func:`residual_integral`.  The single-photon fringe means of
     cos k1 dL and cos k2 dL cancel, since the idler's spectrum is the signal's.
+    It models an ideal interferometer, T = 1/2 and mu = 1: no classical engine
+    reads the splitter transmittance or mode overlap that the quantum rates read.
     """
     phase_p = fringe_phase(profile.k_pump, geometry)
     resid = residual_integral(profile, delta_L(geometry))
@@ -240,7 +238,7 @@ def classical_rate(
     rates: SourceRates,
 ) -> float:
     """Classical-model coincidence rate, s^-1, normalized like the quantum wide
-    rate: (R/2) * :func:`classical_bracket`, R = ``pair_rate``."""
+    rate: (R/2) * :func:`classical_bracket`, R = ``pair_rate``, at T = 1/2, mu = 1."""
     return 0.5 * rates.pair_rate * classical_bracket(profile, geometry)
 
 
@@ -257,7 +255,8 @@ def classical_monte_carlo(
     since the pump phase phi_p is 2 phi_c.  The integrand
     (1 + cos phi_1)(1 - cos phi_2) is then exactly (sin phi_c - sin x)^2: one
     sine per deviation, in blocks of ``_BLOCK`` into one array, of x reduced
-    by 2 pi: within max(2.3e-16, ulp(x)) of sin x.
+    by 2 pi: within max(2.3e-16, ulp(x)) of sin x.  T = 1/2 and mu = 1, as in
+    :func:`classical_bracket`.
     """
     n = np.size(delta)
     if n < 1:
@@ -335,7 +334,8 @@ def pair_monte_carlo(
     rounding alone, so a count can differ only where a uniform lies within
     about 1e-16 of it.  The sines then become the classical integrand
     (sin phi_c - s)^2 in place, and its mean and standard error are those of
-    :func:`classical_monte_carlo`, by the same float operations.
+    :func:`classical_monte_carlo`, by the same float operations: at T = 1/2 and
+    mu = 1 whatever ``geometry`` holds, while the coincidences read both.
     """
     if n < 1:
         raise DomainError(f"need at least one pair, got n = {n}")

@@ -8,9 +8,11 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from biphoton import cli, engines
+from biphoton.analysis import gate_scan
 from biphoton.cli import main
 from biphoton.config import DEFAULTS, KEYS, ExperimentConfig
 from biphoton.errors import ConfigError
@@ -145,6 +147,64 @@ class TestCliCommands:
         text = (out / "histogram.csv").read_text()
         assert text.startswith("# duration_s=")
         assert "bin_center_s,count" in text
+
+    def test_histogram_csv_round_trip(self, tmp_path, monkeypatch):
+        # the CSV holds the histogram the command acquired, stamped with the
+        # config hash, and np.loadtxt reads its rows back exactly
+        acquire, hists = cli.acquire_histogram, []
+
+        def recorded(*args):
+            hists.append(acquire(*args))
+            return hists[-1]
+
+        monkeypatch.setattr(cli, "acquire_histogram", recorded)
+        cfg = write_config(tmp_path, SMALL_RUN)
+        out = tmp_path / "out"
+        assert main(["histogram", "--config", cfg, "--out", str(out)]) == 0
+        (hist,) = hists
+        path = out / "histogram.csv"
+        header = path.read_text().splitlines()[:3]
+        assert header == [
+            f"# duration_s={hist.duration!r}",
+            f"# config_hash={ExperimentConfig.from_file(cfg).config_hash()}",
+            "bin_center_s,count",
+        ]
+        centers, counts = np.loadtxt(path, delimiter=",", skiprows=3, unpack=True)
+        assert np.array_equal(counts, hist.counts)
+        assert np.array_equal(centers, hist.bin_centers)
+
+    def test_fringes_scan_csv_content(self, tmp_path, monkeypatch):
+        # each window's scan CSV holds gate_scan's arrays for the corpus the
+        # command acquired, read back exactly
+        acquire, corpora = cli.acquire_scan_corpus, []
+
+        def recorded(*args):
+            corpora.append(acquire(*args))
+            return corpora[-1]
+
+        monkeypatch.setattr(cli, "acquire_scan_corpus", recorded)
+        cfg = write_config(tmp_path, SMALL_RUN)
+        out = tmp_path / "out"
+        argv = ["fringes", "--config", cfg, "--out", str(out)]
+        assert main(argv + ["--window", "1", "--window", "5"]) == 0
+        (corpus,) = corpora
+        config = ExperimentConfig.from_file(cfg)
+        for window_ns in (1.0, 5.0):
+            width = window_ns * 1e-9
+            path = out / f"fringes_scan_{window_ns:g}ns.csv"
+            assert path.read_text().splitlines()[:3] == [
+                f"# window_s={width!r}",
+                f"# config_hash={config.config_hash()}",
+                "offset_m,singles_a,singles_b,coincidences,duration_s",
+            ]
+            scan = gate_scan(corpus, config.tac(), width)
+            table = np.loadtxt(path, delimiter=",", skiprows=3, ndmin=2)
+            assert table.shape == (scan.offsets.size, 5)
+            assert np.array_equal(table[:, 0], scan.offsets)
+            assert np.array_equal(table[:, 1], scan.singles_a)
+            assert np.array_equal(table[:, 2], scan.singles_b)
+            assert np.array_equal(table[:, 3], scan.coincidences)
+            assert np.all(table[:, 4] == scan.duration)
 
     def test_fringes_writes_scan_and_report(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_RUN)
@@ -562,6 +622,27 @@ class TestCliCommands:
         assert str(out) in err or str(out / "fringes_report_1ns.json") in err, err
         assert {p: p.is_dir() or p.read_bytes() for p in tmp_path.rglob("*")} == before
 
+    # a dangling symlink passes the checks made before acquisition, so the
+    # write itself fails: one error line naming the path, exit 2
+    @pytest.mark.parametrize(
+        "command, name",
+        [
+            ("histogram", "histogram.csv"),
+            ("fringes", "fringes_scan_1ns.csv"),
+            ("fringes", "fringes_report_5ns.json"),
+            ("compare", "compare.json"),
+        ],
+    )
+    def test_unwritable_artifact_exit_code(self, tmp_path, capsys, command, name):
+        cfg = write_config(tmp_path, SMALL_RUN)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / name).symlink_to(tmp_path / "missing" / name)
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out / name}: "), err
+        assert err.count("\n") == 1 and "Traceback" not in err, err
+
     def test_undecodable_artifact_is_overwritten(self, tmp_path):
         # bytes that are not UTF-8 hold no hash line, like a file written by
         # something else: the guard lets the command write over them
@@ -600,6 +681,30 @@ def test_commands_run_without_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0]", proc.stderr
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_pipe_is_quiet(unbuffered):
+    # the reader of stdout is gone before the command prints: a buffered
+    # stdout fails when flushed, an unbuffered one inside print
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "biphoton.cli", "print-config"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 def test_compare_is_seed_deterministic(tmp_path, capsys, monkeypatch):

@@ -246,6 +246,31 @@ class TestTac:
         with pytest.raises(ValueError):
             edges[0] = 1.0
 
+    # no stops, every start after the last stop, starts after a converting
+    # one that find no later stop, no starts, and neither: each trailing start
+    # pairs with a stop at infinity and times out, and the ends never decrease
+    @pytest.mark.parametrize(
+        "starts, stops, n",
+        [
+            ([0.0, 3.0, 9.0], [], 0),
+            ([20.0, 21.0, 40.0], [0.0, 1.0, 2.0], 0),
+            ([0.0, 3.0, 20.0, 21.0], [2.0], 1),
+            ([], [1.0, 2.0], 0),
+            ([], [], 0),
+        ],
+        ids=["no_stops", "starts_after_stops", "trailing_starts", "no_starts", "empty"],
+    )
+    def test_size_edge_cases_match_loop(self, starts, stops, n):
+        tac = TacConfig(electrical_delay=0.0, range=5 * UNIT, n_channels=4096)
+        starts = np.array(starts, dtype=float) * UNIT
+        stops = np.array(stops, dtype=float) * UNIT
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(detection, "_accept_free", _accept_free_checked)
+            got = tac_differences(starts, stops, tac)
+        want = tac_differences_oracle(starts, stops, tac)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert got.size == n
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["electrical_delay", "range", "n_channels"])
@@ -490,19 +515,3 @@ class TestAccidentalFloor:
         got = gate_count(hist, TAC.electrical_delay, width)
         expected = 2e4 * 2e4 * width * duration
         assert abs(got - expected) < 4 * math.sqrt(expected)
-
-
-class TestSerialization:
-    def test_csv_round_trip(self, profile, geometry, rates, rng, tmp_path):
-        hist = acquire_histogram(profile, geometry, rates, IDEAL, IDEAL, TAC, 0.01, rng)
-        path = tmp_path / "hist.csv"
-        hist.to_csv(path, config_hash="abc123")
-        header = path.read_text().splitlines()[:3]
-        assert header == [
-            f"# duration_s={hist.duration!r}",
-            "# config_hash=abc123",
-            "bin_center_s,count",
-        ]
-        centers, counts = np.loadtxt(path, delimiter=",", skiprows=3, unpack=True)
-        assert np.array_equal(counts, hist.counts)
-        assert np.array_equal(centers, hist.bin_centers)
