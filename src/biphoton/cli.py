@@ -268,9 +268,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, writes=True):
         p.add_argument("--config", metavar="PATH", help="JSON config file")
         p.add_argument("--seed", type=int, help="override run.seed")
+        if not writes:
+            return
         p.add_argument("--out", metavar="DIR", default="out", help="output directory")
         p.add_argument(
             "--force", action="store_true", help="overwrite mismatched outputs"
@@ -296,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("print-config", help="dump the resolved configuration")
-    common(p)
+    common(p, writes=False)
     p.set_defaults(func=cmd_print_config)
     return parser
 

@@ -41,13 +41,13 @@ Monte Carlo columns of ``compare`` from one sine per pair, s = sin x with
 x = delta * delta_L.  The classical integrand (1 + cos phi_1)(1 - cos phi_2)
 is exactly (sin phi_c - s)^2, phi_c the fringe phase of k_pump/2, and the
 quantum kernel reads cos(phi_1 - phi_2) = cos 2x = 1 - 2 s^2, so the
-coincidence threshold is a + b s^2.  The single-column engines
-:func:`classical_monte_carlo` and :func:`sample_pair_outcomes`, which take
-delta as an argument, remain as its reference.  Every engine works in blocks
-of ``_BLOCK`` pairs, so a block's temporaries stay in cache: what it draws it
-draws block by block, the same stream as one draw of all of it, and only the
-sines are full length.  x reaches thousands of radians, so s is taken of x
-reduced by 2 pi, within max(2.3e-16, ulp(x)) of sin x.
+coincidence threshold is a + b s^2.  It works in blocks of ``_BLOCK`` pairs,
+so a block's temporaries stay in cache: it draws block by block, the same
+stream as one draw of all of it, and only the sines are full length.  The
+single-column engines :func:`classical_monte_carlo` and
+:func:`sample_pair_outcomes`, which take delta as an argument, remain as its
+reference; each is one whole-array pass.  x reaches thousands of radians, so
+s is taken of x reduced by 2 pi, within max(2.3e-16, ulp(x)) of sin x.
 """
 from __future__ import annotations
 
@@ -67,8 +67,8 @@ from .interferometer import (
 )
 from .spectral import SpectralProfile, SpectralShape, sample_signal
 
-#: pairs per block of the Monte Carlo engines: the block's temporaries stay
-#: in cache, and only the result array is as long as the draws
+#: pairs per block of :func:`pair_monte_carlo`: the block's temporaries stay
+#: in cache, and only the sines are as long as the draws
 _BLOCK = 8192
 
 #: 2 pi in two parts (Cody & Waite, *Software Manual for the Elementary
@@ -103,15 +103,16 @@ class SourceRates:
             raise DomainError("rates must be nonnegative")
 
 
-def normalization_check(profile: SpectralProfile, tol: float = 1e-9) -> float:
+def normalization_check(profile: SpectralProfile) -> float:
     """Integral of |phi|^2 by Simpson's rule; raises if it strays from 1.
 
     The composite rule h/3 (f_0 + 4 sum f_odd + 2 sum f_even + f_n) runs on
     n + 1 evenly spaced points over the profile's support, starting at
-    n = 2000 and doubling until two successive refinements agree to ``tol``.
-    No engine calls it: the closed forms never read ``pdf``, whose
-    normalization is analytic.
+    n = 2000 and doubling until two successive refinements agree to 1e-9,
+    relative; 1e-9 is also how far from 1 it may stray.  No engine calls it:
+    the closed forms never read ``pdf``, whose normalization is analytic.
     """
+    tol = 1e-9
     lo, hi = profile.support()
     n = 2000
     prev = None
@@ -254,31 +255,18 @@ def classical_monte_carlo(
     and k2 = k_pump - k1 makes phi_2 = phi_p - phi_1 = phi_c - x (mod 2 pi),
     since the pump phase phi_p is 2 phi_c.  The integrand
     (1 + cos phi_1)(1 - cos phi_2) is then exactly (sin phi_c - sin x)^2: one
-    sine per deviation, in blocks of ``_BLOCK`` into one array, of x reduced
-    by 2 pi: within max(2.3e-16, ulp(x)) of sin x.  T = 1/2 and mu = 1, as in
+    sine per deviation, of x reduced by 2 pi, within max(2.3e-16, ulp(x)) of
+    sin x, all in one whole-array pass.  T = 1/2 and mu = 1, as in
     :func:`classical_bracket`.
     """
     n = np.size(delta)
     if n < 1:
         raise DomainError("delta must hold at least one signal deviation")
-    dl = delta_L(geometry)
-    sin_c = math.sin(fringe_phase(profile.k_center, geometry))
-    vals = np.empty(n)
-    k, prod = np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK))
-    for start in range(0, n, _BLOCK):
-        stop = start + _BLOCK
-        block = vals[start:stop]
-        np.multiply(delta[start:stop], dl, out=block)
-        _sin_in_place(block, k[: block.size], prod[: block.size])
-        np.subtract(sin_c, block, out=block)
-        np.square(block, out=block)
-    mean = float(np.mean(vals))
-    if n == 1:
-        return mean, 0.0
-    # np.std(vals, ddof=1) in place: the same sums, without a second array
-    vals -= mean
-    np.square(vals, out=vals)
-    return mean, math.sqrt(float(np.sum(vals)) / (n - 1)) / math.sqrt(n)
+    s = np.multiply(delta, delta_L(geometry))
+    _sin_in_place(s, np.empty(n), np.empty(n))
+    vals = np.square(math.sin(fringe_phase(profile.k_center, geometry)) - s)
+    stderr = float(np.std(vals, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
+    return float(np.mean(vals)), stderr
 
 
 def sample_pair_outcomes(
@@ -290,26 +278,14 @@ def sample_pair_outcomes(
     """Outcome codes per pair: 0 central, 1 side_sl, 2 side_ls, 3 no coincidence.
 
     Pair i has signal deviation ``delta[i]`` (from :func:`sample_signal`) and
-    draws one uniform from ``rng``; its code is the number of cumulative
-    class thresholds the uniform clears.  The thresholds come from
-    :func:`class_probabilities_pair`, in blocks of ``_BLOCK`` pairs, and each
-    block draws its uniforms in turn, the same stream as one draw of ``n``.
+    draws one uniform from ``rng``, all in one draw of ``n``; its code is the
+    number of cumulative class thresholds of :func:`class_probabilities_pair`
+    the uniform clears, which never decrease.
     """
-    n = np.size(delta)
-    codes = np.empty(n, dtype=np.uint8)
-    for start in range(0, n, _BLOCK):
-        stop = start + _BLOCK
-        p_c, p_sl, p_ls = class_probabilities_pair(delta[start:stop], profile, geometry)
-        # p_central is one value for every pair
-        central = float(p_c[0])
-        side_sl = central + p_sl
-        side_ls = side_sl + p_ls
-        u = rng.random(np.size(p_sl))
-        # the thresholds never decrease, so the code is the number u clears
-        codes[start:stop] = (
-            (u >= central).astype(np.uint8) + (u >= side_sl) + (u >= side_ls)
-        )
-    return codes
+    p_c, p_sl, p_ls = class_probabilities_pair(delta, profile, geometry)
+    u = rng.random(np.size(delta))
+    side_sl = p_c + p_sl
+    return (u >= p_c).astype(np.uint8) + (u >= side_sl) + (u >= side_sl + p_ls)
 
 
 def pair_monte_carlo(

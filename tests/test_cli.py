@@ -396,7 +396,10 @@ class TestCliCommands:
     def test_bad_value_exit_code(self, tmp_path, capsys, command, overrides, key):
         cfg = write_config(tmp_path, overrides)
         out = tmp_path / "out"
-        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        argv = [command, "--config", cfg]
+        if command != "print-config":  # the one command that takes no --out
+            argv += ["--out", str(out)]
+        assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         # the message opens with the config section the bad value sits in; a
@@ -495,13 +498,11 @@ class TestCliCommands:
                 values.append(math.nextafter(end, step * math.inf) if closed else end)
         for value in values:
             cfg = write_config(tmp_path, {section: {key: value}})
-            out = tmp_path / "out"
-            assert main(["print-config", "--config", cfg, "--out", str(out)]) == 2
+            assert main(["print-config", "--config", cfg]) == 2
             err = capsys.readouterr().err
             assert err.count("\n") == 1, err
             assert err.startswith(f"error: {section}.{key} must be "), err
             assert f" in {allowed}, got {value!r}" in err, err
-            assert not out.exists()
 
     def test_config_not_an_object(self, tmp_path, capsys):
         cfg = write_config(tmp_path, [1])
@@ -521,6 +522,25 @@ class TestCliCommands:
         assert main(["print-config", "--seed", "5"]) == 0
         assert json.loads(capsys.readouterr().out)["run"]["seed"] == 5
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("option", [["--out", "x"], ["--force"]])
+    def test_print_config_takes_no_output_options(
+        self, tmp_path, monkeypatch, capsys, option
+    ):
+        # print-config writes no file, so --out and --force are usage errors
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["print-config", *option])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: biphoton ")
+        assert f"error: unrecognized arguments: {' '.join(option)}\n" in err
+        assert not list(tmp_path.iterdir())
+        # the three commands that write keep both options
+        for command in ("histogram", "fringes", "compare"):
+            args = cli.build_parser().parse_args([command, *option])
+            assert args.force == ("--force" in option)
+            assert args.out == ("x" if "--out" in option else "out")
 
     def test_empty_scan_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"scan": {"duration_s": 0}})
@@ -669,9 +689,10 @@ def test_commands_run_without_scipy(tmp_path):
     code = (
         "import sys; sys.modules['scipy'] = None; import biphoton.cli; "
         "out, cfg = sys.argv[1:]; "
-        "print([biphoton.cli.main([*args, '--config', cfg, '--out', f'{out}/{i}']) "
-        "for i, args in enumerate([['print-config'], ['histogram'], "
-        "['fringes', '--window', '1', '--window', '5'], ['compare']])])"
+        "print([biphoton.cli.main([*args, '--config', cfg]) for args in "
+        "[['print-config'], ['histogram', '--out', f'{out}/1'], "
+        "['fringes', '--out', f'{out}/2', '--window', '1', '--window', '5'], "
+        "['compare', '--out', f'{out}/3']]])"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code, str(tmp_path), cfg],

@@ -231,7 +231,7 @@ class TestClassicalModel:
     @pytest.mark.parametrize("shape", list(SpectralShape))
     def test_monte_carlo_matches_literal_integrand(self, k_pump, geometry, shape):
         # (sin phi_c - sin x)^2 against (1 + cos phi_1)(1 - cos phi_2) on the
-        # same deviations; 50 001 leaves a partial last block
+        # same deviations
         profile = SpectralProfile(k_pump=k_pump, delta_k=1.0 / LCOH, shape=shape)
         delta = sample_signal(profile, np.random.default_rng(41), 50_001)
         for i in range(9):
@@ -629,7 +629,8 @@ class TestEventGeneration:
         assert set(expected) == {0, 1, 2, 3}
 
     def test_outcomes_blocked_like_whole_array(self, profile, geometry, k_pump):
-        # 20 001 pairs span three blocks, the last one partial
+        # 20 001 pairs, against the cumulative thresholds of the kernel and
+        # one draw of uniforms after the deviations
         g = phase_geometry(geometry, k_pump, 2.0)
         n = 20_001
         rng = np.random.default_rng(5)
@@ -642,7 +643,9 @@ class TestEventGeneration:
         p_c, p_sl, p_ls = class_probabilities_pair(delta, profile, g)
         edges = np.cumsum(np.stack([p_c, p_sl, p_ls]), axis=0)
         assert codes.tolist() == (u >= edges).sum(axis=0).tolist()
+        state = rng.bit_generator.state
         assert sample_pair_outcomes(profile, g, delta[:0], rng).size == 0
+        assert rng.bit_generator.state == state  # no pair, no draw
 
     def test_background_only(self, geometry, profile, rng):
         rates = SourceRates(pair_rate=0.0, singles_background=5e4)
