@@ -19,7 +19,6 @@ from .analysis import (  # noqa: F401
 from .detection import (  # noqa: F401
     DetectorModel,
     TacConfig,
-    TacHistogram,
     acquire_histogram,
     gate_count,
 )
@@ -29,7 +28,6 @@ from .engines import (  # noqa: F401
     classical_rate,
     generate_events,
     quantum_rate_narrow,
-    quantum_rate_wide,
 )
 from .interferometer import (  # noqa: F401
     InterferometerGeometry,

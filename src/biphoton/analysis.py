@@ -5,6 +5,8 @@ split delta_L/c: a window wider than the split cannot distinguish the paths
 (classical regime, visibility capped at 50%); a narrower window selects the
 central class only (quantum regime).  A locked-period Poisson fit whose
 one-sided likelihood-ratio test rejects V <= 0.5 at 2 sigma is nonclassical.
+A scan is acquired once, a row of :func:`acquire_histogram` per point, and a
+window gates every row at once, on the TAC's bin edges.
 """
 from __future__ import annotations
 
@@ -92,12 +94,11 @@ class VisibilityReport:
 class ScanCorpus:
     """A fringe scan acquired once: per point its offset, its clicks at A and
     B (``clicks``, one row each) and its MCA counts (one row of ``counts``),
-    every row binned on the TAC's one array of ``bin_edges``."""
+    every row binned on the TAC's ``bin_edges``."""
 
     offsets: np.ndarray
     clicks: np.ndarray
     counts: np.ndarray
-    bin_edges: np.ndarray
     duration: float
 
 
@@ -116,25 +117,22 @@ def acquire_scan_corpus(
 
     Point ``i`` is one :func:`acquire_histogram` run on its own stream,
     ``SeedSequence(seed, spawn_key=(i,))``, so points can be computed in any
-    order (or in parallel) with identical results.  Each run's counts go
-    straight into their row of one preallocated int64 matrix.
+    order (or in parallel) with identical results.  Each run returns its row
+    of the preallocated int64 ``counts`` and ``clicks`` matrices.
     """
     offsets = np.array(offsets, dtype=float)
     corpus = ScanCorpus(
         offsets=offsets,
         clicks=np.empty((offsets.size, 2), dtype=np.int64),
         counts=np.empty((offsets.size, tac.n_channels), dtype=np.int64),
-        bin_edges=tac.bin_edges,
         duration=duration,
     )
     for i, offset in enumerate(offsets):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
         geom = geometry.with_offset(float(offset))
-        hist = acquire_histogram(
+        corpus.counts[i], corpus.clicks[i] = acquire_histogram(
             profile, geom, rates, detector_a, detector_b, tac, duration, rng
         )
-        corpus.counts[i] = hist.counts
-        corpus.clicks[i] = hist.clicks_a, hist.clicks_b
     return corpus
 
 
@@ -150,7 +148,9 @@ def gate_scan(corpus: ScanCorpus, tac: TacConfig, window_width: float) -> Fringe
         offsets=corpus.offsets,
         singles_a=singles[:, 0],
         singles_b=singles[:, 1],
-        coincidences=gate_count(corpus, tac.electrical_delay, window_width),
+        coincidences=gate_count(
+            corpus.counts, tac.bin_edges, tac.electrical_delay, window_width
+        ),
         duration=duration,
         window_width=window_width,
     )

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -32,7 +33,7 @@ from .engines import (
     classical_rate,
     pair_monte_carlo,
     quantum_rate_narrow,
-    quantum_rate_wide,
+    side_class_rate,
 )
 from .errors import BiphotonError, ConfigError, DomainError
 from .interferometer import offset_for_phase
@@ -98,27 +99,39 @@ def _guard_overwrite(path: Path, config_hash: str, force: bool) -> None:
             )
 
 
-def _write(path: Path, text: str) -> None:
-    """The one file writer: a path that cannot be written is a ConfigError."""
+def _write(texts: dict[Path, str]) -> None:
+    """The one file writer, all or nothing: each text goes to a temporary
+    name beside its path, and only once all are written are they renamed
+    into place.  A path that cannot be written is a ConfigError, and its
+    temporaries are removed."""
+    temps = {path: path.with_name(path.name + ".tmp") for path in texts}
+    opened = []
     try:
-        path.write_text(text)
+        for path, text in texts.items():
+            with open(temps[path], "w") as fh:
+                opened.append(temps[path])
+                fh.write(text)
+        for path, tmp in temps.items():
+            os.replace(tmp, path)
     except OSError as exc:
+        for tmp in opened:
+            tmp.unlink(missing_ok=True)
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def _write_csv(path: Path, config_hash: str, meta: dict, **columns) -> None:
+def _csv(config_hash: str, meta: dict, **columns) -> str:
     """``# key=value`` lines of ``meta`` and the hash, the column names, and
     the rows; a scalar column repeats, and ``repr`` keeps every float exact."""
     lines = [f"# {key}={value!r}" for key, value in meta.items()]
     lines += [f"# config_hash={config_hash}", ",".join(columns)]
     rows = zip(*(a.tolist() for a in np.broadcast_arrays(*columns.values())))
     lines += [",".join(map(repr, row)) for row in rows]
-    _write(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def _write_json(path: Path, payload: dict, config_hash: str) -> None:
+def _json(payload: dict, config_hash: str) -> str:
     payload = {"config_hash": config_hash, **payload}
-    _write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _window_tag(width_s: float) -> str:
@@ -153,20 +166,16 @@ def cmd_histogram(args) -> int:
     chash = cfg.config_hash()
     (path,) = _artifacts(args, chash, ["histogram.csv"])
     rng = np.random.default_rng(cfg.data["run"]["seed"])
-    detector = cfg.detector()
-    hist = acquire_histogram(
-        cfg.profile(),
-        cfg.geometry(),
-        cfg.rates(),
-        detector,
-        detector,
-        cfg.tac(),
-        cfg.data["run"]["duration_s"],
-        rng,
+    detector, tac = cfg.detector(), cfg.tac()
+    duration = cfg.data["run"]["duration_s"]
+    counts, _ = acquire_histogram(
+        cfg.profile(), cfg.geometry(), cfg.rates(), detector, detector, tac,
+        duration, rng,
     )
-    _write_csv(path, chash, {"duration_s": float(hist.duration)},
-               bin_center_s=hist.bin_centers, count=hist.counts)
-    print(f"wrote {path} ({hist.total} start-stop pairs)")
+    edges = tac.bin_edges
+    _write({path: _csv(chash, {"duration_s": float(duration)},
+                       bin_center_s=0.5 * (edges[:-1] + edges[1:]), count=counts)})
+    print(f"wrote {path} ({int(counts.sum())} start-stop pairs)")
     return 0
 
 
@@ -195,24 +204,28 @@ def cmd_fringes(args) -> int:
         cfg.data["run"]["seed"],
     )
     period = cfg.data["source"]["pump_wavelength_m"]
+    # every window is fitted before anything is written, so a scan that
+    # cannot be fitted leaves no file
+    texts, lines = {}, []
     for window, tag, scan_path, report_path in zip(
         windows_s, tags, scan_paths, report_paths
     ):
         scan = gate_scan(corpus, tac, window)
         regime = classify_regime(window, geometry)
-        # fit before writing, so a scan that cannot be fitted leaves no file
         report = fit_visibility(scan, known_period=period, regime=regime)
-        _write_csv(
-            scan_path, chash, {"window_s": float(scan.window_width)},
+        texts[scan_path] = _csv(
+            chash, {"window_s": float(scan.window_width)},
             offset_m=scan.offsets, singles_a=scan.singles_a, singles_b=scan.singles_b,
             coincidences=scan.coincidences, duration_s=float(scan.duration),
         )
-        _write_json(report_path, report.to_dict(), chash)
-        print(
+        texts[report_path] = _json(report.to_dict(), chash)
+        lines.append(
             f"window {tag}: regime={regime.value} "
             f"V={report.visibility:.3f}+/-{report.visibility_sigma:.3f} "
             f"verdict={report.verdict.value}"
         )
+    _write(texts)
+    print("\n".join(lines))
     return 0
 
 
@@ -232,7 +245,7 @@ def cmd_compare(args) -> int:
             offset_for_phase(profile.k_pump, geometry, phase)
         )
         narrow = quantum_rate_narrow(profile, geom, rates)
-        wide = quantum_rate_wide(profile, geom, rates)
+        wide = narrow + side_class_rate(profile, geom, rates)
         classical = classical_rate(profile, geom, rates)
         cmc_mean, cmc_err, coincidences = pair_monte_carlo(profile, geom, n_mc, rng)
         qmc = coincidences / n_mc * rates.pair_rate
@@ -248,7 +261,7 @@ def cmd_compare(args) -> int:
                 "quantum_mc_n": n_mc,
             }
         )
-    _write_json(path, {"rows": rows}, chash)
+    _write({path: _json({"rows": rows}, chash)})
     print(f"wrote {path}")
     return 0
 

@@ -1,6 +1,7 @@
 """Detectors, TAC and MCA simulation.
 
-Turns one acquisition into a start-stop time-difference histogram.
+Turns one acquisition into a start-stop time-difference histogram: the
+int64 counts in each MCA channel, and the clicks at A and B.
 :func:`detect_streams` draws only the photons its detectors detect, with
 :func:`biphoton.engines.generate_events` at their efficiencies, and the
 detector model here adds timing jitter and dead time.  Detector A provides
@@ -82,26 +83,6 @@ class TacConfig:
         edges = np.linspace(0.0, self.range, self.n_channels + 1)
         edges.flags.writeable = False
         return edges
-
-
-@dataclass
-class TacHistogram:
-    """Binned start-stop differences over [0, range], and the clicks at A and
-    B of the acquisition they came from."""
-
-    bin_edges: np.ndarray
-    counts: np.ndarray
-    duration: float
-    clicks_a: int
-    clicks_b: int
-
-    @property
-    def bin_centers(self) -> np.ndarray:
-        return 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
 
 
 def _accept_free(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -206,18 +187,12 @@ def tac_differences(
 
 
 def histogram_from_clicks(
-    t_a: np.ndarray, t_b: np.ndarray, tac: TacConfig, duration: float
-) -> TacHistogram:
-    diffs = tac_differences(t_a, t_b, tac)
-    edges = tac.bin_edges
-    counts, _ = np.histogram(diffs, bins=edges)
-    return TacHistogram(
-        bin_edges=edges,
-        counts=counts.astype(np.int64),
-        duration=duration,
-        clicks_a=len(t_a),
-        clicks_b=len(t_b),
-    )
+    t_a: np.ndarray, t_b: np.ndarray, tac: TacConfig
+) -> np.ndarray:
+    """int64 counts of the start-stop differences in each MCA channel of
+    ``tac.bin_edges``."""
+    counts, _ = np.histogram(tac_differences(t_a, t_b, tac), bins=tac.bin_edges)
+    return counts.astype(np.int64)
 
 
 def acquire_histogram(
@@ -229,13 +204,14 @@ def acquire_histogram(
     tac: TacConfig,
     duration: float,
     rng: np.random.Generator,
-) -> TacHistogram:
+) -> tuple[np.ndarray, tuple[int, int]]:
     """Full chain of one acquisition: detected photons, jitter, dead time,
-    TAC pairing, MCA binning."""
+    TAC pairing, MCA binning.  Returns the MCA counts and the clicks at A
+    and B, one row of a scan's ``counts`` and ``clicks``."""
     t_a, t_b = detect_streams(
         profile, geometry, rates, detector_a, detector_b, duration, rng
     )
-    return histogram_from_clicks(t_a, t_b, tac, duration)
+    return histogram_from_clicks(t_a, t_b, tac), (t_a.size, t_b.size)
 
 
 def window_channels(
@@ -267,9 +243,11 @@ def window_channels(
     return mask
 
 
-def gate_count(hist, window_center: float, window_width: float):
+def gate_count(
+    counts: np.ndarray, bin_edges: np.ndarray, window_center: float, window_width: float
+):
     """Counts in the channels :func:`window_channels` assigns the window,
-    summed over the last axis of ``hist.counts``: one count for a histogram,
-    one a row for a scan's count matrix."""
-    mask = window_channels(hist.bin_edges, window_center, window_width)
-    return hist.counts[..., mask].sum(axis=-1)
+    summed over the last axis of ``counts``: one count for a histogram, one
+    a row for a scan's count matrix."""
+    mask = window_channels(bin_edges, window_center, window_width)
+    return counts[..., mask].sum(axis=-1)

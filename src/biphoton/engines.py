@@ -3,8 +3,8 @@
 Three mutually checkable routes to the same observables:
 
 * analytic quantum rates as closed-form averages over the signal spectrum
-  (wide-window rate, narrow-window/central rate, and the side-class
-  remainder),
+  (the narrow-window/central rate and the side-class rate, whose sum is the
+  wide-window rate),
 * the classical random-wavenumber model, closed form and Monte Carlo, of an
   ideal interferometer: it reads neither T nor mu, the quantum rates both,
 * Monte Carlo event generation producing each detector's photon arrival times.
@@ -202,27 +202,15 @@ def side_class_rate(
     return rates.pair_rate * (probs["side_sl"] + probs["side_ls"])
 
 
-def quantum_rate_wide(
+def classical_rate(
     profile: SpectralProfile,
     geometry: InterferometerGeometry,
     rates: SourceRates,
 ) -> float:
-    """Wide-window coincidence rate (all three classes), s^-1.
+    """Classical-model coincidence rate, s^-1, normalized like the quantum
+    wide rate: (R/2) mean[(1 + cos k1 dL)(1 - cos k2 dL)], R = ``pair_rate``.
 
-    For T = 0.5, mu = 1 this reproduces
-    (R/2) * mean[1 - cos(k_p dL)/2 - cos((k_p - 2 k1) dL)/2], R = ``pair_rate``.
-    """
-    return quantum_rate_narrow(profile, geometry, rates) + side_class_rate(
-        profile, geometry, rates
-    )
-
-
-def classical_bracket(
-    profile: SpectralProfile, geometry: InterferometerGeometry
-) -> float:
-    """Closed-form classical coincidence factor, phase-averaged value 1.
-
-    mean[(1 + cos k1 dL)(1 - cos k2 dL)] = 1 - cos(k_p dL)/2 - r/2,
+    The bracket's mean is 1 - cos(k_p dL)/2 - r/2, phase-averaged value 1,
     where r is :func:`residual_integral`.  The single-photon fringe means of
     cos k1 dL and cos k2 dL cancel, since the idler's spectrum is the signal's.
     It models an ideal interferometer, T = 1/2 and mu = 1: no classical engine
@@ -230,17 +218,7 @@ def classical_bracket(
     """
     phase_p = fringe_phase(profile.k_pump, geometry)
     resid = residual_integral(profile, delta_L(geometry))
-    return 1.0 - 0.5 * math.cos(phase_p) - 0.5 * resid
-
-
-def classical_rate(
-    profile: SpectralProfile,
-    geometry: InterferometerGeometry,
-    rates: SourceRates,
-) -> float:
-    """Classical-model coincidence rate, s^-1, normalized like the quantum wide
-    rate: (R/2) * :func:`classical_bracket`, R = ``pair_rate``, at T = 1/2, mu = 1."""
-    return 0.5 * rates.pair_rate * classical_bracket(profile, geometry)
+    return 0.5 * rates.pair_rate * (1.0 - 0.5 * math.cos(phase_p) - 0.5 * resid)
 
 
 def classical_monte_carlo(
@@ -257,7 +235,7 @@ def classical_monte_carlo(
     (1 + cos phi_1)(1 - cos phi_2) is then exactly (sin phi_c - sin x)^2: one
     sine per deviation, of x reduced by 2 pi, within max(2.3e-16, ulp(x)) of
     sin x, all in one whole-array pass.  T = 1/2 and mu = 1, as in
-    :func:`classical_bracket`.
+    :func:`classical_rate`.
     """
     n = np.size(delta)
     if n < 1:
@@ -368,7 +346,6 @@ class EventStream:
 
     a: np.ndarray
     b: np.ndarray
-    duration: float
     pairs_per_class: np.ndarray
     lost: np.ndarray
 
@@ -461,7 +438,6 @@ def generate_events(
     return EventStream(
         a=np.concatenate(clicks[0]),
         b=np.concatenate(clicks[1]),
-        duration=duration,
         pairs_per_class=np.append(per_cell[:3], per_cell[3:].sum()),
         lost=np.array(lost),
     )

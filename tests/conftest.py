@@ -49,6 +49,16 @@ def flatness_pvalue(counts) -> float:
     return float(chdtrc(counts.size - 1, chi2))
 
 
+def wide_rate(profile, geometry, rates):
+    """Wide-window coincidence rate, all three classes, as ``compare``
+    tabulates it: the central rate plus the side-class rate."""
+    from biphoton.engines import quantum_rate_narrow, side_class_rate
+
+    return quantum_rate_narrow(profile, geometry, rates) + side_class_rate(
+        profile, geometry, rates
+    )
+
+
 def phase_geometry(geometry, k_pump, phase):
     """Geometry whose pump fringe phase is ``phase`` (mod 2*pi)."""
     from biphoton.interferometer import offset_for_phase

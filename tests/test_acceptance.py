@@ -19,14 +19,19 @@ from biphoton.engines import (
     classical_rate,
     expected_class_probabilities,
     quantum_rate_narrow,
-    quantum_rate_wide,
     residual_integral,
     sample_pair_outcomes,
 )
 from biphoton.interferometer import InterferometerGeometry, delta_L
 from biphoton.spectral import SpectralProfile, coherence_length, sample_signal
 
-from conftest import COHERENCE_LENGTH, PUMP_WAVELENGTH, flatness_pvalue, phase_geometry
+from conftest import (
+    COHERENCE_LENGTH,
+    PUMP_WAVELENGTH,
+    flatness_pvalue,
+    phase_geometry,
+    wide_rate,
+)
 
 C = 299792458.0
 PERIOD = PUMP_WAVELENGTH
@@ -98,7 +103,7 @@ def test_criterion_1_analytic_visibilities(profile_m, geometry_m):
     wide_geom = InterferometerGeometry(
         path_short=0.5, path_long_base=0.5 + 100.0 * COHERENCE_LENGTH
     )
-    v_wide = fringe_visibility(quantum_rate_wide, profile_m, wide_geom, rates)
+    v_wide = fringe_visibility(wide_rate, profile_m, wide_geom, rates)
     v_classical = fringe_visibility(classical_rate, profile_m, geometry_m, rates)
     ok = (
         abs(v_narrow - 1.0) < 1e-9
@@ -176,7 +181,7 @@ def _window_stats(edges, counts, center, width):
 def test_criterion_5_tac_peak_structure(desk_corpus, geometry_m, tac_m):
     corpus, _ = desk_corpus
     # the corpus runs without dead time, so its rows simply add up
-    edges, merged = corpus.bin_edges, corpus.counts.sum(axis=0)
+    edges, merged = tac_m.bin_edges, corpus.counts.sum(axis=0)
     dt = delta_L(geometry_m) / C
     delay = tac_m.electrical_delay
     # 1.2 ns windows: wide enough for stable centroids, narrow enough that
@@ -197,9 +202,9 @@ def test_criterion_5_tac_peak_structure(desk_corpus, geometry_m, tac_m):
     balance_ok = abs(n_c - side_total) < 3.0 * np.sqrt(n_c + side_total)
 
     # one window over every row at once gives each point's side counts
-    per_point_sides = gate_count(corpus, delay + dt, width) + gate_count(
-        corpus, delay - dt, width
-    )
+    per_point_sides = gate_count(
+        corpus.counts, edges, delay + dt, width
+    ) + gate_count(corpus.counts, edges, delay - dt, width)
     flat_p = flatness_pvalue(per_point_sides)
     flat_ok = flat_p > 0.001
 

@@ -306,10 +306,10 @@ class TestScanPipeline:
         corpus, hists = lossy_scan
         assert np.array_equal(corpus.offsets, LOSSY_OFFSETS)
         assert corpus.duration == LOSSY_DURATION
-        for i, hist in enumerate(hists):
-            assert hist.total > 0
-            assert np.array_equal(corpus.counts[i], hist.counts)
-            assert list(corpus.clicks[i]) == [hist.clicks_a, hist.clicks_b]
+        for i, (counts, clicks) in enumerate(hists):
+            assert counts.sum() > 0
+            assert np.array_equal(corpus.counts[i], counts)
+            assert list(corpus.clicks[i]) == list(clicks)
         # the rows are distinct acquisitions, not one repeated
         assert len({row.tobytes() for row in corpus.counts}) == len(hists)
 
@@ -321,10 +321,12 @@ class TestScanPipeline:
         # one mask over the matrix counts what gating each histogram would
         corpus, hists = lossy_scan
         scan = gate_scan(corpus, TAC, width)
-        for i, hist in enumerate(hists):
-            assert scan.coincidences[i] == gate_count(hist, TAC.electrical_delay, width)
-            assert scan.singles_a[i] == hist.clicks_a / LOSSY_DURATION
-            assert scan.singles_b[i] == hist.clicks_b / LOSSY_DURATION
+        for i, (counts, (clicks_a, clicks_b)) in enumerate(hists):
+            assert scan.coincidences[i] == gate_count(
+                counts, TAC.bin_edges, TAC.electrical_delay, width
+            )
+            assert scan.singles_a[i] == clicks_a / LOSSY_DURATION
+            assert scan.singles_b[i] == clicks_b / LOSSY_DURATION
 
     def test_peak_memory_is_the_count_matrix(self, profile, geometry, rates):
         # the rows are written into one preallocated matrix: stacking a list
@@ -343,15 +345,14 @@ class TestScanPipeline:
         assert corpus.counts.nbytes == matrix_bytes
         assert peak < 1.5 * matrix_bytes, f"peak {peak / 2**20:.1f} MiB"
 
-    def test_histograms_share_edges(self, profile, geometry, rates):
-        # one read-only edge array per TAC, not one copy per scan point, and
-        # the counts one int64 matrix, a row per point
+    def test_counts_are_one_int64_matrix(self, profile, geometry, rates):
+        # the counts are one int64 matrix, a row per point, and the clicks one
+        # int64 matrix, a row of A and B per point
         tac = TacConfig(electrical_delay=10e-9, range=20e-9, n_channels=4096)
         offsets = np.linspace(0.0, 2 * PUMP, 8, endpoint=False)
         corpus = acquire_scan_corpus(
             profile, geometry, rates, IDEAL, IDEAL, tac, offsets, 0.001, 3
         )
-        assert corpus.bin_edges is tac.bin_edges
         assert corpus.counts.dtype == np.int64
         assert corpus.counts.shape == (8, tac.n_channels)
         assert corpus.clicks.dtype == np.int64

@@ -161,17 +161,19 @@ class TestCliCommands:
         cfg = write_config(tmp_path, SMALL_RUN)
         out = tmp_path / "out"
         assert main(["histogram", "--config", cfg, "--out", str(out)]) == 0
-        (hist,) = hists
+        ((hist, _),) = hists
+        config = ExperimentConfig.from_file(cfg)
+        edges = config.tac().bin_edges
         path = out / "histogram.csv"
         header = path.read_text().splitlines()[:3]
         assert header == [
-            f"# duration_s={hist.duration!r}",
-            f"# config_hash={ExperimentConfig.from_file(cfg).config_hash()}",
+            f"# duration_s={config.data['run']['duration_s']!r}",
+            f"# config_hash={config.config_hash()}",
             "bin_center_s,count",
         ]
         centers, counts = np.loadtxt(path, delimiter=",", skiprows=3, unpack=True)
-        assert np.array_equal(counts, hist.counts)
-        assert np.array_equal(centers, hist.bin_centers)
+        assert np.array_equal(counts, hist)
+        assert np.array_equal(centers, 0.5 * (edges[:-1] + edges[1:]))
 
     def test_fringes_scan_csv_content(self, tmp_path, monkeypatch):
         # each window's scan CSV holds gate_scan's arrays for the corpus the
@@ -642,8 +644,10 @@ class TestCliCommands:
         assert str(out) in err or str(out / "fringes_report_1ns.json") in err, err
         assert {p: p.is_dir() or p.read_bytes() for p in tmp_path.rglob("*")} == before
 
-    # a dangling symlink passes the checks made before acquisition, so the
-    # write itself fails: one error line naming the path, exit 2
+    # a directory at an artifact's temporary name passes the checks made
+    # before acquisition, so the write itself fails: one error line naming
+    # the artifact, exit 2, and no file written, not even the other
+    # artifacts of the set or their temporaries
     @pytest.mark.parametrize(
         "command, name",
         [
@@ -656,12 +660,26 @@ class TestCliCommands:
     def test_unwritable_artifact_exit_code(self, tmp_path, capsys, command, name):
         cfg = write_config(tmp_path, SMALL_RUN)
         out = tmp_path / "out"
-        out.mkdir()
-        (out / name).symlink_to(tmp_path / "missing" / name)
+        (out / f"{name}.tmp").mkdir(parents=True)
+        before = {p: p.is_dir() or p.read_bytes() for p in tmp_path.rglob("*")}
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {out / name}: "), err
         assert err.count("\n") == 1 and "Traceback" not in err, err
+        assert {p: p.is_dir() or p.read_bytes() for p in tmp_path.rglob("*")} == before
+
+    def test_dangling_symlink_artifact_is_replaced(self, tmp_path):
+        # the rename into place replaces the link itself, and writes nothing
+        # where it pointed
+        cfg = write_config(tmp_path, SMALL_RUN)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "compare.json").symlink_to(tmp_path / "missing" / "compare.json")
+        assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
+        assert not (out / "compare.json").is_symlink()
+        assert json.loads((out / "compare.json").read_text())["rows"]
+        assert not (tmp_path / "missing").exists()
+        assert sorted(p.name for p in out.iterdir()) == ["compare.json"]
 
     def test_undecodable_artifact_is_overwritten(self, tmp_path):
         # bytes that are not UTF-8 hold no hash line, like a file written by

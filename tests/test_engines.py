@@ -16,7 +16,6 @@ from biphoton import (
     classical_rate,
     generate_events,
     quantum_rate_narrow,
-    quantum_rate_wide,
 )
 from biphoton import engines
 from biphoton.config import ExperimentConfig
@@ -29,7 +28,6 @@ from biphoton.detection import (
 from biphoton.engines import (
     EventStream,
     _sin_in_place,
-    classical_bracket,
     classical_monte_carlo,
     expected_class_probabilities,
     normalization_check,
@@ -41,7 +39,7 @@ from biphoton.engines import (
 from biphoton.errors import DomainError
 from biphoton.interferometer import class_probabilities_pair, transit_times
 from biphoton.spectral import SpectralShape, sample_signal, wavelength_to_wavenumber
-from conftest import PUMP_WAVELENGTH, phase_geometry
+from conftest import PUMP_WAVELENGTH, phase_geometry, wide_rate
 from oracle import (
     TRUTH_BACKGROUND,
     class_probabilities_pair_oracle,
@@ -56,23 +54,25 @@ from oracle import (
 )
 
 LCOH = 100e-6
+#: R/2 = 1, so classical_rate is the classical bracket itself
+UNIT = SourceRates(pair_rate=2.0, singles_background=0.0)
 
 
 class TestQuantumRates:
     def test_wide_extrema_beyond_coherence(self, profile, geometry, k_pump, rates):
         g = phase_geometry(geometry, k_pump, math.pi)
-        assert quantum_rate_wide(profile, g, rates) == pytest.approx(
+        assert wide_rate(profile, g, rates) == pytest.approx(
             0.75 * rates.pair_rate, rel=1e-6
         )
         g = phase_geometry(geometry, k_pump, 0.0)
-        assert quantum_rate_wide(profile, g, rates) == pytest.approx(
+        assert wide_rate(profile, g, rates) == pytest.approx(
             0.25 * rates.pair_rate, rel=1e-6
         )
 
     def test_wide_white_light_null(self, profile, k_pump, rates):
         # delta_L -> 0: side-class residual cancels the whole rate
         geom = InterferometerGeometry(path_short=0.5, path_long_base=0.5 + 1e-12)
-        assert quantum_rate_wide(profile, geom, rates) == pytest.approx(
+        assert wide_rate(profile, geom, rates) == pytest.approx(
             0.0, abs=1e-6 * rates.pair_rate
         )
 
@@ -98,19 +98,9 @@ class TestQuantumRates:
         geom = InterferometerGeometry(
             path_short=0.5, path_long_base=1.05, mode_overlap=0.6
         )
-        lo = quantum_rate_wide(profile, phase_geometry(geom, k_pump, 0.0), rates)
-        hi = quantum_rate_wide(profile, phase_geometry(geom, k_pump, math.pi), rates)
+        lo = wide_rate(profile, phase_geometry(geom, k_pump, 0.0), rates)
+        hi = wide_rate(profile, phase_geometry(geom, k_pump, math.pi), rates)
         assert (hi - lo) / (hi + lo) == pytest.approx(0.3, rel=1e-6)
-
-    def test_wide_decomposes_into_narrow_plus_sides(
-        self, profile, geometry, k_pump, rates
-    ):
-        for phase in np.linspace(0.0, 2 * math.pi, 9):
-            g = phase_geometry(geometry, k_pump, phase)
-            wide = quantum_rate_wide(profile, g, rates)
-            narrow = quantum_rate_narrow(profile, g, rates)
-            sides = side_class_rate(profile, g, rates)
-            assert wide == pytest.approx(narrow + sides, rel=1e-9)
 
     def test_nonnegative_over_parameters(self, profile, k_pump, rates):
         for t in (0.1, 0.5, 0.9):
@@ -124,7 +114,7 @@ class TestQuantumRates:
                 for phase in np.linspace(0.0, 2 * math.pi, 5):
                     g = phase_geometry(geom, k_pump, phase)
                     assert quantum_rate_narrow(profile, g, rates) >= 0.0
-                    assert quantum_rate_wide(profile, g, rates) >= 0.0
+                    assert wide_rate(profile, g, rates) >= 0.0
                     assert classical_rate(profile, g, rates) >= 0.0
 
 
@@ -203,30 +193,30 @@ class TestClosedFormAverages:
                 1.0 - np.cos(fringe_phase_oracle(k_pump - k, geom))
             )
 
-        assert classical_bracket(profile, geom) == pytest.approx(
+        assert classical_rate(profile, geom, UNIT) == pytest.approx(
             quadrature_mean(profile, bracket), abs=1e-12
         )
 
 
 class TestClassicalModel:
     def test_bracket_extrema(self, profile, geometry, k_pump):
-        assert classical_bracket(
-            profile, phase_geometry(geometry, k_pump, math.pi)
+        assert classical_rate(
+            profile, phase_geometry(geometry, k_pump, math.pi), UNIT
         ) == pytest.approx(1.5, rel=1e-9)
-        assert classical_bracket(
-            profile, phase_geometry(geometry, k_pump, 0.0)
+        assert classical_rate(
+            profile, phase_geometry(geometry, k_pump, 0.0), UNIT
         ) == pytest.approx(0.5, rel=1e-9)
 
     def test_visibility_is_half(self, profile, geometry, k_pump):
-        lo = classical_bracket(profile, phase_geometry(geometry, k_pump, 0.0))
-        hi = classical_bracket(profile, phase_geometry(geometry, k_pump, math.pi))
+        lo = classical_rate(profile, phase_geometry(geometry, k_pump, 0.0), UNIT)
+        hi = classical_rate(profile, phase_geometry(geometry, k_pump, math.pi), UNIT)
         assert (hi - lo) / (hi + lo) == pytest.approx(0.5, abs=1e-12)
 
     def test_monte_carlo_matches_closed_form(self, profile, geometry, k_pump, rng):
         g = phase_geometry(geometry, k_pump, 1.1)
         delta = sample_signal(profile, rng, 10**6)
         mean, stderr = classical_monte_carlo(profile, g, delta)
-        assert abs(mean - classical_bracket(profile, g)) < 4 * stderr
+        assert abs(mean - classical_rate(profile, g, UNIT)) < 4 * stderr
 
     @pytest.mark.parametrize("shape", list(SpectralShape))
     def test_monte_carlo_matches_literal_integrand(self, k_pump, geometry, shape):
@@ -416,7 +406,7 @@ class TestEventGeneration:
                 kept = rng.random(np.count_nonzero(mine)) < eta
                 clicks.append(time[mine][kept])
                 lost.append(np.count_nonzero(~kept & (truth[mine] != TRUTH_BACKGROUND)))
-            return EventStream(*clicks, duration, pairs, np.array(lost))
+            return EventStream(*clicks, pairs, np.array(lost))
 
         def generator(rng):
             return generate_events(profile, geometry, rates, duration, rng, efficiency)
@@ -440,9 +430,12 @@ class TestEventGeneration:
                 t_a = detect_clicks(stream.a, detector, rng)
                 t_b = detect_clicks(stream.b, detector, rng)
                 diffs.append(tac_differences(t_a, t_b, tac))
-                hist = histogram_from_clicks(t_a, t_b, tac, duration)
+                counts = histogram_from_clicks(t_a, t_b, tac)
                 gated.append(
-                    [gate_count(hist, tac.electrical_delay, w) for w in (1e-9, 5e-9)]
+                    [
+                        gate_count(counts, tac.bin_edges, tac.electrical_delay, w)
+                        for w in (1e-9, 5e-9)
+                    ]
                 )
             results.append(
                 (pairs, np.concatenate(diffs), np.array(gated), twins, lost)
