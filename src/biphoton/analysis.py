@@ -6,7 +6,7 @@ split delta_L/c: a window wider than the split cannot distinguish the paths
 central class only (quantum regime).  A locked-period Poisson fit whose
 one-sided likelihood-ratio test rejects V <= 0.5 at 2 sigma is nonclassical.
 A scan is acquired once, a row of :func:`acquire_histogram` per point, and a
-window gates every row at once, on the TAC's bin edges.
+window gates every row at once, as one range of the TAC's channels.
 """
 from __future__ import annotations
 
@@ -94,7 +94,7 @@ class VisibilityReport:
 class ScanCorpus:
     """A fringe scan acquired once: per point its offset, its clicks at A and
     B (``clicks``, one row each) and its MCA counts (one row of ``counts``),
-    every row binned on the TAC's ``bin_edges``."""
+    every row binned on the TAC's channels."""
 
     offsets: np.ndarray
     clicks: np.ndarray
@@ -138,7 +138,7 @@ def acquire_scan_corpus(
 
 def gate_scan(corpus: ScanCorpus, tac: TacConfig, window_width: float) -> FringeScan:
     """Delayed-choice window applied to an already acquired corpus: one
-    channel mask gates every point."""
+    channel range gates every point."""
     duration = corpus.duration
     if duration > 0:
         singles = corpus.clicks / duration
@@ -148,9 +148,7 @@ def gate_scan(corpus: ScanCorpus, tac: TacConfig, window_width: float) -> Fringe
         offsets=corpus.offsets,
         singles_a=singles[:, 0],
         singles_b=singles[:, 1],
-        coincidences=gate_count(
-            corpus.counts, tac.bin_edges, tac.electrical_delay, window_width
-        ),
+        coincidences=gate_count(corpus.counts, tac, tac.electrical_delay, window_width),
         duration=duration,
         window_width=window_width,
     )

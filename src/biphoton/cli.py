@@ -72,7 +72,8 @@ def _artifacts(args, config_hash: str, names: list[str]) -> list[Path]:
 
 def _guard_overwrite(path: Path, config_hash: str, force: bool) -> None:
     """Refuse an output path that is a directory, or, unless ``force``, one
-    holding an artifact of a different configuration.
+    that is not a regular file (a named pipe would block the read) or that
+    holds an artifact of a different configuration.
 
     Only the first 4096 bytes of an existing file are read; bytes that are
     not UTF-8 hold no hash line.
@@ -81,6 +82,11 @@ def _guard_overwrite(path: Path, config_hash: str, force: bool) -> None:
         raise ConfigError(f"cannot write {path}: it is a directory")
     if force or not path.exists():
         return
+    if not path.is_file():
+        raise ConfigError(
+            f"cannot write {path}: it is not a regular file; "
+            "pass --force to replace it"
+        )
     try:
         with open(path, "rb") as fh:
             head = fh.read(4096).decode("utf-8", errors="replace")
@@ -146,7 +152,6 @@ def _check_windows(windows_s, tac) -> None:
     silently overwriting the earlier, so they are refused too.
     """
     seen = {}
-    edges = tac.bin_edges
     for width in windows_s:
         tag = _window_tag(width)
         if tag in seen:
@@ -156,7 +161,7 @@ def _check_windows(windows_s, tac) -> None:
             )
         seen[tag] = width
         try:
-            window_channels(edges, tac.electrical_delay, width)
+            window_channels(tac, tac.electrical_delay, width)
         except DomainError as exc:
             raise ConfigError(f"--window {width * 1e9:g} ns: {exc}") from exc
 
@@ -172,9 +177,8 @@ def cmd_histogram(args) -> int:
         cfg.profile(), cfg.geometry(), cfg.rates(), detector, detector, tac,
         duration, rng,
     )
-    edges = tac.bin_edges
     _write({path: _csv(chash, {"duration_s": float(duration)},
-                       bin_center_s=0.5 * (edges[:-1] + edges[1:]), count=counts)})
+                       bin_center_s=tac.bin_centers, count=counts)})
     print(f"wrote {path} ({int(counts.sum())} start-stop pairs)")
     return 0
 

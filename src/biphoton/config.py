@@ -104,7 +104,7 @@ def _refusal(name: str, value, default, allowed) -> str | None:
     if isinstance(default, str):
         if value in allowed:
             return None
-        return f"{name} must be one of {list(allowed)}, got {value!r}"
+        return f"{name} must be one of {list(allowed)}, got {value!r:.40}"
     integer = isinstance(default, int)
     types = int if integer else (int, float)
     if isinstance(value, types) and not isinstance(value, bool):
@@ -115,7 +115,7 @@ def _refusal(name: str, value, default, allowed) -> str | None:
         if above and below and (integer or abs(value) <= sys.float_info.max):
             return None
     kind = "an integer" if integer else "a finite number"
-    return f"{name} must be {kind} in {allowed}, got {value!r}"
+    return f"{name} must be {kind} in {allowed}, got {value!r:.40}"
 
 
 def _build(section: str, builder):
@@ -150,10 +150,8 @@ class ExperimentConfig:
     @classmethod
     def packaged(cls, name: str) -> "ExperimentConfig":
         """Load a config shipped with the package (e.g. 'experimental')."""
-        text = (
-            resources.files("biphoton") / "configs" / f"{name}.json"
-        ).read_text()
-        return cls.from_dict(json.loads(text))
+        raw = (resources.files("biphoton") / "configs" / f"{name}.json").read_bytes()
+        return cls.from_dict(_parse_config(raw))
 
     # builders -----------------------------------------------------------
 
@@ -307,12 +305,32 @@ def _parse_int(literal: str) -> int:
         ) from None
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; a key given twice is a config error."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"config file gives the key {key!r:.40} twice")
+        obj[key] = value
+    return obj
+
+
+def _parse_config(raw: bytes) -> dict:
+    """The raw key/value data of a UTF-8 JSON config, not yet merged."""
+    try:
+        return json.loads(
+            raw.decode(), parse_int=_parse_int, object_pairs_hook=_unique_keys
+        )
+    except RecursionError:
+        raise ConfigError("config file nests arrays or objects too deeply") from None
+    except ValueError as exc:
+        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+
+
 def read_config_file(path) -> dict:
     """The raw key/value data of a JSON config file, not yet merged."""
     try:
-        with open(path) as fh:
-            return json.load(fh, parse_int=_parse_int)
+        with open(path, "rb") as fh:
+            return _parse_config(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from exc

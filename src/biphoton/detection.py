@@ -8,8 +8,8 @@ detector model here adds timing jitter and dead time.  Detector A provides
 the start pulse, detector B the stop pulse after a fixed electrical delay;
 the TAC is single-start/single-stop (starts arriving while a conversion is
 pending are dropped, a start with no stop inside the range times out).  The
-coincidence window is applied afterwards, on the recorded histogram, so the
-window choice is a delayed choice.
+coincidence window is applied afterwards, on the recorded histogram, as one
+range of channels, so the window choice is a delayed choice.
 
 A detector with non-paralysable dead time and the TAC both go blind after
 an event they accept: a later event counts only if it arrives at or after
@@ -74,15 +74,16 @@ class TacConfig:
             raise DomainError("electrical delay must be nonnegative")
 
     @functools.cached_property
-    def bin_edges(self) -> np.ndarray:
-        """Edges of the MCA channels, evenly spaced over [0, range].
+    def bin_centers(self) -> np.ndarray:
+        """Centres of the MCA channels, which split [0, range] evenly.
 
-        Computed once and read-only, so every histogram of this TAC shares
-        the one array.
+        Computed once and read-only, so every histogram and window of this
+        TAC shares the one array.
         """
         edges = np.linspace(0.0, self.range, self.n_channels + 1)
-        edges.flags.writeable = False
-        return edges
+        centers = 0.5 * (edges[:-1] + edges[1:])
+        centers.flags.writeable = False
+        return centers
 
 
 def _accept_free(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -189,9 +190,10 @@ def tac_differences(
 def histogram_from_clicks(
     t_a: np.ndarray, t_b: np.ndarray, tac: TacConfig
 ) -> np.ndarray:
-    """int64 counts of the start-stop differences in each MCA channel of
-    ``tac.bin_edges``."""
-    counts, _ = np.histogram(tac_differences(t_a, t_b, tac), bins=tac.bin_edges)
+    """int64 counts of the start-stop differences in each of the
+    ``tac.n_channels`` even MCA channels over [0, ``tac.range``]."""
+    diffs = tac_differences(t_a, t_b, tac)
+    counts, _ = np.histogram(diffs, tac.n_channels, (0.0, tac.range))
     return counts.astype(np.int64)
 
 
@@ -215,39 +217,39 @@ def acquire_histogram(
 
 
 def window_channels(
-    bin_edges: np.ndarray, window_center: float, window_width: float
-) -> np.ndarray:
-    """Mask of the MCA channels a coincidence window takes: those whose bin
-    centre lies in [center - width/2, center + width/2].
+    tac: TacConfig, window_center: float, window_width: float
+) -> slice:
+    """The MCA channels a coincidence window takes, as one slice: those whose
+    centre lies in [center - width/2, center + width/2].  The centres are
+    sorted, so they are one run.
 
     Raises DomainError unless the width is positive and the window lies
-    inside the range of ``bin_edges`` and takes at least one channel; a NaN
-    width or centre fails these tests.
+    inside the TAC range and takes at least one channel; a NaN width or
+    centre fails these tests.
     """
     if not window_width > 0:
         raise DomainError(f"window width must be positive, got {window_width}")
     lo = window_center - window_width / 2.0
     hi = window_center + window_width / 2.0
-    if not (lo >= bin_edges[0] and hi <= bin_edges[-1]):
+    if not (lo >= 0.0 and hi <= tac.range):
         raise DomainError(
             f"window [{lo}, {hi}] s falls outside the histogram range "
-            f"[{bin_edges[0]}, {bin_edges[-1]}] s"
+            f"[0.0, {float(tac.range)}] s"
         )
-    centers = 0.5 * (bin_edges[:-1] + bin_edges[1:])
-    mask = (centers >= lo) & (centers <= hi)
-    if not mask.any():
+    start = np.searchsorted(tac.bin_centers, lo, "left")
+    stop = np.searchsorted(tac.bin_centers, hi, "right")
+    if not start < stop:
         raise DomainError(
             f"window [{lo}, {hi}] s holds no MCA channel centre; the channels "
-            f"are {bin_edges[1] - bin_edges[0]:.6g} s wide"
+            f"are {tac.range / tac.n_channels:.6g} s wide"
         )
-    return mask
+    return slice(start, stop)
 
 
 def gate_count(
-    counts: np.ndarray, bin_edges: np.ndarray, window_center: float, window_width: float
+    counts: np.ndarray, tac: TacConfig, window_center: float, window_width: float
 ):
     """Counts in the channels :func:`window_channels` assigns the window,
     summed over the last axis of ``counts``: one count for a histogram, one
     a row for a scan's count matrix."""
-    mask = window_channels(bin_edges, window_center, window_width)
-    return counts[..., mask].sum(axis=-1)
+    return counts[..., window_channels(tac, window_center, window_width)].sum(axis=-1)

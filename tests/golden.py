@@ -141,8 +141,9 @@ def record(runs: dict) -> dict:
 
 
 def compare(golden: dict, runs: dict) -> tuple[list[str], list[str]]:
-    """Differences beyond the bounds, and the labels of the texts that are
-    within them but not byte-identical."""
+    """Differences beyond the bounds, and for each text that is within them
+    but not byte-identical a line with its largest relative float
+    difference."""
     problems, inexact = [], []
     exits = {name: run["exit"] for name, run in runs.items()}
     if exits != golden["exit"]:
@@ -173,7 +174,8 @@ def compare(golden: dict, runs: dict) -> tuple[list[str], list[str]]:
             if not worst <= FLOAT_RTOL:
                 problems.append(f"{label}: floats differ by {worst:.3g} relative")
             elif _sha(text) != want["sha256"]:
-                inexact.append(label)
+                inexact.append(f"{label}: within bounds, floats differ by {worst:.3g} "
+                               "relative at most")
     return problems, inexact
 
 
@@ -187,7 +189,7 @@ def main(argv: list[str]) -> int:
         return 0
     golden = json.loads(GOLDEN.read_text())
     problems, inexact = compare(golden, runs)
-    for line in problems + [f"{label}: within bounds" for label in inexact]:
+    for line in problems + inexact:
         print(line)
     texts = golden["texts"]
     same = sum(

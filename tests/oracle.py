@@ -12,7 +12,10 @@ a click when ``t >= last + dead_time``, the sum form the kernel and the TAC
 timeout compare in; the difference form ``t - last >= dead_time`` can round
 the other way when ``t - last`` lies within an ulp of the dead time.
 :func:`accept_free_oracle` is the busy-period rule they share, one event at
-a time, the oracle of the kernel itself.
+a time, the oracle of the kernel itself.  The MCA's channels are the
+explicit ``np.linspace`` edges: :func:`histogram_oracle` bins on them, and
+:func:`window_mask_oracle` takes a window's channels as a mask over their
+midpoints, the references of the channel range and the even-bin histogram.
 
 The merged event stream is the oracle of ``biphoton.engines.generate_events``:
 a signal wavenumber and an outcome drawn for every pair, and every photon of
@@ -290,6 +293,41 @@ def non_paralysable_oracle(times, dead_time: float) -> np.ndarray:
             kept.append(t)
             last = t
     return np.array(kept)
+
+
+def _edges_oracle(tac) -> np.ndarray:
+    """The MCA channel edges, written out: ``n_channels + 1`` even steps."""
+    return np.linspace(0.0, tac.range, tac.n_channels + 1)
+
+
+def window_mask_oracle(tac, window_center: float, window_width: float) -> np.ndarray:
+    """Mask of the channels whose centre, the midpoint of two explicit edges,
+    lies in [center - width/2, center + width/2]; it refuses what
+    ``window_channels`` refuses, with the same messages."""
+    edges = _edges_oracle(tac)
+    if not window_width > 0:
+        raise DomainError(f"window width must be positive, got {window_width}")
+    lo = window_center - window_width / 2.0
+    hi = window_center + window_width / 2.0
+    if not (lo >= edges[0] and hi <= edges[-1]):
+        raise DomainError(
+            f"window [{lo}, {hi}] s falls outside the histogram range "
+            f"[{edges[0]}, {edges[-1]}] s"
+        )
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    mask = (centers >= lo) & (centers <= hi)
+    if not mask.any():
+        raise DomainError(
+            f"window [{lo}, {hi}] s holds no MCA channel centre; the channels "
+            f"are {edges[1] - edges[0]:.6g} s wide"
+        )
+    return mask
+
+
+def histogram_oracle(diffs, tac) -> np.ndarray:
+    """Counts of ``diffs`` in the channels, binned on the explicit edges."""
+    counts, _ = np.histogram(diffs, bins=_edges_oracle(tac))
+    return counts
 
 
 def generate_events_oracle(profile, geometry, rates, duration: float, rng):

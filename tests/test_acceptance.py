@@ -167,8 +167,7 @@ def test_criterion_4_experimental_envelope(experimental_corpus):
     assert ok, line
 
 
-def _window_stats(edges, counts, center, width):
-    centers = 0.5 * (edges[:-1] + edges[1:])
+def _window_stats(centers, counts, center, width):
     mask = np.abs(centers - center) <= width / 2.0
     t = centers[mask]
     n = counts[mask].astype(float)
@@ -181,15 +180,15 @@ def _window_stats(edges, counts, center, width):
 def test_criterion_5_tac_peak_structure(desk_corpus, geometry_m, tac_m):
     corpus, _ = desk_corpus
     # the corpus runs without dead time, so its rows simply add up
-    edges, merged = tac_m.bin_edges, corpus.counts.sum(axis=0)
+    centers, merged = tac_m.bin_centers, corpus.counts.sum(axis=0)
     dt = delta_L(geometry_m) / C
     delay = tac_m.electrical_delay
     # 1.2 ns windows: wide enough for stable centroids, narrow enough that
     # the 424 ps jitter tails of one peak stay out of its neighbours' windows
     width = 1.2e-9
-    n_c, mu_c, var_c = _window_stats(edges, merged, delay, width)
-    n_sl, mu_sl, var_sl = _window_stats(edges, merged, delay + dt, width)
-    n_ls, mu_ls, var_ls = _window_stats(edges, merged, delay - dt, width)
+    n_c, mu_c, var_c = _window_stats(centers, merged, delay, width)
+    n_sl, mu_sl, var_sl = _window_stats(centers, merged, delay + dt, width)
+    n_ls, mu_ls, var_ls = _window_stats(centers, merged, delay - dt, width)
 
     three_peaks = min(n_c, n_sl, n_ls) > 100
     sep_hi = mu_sl - mu_c
@@ -203,8 +202,8 @@ def test_criterion_5_tac_peak_structure(desk_corpus, geometry_m, tac_m):
 
     # one window over every row at once gives each point's side counts
     per_point_sides = gate_count(
-        corpus.counts, edges, delay + dt, width
-    ) + gate_count(corpus.counts, edges, delay - dt, width)
+        corpus.counts, tac_m, delay + dt, width
+    ) + gate_count(corpus.counts, tac_m, delay - dt, width)
     flat_p = flatness_pvalue(per_point_sides)
     flat_ok = flat_p > 0.001
 

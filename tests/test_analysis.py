@@ -323,7 +323,7 @@ class TestScanPipeline:
         scan = gate_scan(corpus, TAC, width)
         for i, (counts, (clicks_a, clicks_b)) in enumerate(hists):
             assert scan.coincidences[i] == gate_count(
-                counts, TAC.bin_edges, TAC.electrical_delay, width
+                counts, TAC, TAC.electrical_delay, width
             )
             assert scan.singles_a[i] == clicks_a / LOSSY_DURATION
             assert scan.singles_b[i] == clicks_b / LOSSY_DURATION

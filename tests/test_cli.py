@@ -163,7 +163,9 @@ class TestCliCommands:
         assert main(["histogram", "--config", cfg, "--out", str(out)]) == 0
         ((hist, _),) = hists
         config = ExperimentConfig.from_file(cfg)
-        edges = config.tac().bin_edges
+        # an independent reference: the midpoints of the explicit edges
+        tac = config.data["tac"]
+        edges = np.linspace(0.0, tac["range_s"], tac["n_channels"] + 1)
         path = out / "histogram.csv"
         header = path.read_text().splitlines()[:3]
         assert header == [
@@ -512,6 +514,55 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: config file must be an object")
 
+    @pytest.mark.parametrize("depth", [986, 100_000])
+    @pytest.mark.parametrize("where", ["file", "value"])
+    def test_deep_nesting_refused(self, tmp_path, capsys, depth, where):
+        nested = "[" * depth + "]" * depth
+        text = nested if where == "file" else f'{{"rates": {{"pair_rate": {nested}}}}}'
+        cfg = write_config(tmp_path, text)
+        assert main(["print-config", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err[:200]
+        # whether 986 levels parse depends on the stack the parser starts
+        # from: if they do, the value is refused, quoted in at most 40 chars
+        if depth > 10_000:
+            assert err == "error: config file nests arrays or objects too deeply\n"
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"rates": {"pair_rate": 1e5, "pair_rate": -5}}', "pair_rate"),
+            ('{"run": {"seed": 2}, "run": {}}', "run"),
+        ],
+    )
+    def test_duplicate_key_refused(self, tmp_path, capsys, text, key):
+        # JSON parsing would keep the last value silently
+        cfg = write_config(tmp_path, text)
+        assert main(["print-config", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config file gives the key {key!r} twice\n"
+        )
+
+    def test_refused_value_echo_is_short(self, tmp_path, capsys):
+        value = list(range(200_000))
+        cfg = write_config(tmp_path, {"rates": {"pair_rate": value}})
+        assert main(["print-config", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            "error: rates.pair_rate must be a finite number in [0, inf), "
+            f"got {repr(value)[:40]}\n"
+        )
+
+    def test_packaged_config_parsed_like_a_file(self, tmp_path, monkeypatch):
+        configs = tmp_path / "configs"
+        configs.mkdir()
+        (configs / "twice.json").write_text('{"run": {"seed": 1, "seed": 2}}')
+        (configs / "digits.json").write_text('{"run": {"seed": 1%s}}' % ("0" * 5000))
+        monkeypatch.setattr("biphoton.config.resources.files", lambda package: tmp_path)
+        with pytest.raises(ConfigError, match="gives the key 'seed' twice"):
+            ExperimentConfig.packaged("twice")
+        with pytest.raises(ConfigError, match="an integer of 5001 digits"):
+            ExperimentConfig.packaged("digits")
+
     def test_validated_once(self, monkeypatch, capsys):
         calls = []
         validate = ExperimentConfig.validate
@@ -680,6 +731,41 @@ class TestCliCommands:
         assert json.loads((out / "compare.json").read_text())["rows"]
         assert not (tmp_path / "missing").exists()
         assert sorted(p.name for p in out.iterdir()) == ["compare.json"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("force", [False, True], ids=["refused", "forced"])
+    def test_fifo_artifact(self, tmp_path, force):
+        # reading a named pipe for its hash would block until a writer came:
+        # refused before anything is drawn, or replaced under --force.  A
+        # subprocess with a timeout, so that a hang fails instead of stalling
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        cfg = write_config(tmp_path, SMALL_RUN)
+        out = tmp_path / "out"
+        out.mkdir()
+        os.mkfifo(out / "histogram.csv")
+        argv = ["histogram", "--config", cfg, "--out", str(out)]
+        if force:
+            argv.append("--force")
+        proc = subprocess.run(
+            [sys.executable, "-m", "biphoton.cli", *argv],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        artifact = out / "histogram.csv"
+        if force:
+            assert proc.returncode == 0, proc.stderr
+            assert artifact.read_text().startswith("# duration_s=")
+        else:
+            assert proc.returncode == 2
+            assert proc.stderr == (
+                f"error: cannot write {artifact}: it is not a regular file; "
+                "pass --force to replace it\n"
+            )
+            assert proc.stdout == "" and not artifact.is_file()
+        assert [p.name for p in out.iterdir()] == ["histogram.csv"]
 
     def test_undecodable_artifact_is_overwritten(self, tmp_path):
         # bytes that are not UTF-8 hold no hash line, like a file written by

@@ -21,6 +21,7 @@ from biphoton.detection import (
     detect_streams,
     histogram_from_clicks,
     tac_differences,
+    window_channels,
 )
 from biphoton.engines import expected_class_probabilities
 from biphoton.errors import DomainError, PreconditionError
@@ -30,15 +31,16 @@ from oracle import (
     TRUTH_SIDE_LS,
     accept_free_oracle,
     generate_events_oracle,
+    histogram_oracle,
     non_paralysable_oracle,
     tac_differences_oracle,
+    window_mask_oracle,
 )
 
 IDEAL = DetectorModel(timing_jitter_sigma=0.0, dead_time=0.0, efficiency=1.0)
 TAC = TacConfig(electrical_delay=10e-9, range=20e-9, n_channels=4096)
 DT_SPLIT = 0.55 / SPEED_OF_LIGHT  # 1.8346 ns
-EDGES = TAC.bin_edges
-CENTERS = 0.5 * (EDGES[:-1] + EDGES[1:])
+CENTERS = TAC.bin_centers
 
 #: time unit of the oracle tests, 2**-30 s (about 0.93 ns).  Sums of a few
 #: whole multiples are exact, so ties such as a stop exactly at start + range
@@ -115,6 +117,57 @@ def tac_runs(draw):
         t += draw(st.integers(1, 2 * range_ticks))
         stops.append(float(t - delay))
     return starts, stops, delay, range_ticks
+
+
+def drawn_tac(draw) -> tuple[TacConfig, np.ndarray, np.ndarray]:
+    """A TAC of 2 to 5000 channels over a range of 1 ps to 1000 s, with its
+    explicit channel edges and their midpoints."""
+    n = draw(st.integers(2, 5000))
+    span = draw(st.floats(1e-12, 1e3))
+    edges = np.linspace(0.0, span, n + 1)
+    tac = TacConfig(electrical_delay=0.0, range=span, n_channels=n)
+    return tac, edges, 0.5 * (edges[:-1] + edges[1:])
+
+
+@st.composite
+def tac_windows(draw):
+    """A TAC and a window on it: centred anywhere near the range, on a
+    channel centre or on an edge; as wide as the range, a few channels, or
+    exactly out to a channel centre; or refused (zero, negative, NaN)."""
+    tac, edges, centers = drawn_tac(draw)
+    span, n = tac.range, tac.n_channels
+    center = draw(
+        st.one_of(
+            st.floats(-0.1 * span, 1.1 * span),
+            st.integers(0, n - 1).map(lambda i: float(centers[i])),
+            st.integers(0, n).map(lambda i: float(edges[i])),
+            st.just(math.nan),
+        )
+    )
+    width = draw(
+        st.one_of(
+            st.floats(-0.1 * span, 1.2 * span),
+            st.floats(0.0, 4.0 * span / n),
+            st.integers(0, n - 1).map(lambda i: 2.0 * abs(float(centers[i]) - center)),
+            st.sampled_from([0.0, -0.0, math.nan, math.inf]),
+        )
+    )
+    return tac, center, width
+
+
+@st.composite
+def tac_clicks(draw):
+    """A TAC and clicks for it: a start at 0 whose stop lands on a channel
+    edge or on a float either side of one, so its difference is exactly
+    that, then up to 40 starts and stops at least twice the range later."""
+    tac, edges, _ = drawn_tac(draw)
+    edge = float(edges[draw(st.integers(1, tac.n_channels))])
+    below, above = (math.nextafter(edge, s) for s in (-math.inf, math.inf))
+    target = draw(st.sampled_from([edge, below, above]))
+    later = st.lists(st.floats(2.0, 10.0), max_size=40)
+    t_a = [0.0, *sorted(x * tac.range for x in draw(later))]
+    t_b = [target, *sorted(x * tac.range for x in draw(later))]
+    return tac, np.array(t_a), np.array(t_b)
 
 
 def ideal_histogram(times_a, times_b, rng):
@@ -204,9 +257,9 @@ class TestTac:
         rates = SourceRates(pair_rate=5e3, singles_background=0.0)
         g = phase_geometry(geometry, k_pump, 0.0)
         hist, _ = acquire_histogram(profile, g, rates, IDEAL, IDEAL, TAC, 0.5, rng)
-        n_central = gate_count(hist, EDGES, TAC.electrical_delay, 1e-9)
-        left = gate_count(hist, EDGES, TAC.electrical_delay - DT_SPLIT, 1e-9)
-        right = gate_count(hist, EDGES, TAC.electrical_delay + DT_SPLIT, 1e-9)
+        n_central = gate_count(hist, TAC, TAC.electrical_delay, 1e-9)
+        left = gate_count(hist, TAC, TAC.electrical_delay - DT_SPLIT, 1e-9)
+        right = gate_count(hist, TAC, TAC.electrical_delay + DT_SPLIT, 1e-9)
         assert n_central == 0
         assert abs(left - right) < 3 * math.sqrt(left + right)
 
@@ -237,15 +290,16 @@ class TestTac:
         events = generate_events(profile, g, rates, 0.2, rng)
         hist = ideal_histogram(events.a, events.b, rng)
         n_truth = int(events.pairs_per_class[0])
-        assert gate_count(hist, EDGES, TAC.electrical_delay, 1e-9) == n_truth
+        assert gate_count(hist, TAC, TAC.electrical_delay, 1e-9) == n_truth
 
-    def test_bin_edges_read_only(self):
+    def test_bin_centers_read_only(self):
         tac = TacConfig(electrical_delay=10e-9, range=20e-9, n_channels=8)
-        edges = tac.bin_edges
-        assert tac.bin_edges is edges
-        assert np.array_equal(edges, np.linspace(0.0, 20e-9, 9))
+        centers = tac.bin_centers
+        assert tac.bin_centers is centers
+        edges = np.linspace(0.0, 20e-9, 9)
+        assert np.array_equal(centers, 0.5 * (edges[:-1] + edges[1:]))
         with pytest.raises(ValueError):
-            edges[0] = 1.0
+            centers[0] = 1.0
 
     # no stops, every start after the last stop, starts after a converting
     # one that find no later stop, no starts, and neither: each trailing start
@@ -462,23 +516,23 @@ class TestGateCount:
             time[pair & (detector == 0)], time[pair & (detector == 1)], rng
         )
         assert hist.sum() > 0
-        assert gate_count(hist, EDGES, TAC.electrical_delay, 5e-9) == hist.sum()
+        assert gate_count(hist, TAC, TAC.electrical_delay, 5e-9) == hist.sum()
 
     def test_one_ns_window_central_only(self, profile, geometry, k_pump, rates, rng):
         hist = self.make_hist(profile, geometry, k_pump, rates, rng)
-        narrow = gate_count(hist, EDGES, TAC.electrical_delay, 1e-9)
-        central_truth = gate_count(hist, EDGES, TAC.electrical_delay, 0.5e-9)
-        assert narrow < gate_count(hist, EDGES, TAC.electrical_delay, 5e-9)
+        narrow = gate_count(hist, TAC, TAC.electrical_delay, 1e-9)
+        central_truth = gate_count(hist, TAC, TAC.electrical_delay, 0.5e-9)
+        assert narrow < gate_count(hist, TAC, TAC.electrical_delay, 5e-9)
         assert narrow >= central_truth
 
     def test_full_range_equals_total(self, profile, geometry, k_pump, rates, rng):
         hist = self.make_hist(profile, geometry, k_pump, rates, rng)
-        assert gate_count(hist, EDGES, TAC.range / 2, TAC.range) == hist.sum()
+        assert gate_count(hist, TAC, TAC.range / 2, TAC.range) == hist.sum()
 
     def test_monotone_in_width(self, profile, geometry, k_pump, rates, rng):
         hist = self.make_hist(profile, geometry, k_pump, rates, rng)
         widths = np.linspace(0.2e-9, 19e-9, 25)
-        counts = [gate_count(hist, EDGES, TAC.electrical_delay, w) for w in widths]
+        counts = [gate_count(hist, TAC, TAC.electrical_delay, w) for w in widths]
         assert all(a <= b for a, b in zip(counts, counts[1:]))
 
     @pytest.mark.parametrize(
@@ -491,7 +545,7 @@ class TestGateCount:
     ):
         hist = self.make_hist(profile, geometry, k_pump, rates, rng)
         with pytest.raises(DomainError):
-            gate_count(hist, EDGES, center, width)
+            gate_count(hist, TAC, center, width)
 
     def test_window_holding_no_channel_rejected(
         self, profile, geometry, k_pump, rates, rng
@@ -500,9 +554,53 @@ class TestGateCount:
         # 1 ps window there holds no channel centre, one on a centre holds it
         hist = self.make_hist(profile, geometry, k_pump, rates, rng)
         with pytest.raises(DomainError, match="no MCA channel"):
-            gate_count(hist, EDGES, TAC.electrical_delay, 1e-12)
+            gate_count(hist, TAC, TAC.electrical_delay, 1e-12)
         centre = CENTERS[TAC.n_channels // 2]
-        assert gate_count(hist, EDGES, centre, 1e-12) == hist[TAC.n_channels // 2]
+        assert gate_count(hist, TAC, centre, 1e-12) == hist[TAC.n_channels // 2]
+
+
+class TestChannelRange:
+    """A window is one range of channels, and the histogram bins on the
+    even-bin rule: each against the explicit-edge reference it replaced."""
+
+    @given(case=tac_windows())
+    @settings(max_examples=500, deadline=None)
+    # 10 ns is a channel edge, so a 1 ps window there holds no centre
+    @example(case=(TAC, TAC.electrical_delay, 1e-12))
+    @example(case=(TAC, float(CENTERS[2048]), 1e-12))
+    # 8 channels of 1: both bounds on a centre, the whole range, just past it
+    @example(case=(TacConfig(0.0, 8.0, 8), 4.0, 3.0))
+    @example(case=(TacConfig(0.0, 8.0, 8), 4.0, 8.0))
+    @example(case=(TacConfig(0.0, 8.0, 8), 4.0, math.nextafter(8.0, 9.0)))
+    def test_window_channels_match_mask(self, case):
+        tac, center, width = case
+        try:
+            mask = window_mask_oracle(tac, center, width)
+        except DomainError as refusal:
+            with pytest.raises(DomainError) as exc:
+                window_channels(tac, center, width)
+            assert str(exc.value) == str(refusal)
+            return
+        channels = window_channels(tac, center, width)
+        assert isinstance(channels, slice)
+        index = np.arange(tac.n_channels)
+        assert np.array_equal(index[channels], np.flatnonzero(mask))
+        counts = np.stack([index, 2 * index])
+        assert np.array_equal(
+            gate_count(counts, tac, center, width), counts[:, mask].sum(axis=1)
+        )
+
+    @given(case=tac_clicks())
+    @settings(max_examples=300, deadline=None)
+    # after the 10 ns delay: a difference on the middle edge, and on the last
+    @example(case=(TAC, np.array([0.0]), np.array([0.0])))
+    @example(case=(TAC, np.array([0.0]), np.array([TAC.electrical_delay])))
+    def test_histogram_matches_edge_array(self, case):
+        tac, t_a, t_b = case
+        counts = histogram_from_clicks(t_a, t_b, tac)
+        diffs = tac_differences(t_a, t_b, tac)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, histogram_oracle(diffs, tac))
 
 
 class TestAccidentalFloor:
@@ -513,6 +611,6 @@ class TestAccidentalFloor:
             profile, geometry, rates, IDEAL, IDEAL, TAC, duration, rng
         )
         width = 5e-9
-        got = gate_count(hist, EDGES, TAC.electrical_delay, width)
+        got = gate_count(hist, TAC, TAC.electrical_delay, width)
         expected = 2e4 * 2e4 * width * duration
         assert abs(got - expected) < 4 * math.sqrt(expected)

@@ -58,6 +58,13 @@ LCOH = 100e-6
 UNIT = SourceRates(pair_rate=2.0, singles_background=0.0)
 
 
+def named_config(name: str) -> ExperimentConfig:
+    """The defaults for ``"default"``, otherwise the packaged config ``name``."""
+    if name == "default":
+        return ExperimentConfig.from_dict({})
+    return ExperimentConfig.packaged(name)
+
+
 class TestQuantumRates:
     def test_wide_extrema_beyond_coherence(self, profile, geometry, k_pump, rates):
         g = phase_geometry(geometry, k_pump, math.pi)
@@ -385,7 +392,7 @@ class TestEventGeneration:
     def test_statistically_matches_oracle(self, config):
         # the per-class Poisson counts against the per-pair oracle, each run
         # through the same detectors and TAC, over independent seeds
-        cfg = ExperimentConfig.packaged(config)
+        cfg = named_config(config)
         profile, geometry, rates = cfg.profile(), cfg.geometry(), cfg.rates()
         detector, tac = cfg.detector(), cfg.tac()
         n_runs, duration = 40, 0.02
@@ -433,7 +440,7 @@ class TestEventGeneration:
                 counts = histogram_from_clicks(t_a, t_b, tac)
                 gated.append(
                     [
-                        gate_count(counts, tac.bin_edges, tac.electrical_delay, w)
+                        gate_count(counts, tac, tac.electrical_delay, w)
                         for w in (1e-9, 5e-9)
                     ]
                 )
@@ -466,7 +473,7 @@ class TestEventGeneration:
     def test_unit_efficiency_matches_nine_cells(self, config):
         # at eta = 1 the sub-cells beside "both detected" have mean 0 and draw
         # nothing: the same arrays, in the same order, from the same stream
-        cfg = ExperimentConfig.packaged(config)
+        cfg = named_config(config)
         args = (cfg.profile(), cfg.geometry(), cfg.rates(), 0.05)
         rng = np.random.default_rng(cfg.data["run"]["seed"])
         stream = generate_events(*args, rng, (1.0, 1.0))
