@@ -106,15 +106,16 @@ def _guard_overwrite(path: Path, config_hash: str, force: bool) -> None:
 
 
 def _write(texts: dict[Path, str]) -> None:
-    """The one file writer, all or nothing: each text goes to a temporary
-    name beside its path, and only once all are written are they renamed
-    into place.  A path that cannot be written is a ConfigError, and its
-    temporaries are removed."""
+    """The one file writer, all or nothing: each text goes to a new file at a
+    temporary name beside its path, and only once all are written are they
+    renamed into place.  A path that cannot be written is a ConfigError, and
+    its temporaries are removed."""
     temps = {path: path.with_name(path.name + ".tmp") for path in texts}
     opened = []
     try:
         for path, text in texts.items():
-            with open(temps[path], "w") as fh:
+            temps[path].unlink(missing_ok=True)
+            with open(temps[path], "x") as fh:
                 opened.append(temps[path])
                 fh.write(text)
         for path, tmp in temps.items():

@@ -41,9 +41,9 @@ Monte Carlo columns of ``compare`` from one sine per pair, s = sin x with
 x = delta * delta_L.  The classical integrand (1 + cos phi_1)(1 - cos phi_2)
 is exactly (sin phi_c - s)^2, phi_c the fringe phase of k_pump/2, and the
 quantum kernel reads cos(phi_1 - phi_2) = cos 2x = 1 - 2 s^2, so the
-coincidence threshold is a + b s^2.  It works in blocks of ``_BLOCK`` pairs,
-so a block's temporaries stay in cache: it draws block by block, the same
-stream as one draw of all of it, and only the sines are full length.  The
+coincidence threshold is a + b s^2.  It draws a row's delta in one call,
+into the array that becomes its sines, and makes one pass over it in blocks
+of ``_BLOCK`` pairs, so a block's temporaries stay in cache.  The
 single-column engines :func:`classical_monte_carlo` and
 :func:`sample_pair_outcomes`, which take delta as an argument, remain as its
 reference; each is one whole-array pass.  x reaches thousands of radians, so
@@ -67,8 +67,8 @@ from .interferometer import (
 )
 from .spectral import SpectralProfile, SpectralShape, sample_signal
 
-#: pairs per block of :func:`pair_monte_carlo`: the block's temporaries stay
-#: in cache, and only the sines are as long as the draws
+#: pairs per block of :func:`pair_monte_carlo`'s one pass, whose temporaries
+#: stay in cache; only the draws, which become the sines, are full length
 _BLOCK = 8192
 
 #: 2 pi in two parts (Cody & Waite, *Software Manual for the Elementary
@@ -275,21 +275,21 @@ def pair_monte_carlo(
     """Both Monte Carlo columns of ``compare`` from ``n`` pairs and one sine
     per pair: ``(classical_mean, classical_stderr, coincidences)``.
 
-    The pairs are drawn here, block by block with :func:`sample_signal`, the
-    same stream as one draw of ``n``, and each block's sines s = sin x go
-    straight into the one full-length array, x reduced by 2 pi as in
-    :func:`classical_monte_carlo`, within max(2.3e-16, ulp(x)) of sin x.
-    A second pass then draws the uniforms block by block, as
-    :func:`sample_pair_outcomes` does after that draw, and counts the pairs
-    whose uniform lies below the threshold of the last coincidence class.
-    That threshold p_c + p_sl + p_ls is linear in cos 2x = 1 - 2 s^2 (no
-    clamp acts for mu <= 1), so it is a + b s^2 with a and b from the kernel
-    at cos 2x = +1 and -1.  The threshold differs from the reference's by
-    rounding alone, so a count can differ only where a uniform lies within
-    about 1e-16 of it.  The sines then become the classical integrand
-    (sin phi_c - s)^2 in place, and its mean and standard error are those of
-    :func:`classical_monte_carlo`, by the same float operations: at T = 1/2 and
-    mu = 1 whatever ``geometry`` holds, while the coincidences read both.
+    The pairs are drawn here, in one :func:`sample_signal` call of ``n``,
+    and one pass over that array in blocks does the rest.  It takes each
+    block's sines s = sin x in place, x reduced by 2 pi as in
+    :func:`classical_monte_carlo`, within max(2.3e-16, ulp(x)) of sin x.  It
+    draws the block's uniforms, after all the deviations as
+    :func:`sample_pair_outcomes` draws them, and counts those below the
+    threshold of the last coincidence class.  That threshold
+    p_c + p_sl + p_ls is linear in cos 2x = 1 - 2 s^2 (no clamp acts for
+    mu <= 1), so it is a + b s^2 with a and b from the kernel at cos 2x = +1
+    and -1.  It differs from the reference's by rounding alone, so a count
+    can differ only where a uniform lies within about 1e-16 of it.  Last, it
+    turns the sines into the classical integrand (sin phi_c - s)^2, whose
+    mean and standard error are those of :func:`classical_monte_carlo`, by
+    the same float operations: at T = 1/2 and mu = 1 whatever ``geometry``
+    holds, while the coincidences read both.
     """
     if n < 1:
         raise DomainError(f"need at least one pair, got n = {n}")
@@ -303,21 +303,19 @@ def pair_monte_carlo(
         for cos_diff in (1.0, -1.0)
     )
     b = a_plus_b - a
-    vals = np.empty(n)
+    vals = sample_signal(profile, rng, n)
     threshold = np.empty(min(n, _BLOCK))
     uniforms = np.empty_like(threshold)
-    for start in range(0, n, _BLOCK):
-        block = vals[start : start + _BLOCK]
-        np.multiply(sample_signal(profile, rng, block.size), dl, out=block)
-        _sin_in_place(block, threshold[: block.size], uniforms[: block.size])
     coincidences = 0
     for start in range(0, n, _BLOCK):
         block = vals[start : start + _BLOCK]
-        thr = threshold[: block.size]
+        thr, u = threshold[: block.size], uniforms[: block.size]
+        block *= dl
+        _sin_in_place(block, thr, u)
         np.square(block, out=thr)
         thr *= b
         thr += a
-        u = rng.random(out=uniforms[: block.size])
+        rng.random(out=u)
         coincidences += int(np.count_nonzero(u < thr))
         np.subtract(sin_c, block, out=block)
         np.square(block, out=block)
@@ -408,19 +406,17 @@ def generate_events(
     )
     # each cell splits into sub-cells: both photons detected, only the first,
     # only the second, neither; ``seen`` lists the photons of the first three
-    # and ``missed`` the detectors of the undetected photons of the last three
-    means, seen, missed = [], [], []
+    means, seen = [], []
     for p, first, second in cells:
         e1, e2 = efficiency[first[0]], efficiency[second[0]]
         q1, q2 = 1.0 - e1, 1.0 - e2
         means.append([p * e1 * e2, p * e1 * q2, p * q1 * e2, p * q1 * q2])
         seen.extend(((first, second), (first,), (second,)))
-        missed.extend(((second[0],), (first[0],), (first[0], second[0])))
     counts = rng.poisson(rates.pair_rate * duration * np.array(means))
     lost = [0, 0]
-    for n, dets in zip(counts[:, 1:].ravel().tolist(), missed):
-        for det in dets:
-            lost[det] += n
+    for (_, first, second), (_, n1, n2, n3) in zip(cells, counts.tolist()):
+        lost[first[0]] += n2 + n3  # only the second detected, or neither
+        lost[second[0]] += n1 + n3  # only the first detected, or neither
     detected = counts[:, :3].ravel()
     emit = np.split(
         rng.random(int(detected.sum())) * duration, np.cumsum(detected)[:-1]

@@ -94,8 +94,8 @@ def fringe_phase(k: float, geometry: InterferometerGeometry) -> float:
     fringe structure.  So k * (L_base - S) is reduced mod 2*pi in exact
     rational arithmetic and rounded once, keeping the sign of k as
     ``np.fmod`` does; the offset term k * offset is added after.  The
-    reduction is memoized on (k, L_base - S): a scan or a blocked Monte
-    Carlo engine asks for the same few values over and over.
+    reduction is memoized on (k, L_base - S), which every point of a scan
+    and every row of ``compare`` share; only the offset differs.
     """
     base = _reduced_base_phase(k, geometry.path_long_base - geometry.path_short)
     return base + k * geometry.path_long_offset

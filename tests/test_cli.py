@@ -26,6 +26,20 @@ def write_config(tmp_path, overrides, name="config.json"):
     return str(path)
 
 
+def run_in_subprocess(argv):
+    """Run the CLI in a subprocess with a timeout, so that a command that
+    would block fails its test instead of stalling the suite."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "biphoton.cli", *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+
+
 SMALL_RUN = {
     "run": {"duration_s": 0.02, "seed": 3},
     "scan": {"n_points": 12, "span_periods": 2.0, "duration_s": 0.005},
@@ -253,7 +267,7 @@ class TestCliCommands:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_compare_draws_once_per_row(self, tmp_path, monkeypatch, seed):
         # one set of signal deviations per row serves both Monte Carlo
-        # columns, drawn a block at a time
+        # columns, drawn in one call
         draws = []
 
         def counted(profile, rng, size):
@@ -264,7 +278,7 @@ class TestCliCommands:
         monkeypatch.setattr(engines, "sample_signal", counted)
         out = tmp_path / "out"
         assert main(["compare", "--seed", str(seed), "--out", str(out)]) == 0
-        assert sum(draws) == 1_800_000 and max(draws) <= engines._BLOCK
+        assert draws == [200_000] * 9
         # each Monte Carlo rate within 5 standard errors of its closed form
         pair_rate = DEFAULTS["rates"]["pair_rate"]
         for row in json.loads((out / "compare.json").read_text())["rows"]:
@@ -736,10 +750,7 @@ class TestCliCommands:
     @pytest.mark.parametrize("force", [False, True], ids=["refused", "forced"])
     def test_fifo_artifact(self, tmp_path, force):
         # reading a named pipe for its hash would block until a writer came:
-        # refused before anything is drawn, or replaced under --force.  A
-        # subprocess with a timeout, so that a hang fails instead of stalling
-        src = str(Path(cli.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        # refused before anything is drawn, or replaced under --force
         cfg = write_config(tmp_path, SMALL_RUN)
         out = tmp_path / "out"
         out.mkdir()
@@ -747,13 +758,7 @@ class TestCliCommands:
         argv = ["histogram", "--config", cfg, "--out", str(out)]
         if force:
             argv.append("--force")
-        proc = subprocess.run(
-            [sys.executable, "-m", "biphoton.cli", *argv],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
-            timeout=30,
-        )
+        proc = run_in_subprocess(argv)
         artifact = out / "histogram.csv"
         if force:
             assert proc.returncode == 0, proc.stderr
@@ -766,6 +771,35 @@ class TestCliCommands:
             )
             assert proc.stdout == "" and not artifact.is_file()
         assert [p.name for p in out.iterdir()] == ["histogram.csv"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_fifo_at_temporary_name(self, tmp_path):
+        # opening a named pipe for writing would block until a reader came:
+        # the pipe is removed, and a new file takes its name
+        cfg = write_config(tmp_path, SMALL_RUN)
+        out = tmp_path / "out"
+        out.mkdir()
+        os.mkfifo(out / "compare.json.tmp")
+        proc = run_in_subprocess(["compare", "--config", cfg, "--out", str(out)])
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads((out / "compare.json").read_text())["rows"]
+        assert [p.name for p in out.iterdir()] == ["compare.json"]
+
+    def test_symlink_at_temporary_name(self, tmp_path):
+        # the link is removed, not written through: its target keeps its
+        # bytes, and the artifact is a regular file inside --out
+        cfg = write_config(tmp_path, SMALL_RUN)
+        out = tmp_path / "out"
+        out.mkdir()
+        victim = tmp_path / "victim.txt"
+        victim.write_text("keep me\n")
+        (out / "compare.json.tmp").symlink_to(victim)
+        assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
+        assert victim.read_text() == "keep me\n"
+        artifact = out / "compare.json"
+        assert artifact.is_file() and not artifact.is_symlink()
+        assert json.loads(artifact.read_text())["rows"]
+        assert [p.name for p in out.iterdir()] == ["compare.json"]
 
     def test_undecodable_artifact_is_overwritten(self, tmp_path):
         # bytes that are not UTF-8 hold no hash line, like a file written by

@@ -325,7 +325,8 @@ class TestReducedSine:
 
     @pytest.mark.parametrize("n", [1, 8191, 8192, 8193, 50_001])
     def test_one_draw_per_pair(self, profile, geometry, rng, monkeypatch, n):
-        # the traced spectral.sample_signal.draws of compare counts pairs
+        # one draw of the whole row: the traced spectral.sample_signal.draws
+        # of compare counts pairs
         sizes = []
 
         def counted(profile, rng, size):
@@ -334,8 +335,7 @@ class TestReducedSine:
 
         monkeypatch.setattr(engines, "sample_signal", counted)
         pair_monte_carlo(profile, geometry, n, rng)
-        assert sum(sizes) == n
-        assert len(sizes) == -(-n // engines._BLOCK)
+        assert sizes == [n]
 
 
 class TestSourceRates:
