@@ -46,8 +46,11 @@ into the array that becomes its sines, and makes one pass over it in blocks
 of ``_BLOCK`` pairs, so a block's temporaries stay in cache.  The
 single-column engines :func:`classical_monte_carlo` and
 :func:`sample_pair_outcomes`, which take delta as an argument, remain as its
-reference; each is one whole-array pass.  x reaches thousands of radians, so
-s is taken of x reduced by 2 pi, within max(2.3e-16, ulp(x)) of sin x.
+reference; each is one whole-array pass.  s calls no libm: x, which reaches
+thousands of radians, is reduced by pi, and a Taylor polynomial of degree 21
+on [-pi/2, pi/2] gives s within max(2.3e-16, ulp(x)) of sin x: at most
+0.875 of that bound in 10^6 draws on [1, 2), where it is weakest.  Built
+from IEEE arithmetic alone, s is the same on every platform.
 """
 from __future__ import annotations
 
@@ -71,19 +74,49 @@ from .spectral import SpectralProfile, SpectralShape, sample_signal
 #: stay in cache; only the draws, which become the sines, are full length
 _BLOCK = 8192
 
-#: 2 pi in two parts (Cody & Waite, *Software Manual for the Elementary
-#: Functions*, 1980): hi keeps 26 bits, so k * hi is exact for |k| < 2^27
-_TWO_PI_HI = 6.283185243606567
-_TWO_PI_LO = 6.357301909411278e-08  # the double nearest 2 pi - hi
+#: pi in two parts (Cody & Waite, *Software Manual for the Elementary
+#: Functions*, 1980), the exact halves of a split of 2 pi: hi keeps 26 bits,
+#: so k * hi is exact for |k| < 2^27
+_PI_HI = 3.1415926218032837
+_PI_LO = 3.178650954705639e-08  # the double nearest pi - hi
+
+#: Taylor coefficients of (sin r - r + r^3/6) / r^5 in r^2, highest first:
+#: (-1)^j / (2j + 5)! down to j = 0; on |r| <= pi/2 the first term left out,
+#: (pi/2)^23 / 23!, is 1.3e-18
+_SIN_TAYLOR = tuple((-1.0) ** j / math.factorial(2 * j + 5) for j in range(8, -1, -1))
 
 
 def _sin_in_place(x: np.ndarray, k: np.ndarray, prod: np.ndarray) -> None:
-    """x <- sin r, r = (x - k hi) - k lo with k = rint(x / 2 pi): within
-    max(2.3e-16, ulp(x)) of sin x; ``k`` and ``prod`` are scratch like x."""
-    np.rint(np.multiply(x, 1.0 / (2.0 * math.pi), out=k), out=k)
-    x -= np.multiply(k, _TWO_PI_HI, out=prod)
-    x -= np.multiply(k, _TWO_PI_LO, out=prod)
-    np.sin(x, out=x)
+    """x <- sin x from IEEE arithmetic, rint and floor alone, within
+    max(2.3e-16, ulp(x)); ``k`` and ``prod`` are scratch like x.
+
+    With k = rint(x / pi), r = (x - k hi) - k lo lies in [-pi/2, pi/2] and
+    sin x = (-1)^k sin r.  The sign goes onto r, and sin r is
+    r + (r^5 Q(r^2) - r^3/6), Q by Horner over ``_SIN_TAYLOR``; r^3/6 is a
+    true division, as r^3 fl(1/6), or -1/6 inside Q, exceeds the bound on
+    [1, 2).  No libm call is made, so the result is the same on every
+    platform.
+    """
+    np.rint(np.multiply(x, 1.0 / math.pi, out=k), out=k)
+    x -= np.multiply(k, _PI_HI, out=prod)
+    x -= np.multiply(k, _PI_LO, out=prod)
+    # (-1)^k = 1 - 4 (k/2 - floor(k/2))
+    k *= 0.5
+    k -= np.floor(k, out=prod)
+    k *= -4.0
+    k += 1.0
+    x *= k
+    z = np.square(x, out=k)
+    np.multiply(z, _SIN_TAYLOR[0], out=prod)
+    for c in _SIN_TAYLOR[1:]:
+        prod += c
+        prod *= z
+    # prod = z Q(z); z becomes r^3, then r^3 / 6
+    z *= x
+    prod *= z
+    z /= 6.0
+    prod -= z
+    x += prod
 
 
 @dataclass(frozen=True)
@@ -233,8 +266,9 @@ def classical_monte_carlo(
     and k2 = k_pump - k1 makes phi_2 = phi_p - phi_1 = phi_c - x (mod 2 pi),
     since the pump phase phi_p is 2 phi_c.  The integrand
     (1 + cos phi_1)(1 - cos phi_2) is then exactly (sin phi_c - sin x)^2: one
-    sine per deviation, of x reduced by 2 pi, within max(2.3e-16, ulp(x)) of
-    sin x, all in one whole-array pass.  T = 1/2 and mu = 1, as in
+    sine per deviation, by :func:`_sin_in_place` (x reduced by pi and a
+    Taylor polynomial, within max(2.3e-16, ulp(x)) of sin x), all in one
+    whole-array pass.  T = 1/2 and mu = 1, as in
     :func:`classical_rate`.
     """
     n = np.size(delta)
@@ -277,7 +311,7 @@ def pair_monte_carlo(
 
     The pairs are drawn here, in one :func:`sample_signal` call of ``n``,
     and one pass over that array in blocks does the rest.  It takes each
-    block's sines s = sin x in place, x reduced by 2 pi as in
+    block's sines s = sin x in place, by the polynomial kernel of
     :func:`classical_monte_carlo`, within max(2.3e-16, ulp(x)) of sin x.  It
     draws the block's uniforms, after all the deviations as
     :func:`sample_pair_outcomes` draws them, and counts those below the

@@ -12,8 +12,10 @@ output directory masked as ``OUT``) and every artifact it writes.
 Each text is split into its numbers and its skeleton, the text with every
 number replaced by ``#``.  The skeleton and the integers must match exactly,
 so the golden file keeps their SHA-256 digests; the floats must match within
-``FLOAT_RTOL``, since they pass through ``np.sin``, ``np.log`` and LAPACK,
-which may round differently on another CPU or numpy build.  Float lists are
+``FLOAT_RTOL``, since they pass through ``np.sin``, ``np.cos``, ``np.log``
+and LAPACK, which may round differently on another CPU or numpy build.
+``compare``'s Monte Carlo columns no longer pass through ``np.sin``: their
+sine is ``engines._sin_in_place``, built from IEEE arithmetic alone.  Float lists are
 stored once, by digest, so the nine histograms share two lists of bin
 centres.  The raw SHA-256 of each text and the numpy version are kept too,
 so ``--check`` also reports which texts are byte-identical.

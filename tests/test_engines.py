@@ -289,30 +289,55 @@ class TestPairMonteCarlo:
 
 class TestReducedSine:
     @pytest.mark.parametrize(
-        "law, scale", [("normal", 2750.0), ("uniform", 1e6), ("uniform", 1e12)]
+        "law, scale",
+        [
+            ("normal", 2750.0),
+            ("uniform", 1e6),
+            ("uniform", 1e12),
+            ("uniform", math.pi),
+            ("octave", 1.0),
+            ("half_pi_band", 1e-3),
+            ("pi_multiples", 1e-6),
+        ],
     )
     def test_matches_long_double_sine(self, law, scale):
         # N(0, 2750) is x = delta * delta_L in compare; past |k| = 2^27 the
-        # product k * hi rounds, within half an ulp of x
+        # product k * hi rounds, within half an ulp of x.  The polynomial is
+        # weakest where sin r nears 1: on [-pi, pi], on [1, 2) and about
+        # pi/2.  r^3 fl(1/6) in place of r^3 / 6, or -1/6 inside Q, exceeds
+        # the bound at about 5 in 10^6 points of [1, 2), so 10^6 are drawn.
+        # k pi +- 1e-6, k = 1 ... 10^4, checks the sign (-1)^k
         rng = np.random.default_rng(23)
+        n = 1_000_000
         if law == "normal":
-            x = rng.normal(0.0, scale, 50_000)
+            x = rng.normal(0.0, scale, n)
+        elif law == "uniform":
+            x = rng.uniform(-scale, scale, n)
+        elif law == "octave":
+            x = rng.uniform(scale, 2.0 * scale, n)
+        elif law == "half_pi_band":
+            x = 0.5 * math.pi + rng.uniform(-scale, scale, n)
         else:
-            x = rng.uniform(-scale, scale, 50_000)
+            k = np.arange(1, 10_001)[:, None]
+            offsets = rng.uniform(-scale, scale, (k.size, n // k.size))
+            x = (k * math.pi + offsets).ravel()
         got = x.copy()
         _sin_in_place(got, np.empty_like(x), np.empty_like(x))
         error = np.abs(got - np.sin(x.astype(np.longdouble)))
         assert np.all(error <= np.maximum(2.3e-16, np.spacing(np.abs(x))))
 
     @pytest.mark.parametrize("n", [50_001, 8192, 8191])
+    @pytest.mark.parametrize("mu", [1.0, 0.7])
+    @pytest.mark.parametrize("t", [0.5, 0.3, 0.7])
     @pytest.mark.parametrize("shape", list(SpectralShape))
-    def test_matches_unreduced_sine_kernel(self, k_pump, geometry, shape, n):
-        # the reduced sine moves the classical columns by rounding alone and
-        # leaves every coincidence count as it was, at the nine phases of
-        # compare
+    def test_matches_unreduced_sine_kernel(self, k_pump, geometry, shape, t, mu, n):
+        # the polynomial sine moves the classical columns by rounding alone
+        # and leaves every coincidence count as np.sin's, at the nine phases
+        # of compare, with imperfect splitters as well
         profile = SpectralProfile(k_pump=k_pump, delta_k=1.0 / LCOH, shape=shape)
+        base = replace(geometry, splitter_transmittance=t, mode_overlap=mu)
         for i in range(9):
-            g = phase_geometry(geometry, k_pump, i * 2.0 * math.pi / 8.0)
+            g = phase_geometry(base, k_pump, i * 2.0 * math.pi / 8.0)
             mean, stderr, coincidences = pair_monte_carlo(
                 profile, g, n, np.random.default_rng(100 + i)
             )
