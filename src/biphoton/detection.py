@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engines import SourceRates, generate_events
-from .errors import DomainError, PreconditionError, require_finite
+from .errors import DomainError, require_finite
 from .interferometer import InterferometerGeometry
 from .spectral import SpectralProfile
 
@@ -178,7 +178,7 @@ def tac_differences(
     starts = np.asarray(starts, dtype=float)
     stops = np.asarray(stops, dtype=float) + tac.electrical_delay
     if np.any(starts[1:] < starts[:-1]) or np.any(stops[1:] < stops[:-1]):
-        raise PreconditionError("TAC starts and stops must be sorted")
+        raise DomainError("TAC starts and stops must be sorted")
     # a start with no later stop pairs with one at infinity: it times out
     stop = np.append(stops, np.inf)[np.searchsorted(stops, starts, side="right")]
     diffs = stop - starts

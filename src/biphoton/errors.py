@@ -8,15 +8,8 @@ class BiphotonError(Exception):
 
 
 class DomainError(BiphotonError, ValueError):
-    """An argument is outside the physically meaningful domain."""
-
-
-class BoundaryError(DomainError):
-    """A classification was requested exactly on an undefined boundary."""
-
-
-class PreconditionError(BiphotonError, ValueError):
-    """A documented precondition of an operation was violated."""
+    """An argument is outside the physically meaningful domain, or violates a
+    documented precondition of the operation (such as unsorted TAC inputs)."""
 
 
 class ConfigError(BiphotonError):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from biphoton import (
 )
 from biphoton.analysis import _fixed_visibility_fit, acquire_scan_corpus, gate_scan
 from biphoton.detection import acquire_histogram
-from biphoton.errors import BoundaryError, FitError
+from biphoton.errors import DomainError, FitError
 from biphoton.interferometer import SPEED_OF_LIGHT
 from conftest import COHERENCE_LENGTH, flatness_pvalue
 
@@ -76,10 +77,10 @@ class TestRegime:
     def test_one_ns_is_quantum(self, geometry):
         assert classify_regime(1e-9, geometry) is Regime.QUANTUM
 
-    def test_boundary_rejected(self, geometry):
+    def test_boundary_is_quantum(self, geometry):
         split = 0.55 / SPEED_OF_LIGHT
-        with pytest.raises(BoundaryError):
-            classify_regime(split, geometry)
+        assert classify_regime(split, geometry) is Regime.QUANTUM
+        assert classify_regime(np.nextafter(split, 1.0), geometry) is Regime.CLASSICAL
 
 
 class TestFitVisibility:
@@ -141,6 +142,39 @@ class TestFitVisibility:
         scan.offsets = np.arange(8) * PUMP
         with pytest.raises(FitError, match="phase"):
             fit_visibility(scan, known_period=PUMP)
+
+    def test_negative_counts_rejected(self):
+        scan = synthetic_scan(0.5)
+        with pytest.raises(DomainError, match="nonnegative"):
+            replace(scan, coincidences=-scan.coincidences)
+
+    @pytest.mark.parametrize("vis", [0.2, 0.5, 0.8, 1.0])
+    def test_point_order_is_irrelevant(self, vis):
+        # the likelihood, the design rank and chi2 are sums over the points;
+        # at V = 1 the phase grid and the boundary stall see the summation
+        # order, so the fit may move by its own grid resolution there
+        tol = 1e-6 if vis == 1.0 else 1e-12
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            scan = synthetic_scan(vis, phase=0.4 + seed, rng=rng)
+            order = rng.permutation(scan.offsets.size)
+            shuffled = replace(
+                scan,
+                offsets=scan.offsets[order],
+                singles_a=scan.singles_a[order],
+                singles_b=scan.singles_b[order],
+                coincidences=scan.coincidences[order],
+            )
+            a = fit_visibility(scan, known_period=PUMP)
+            b = fit_visibility(shuffled, known_period=PUMP)
+            assert b.verdict is a.verdict
+            assert b.visibility == pytest.approx(a.visibility, rel=tol, abs=0)
+            assert abs(math.remainder(b.phase - a.phase, 2 * math.pi)) <= tol
+            if vis < 1.0:
+                for field in ("visibility_sigma", "baseline", "chi2"):
+                    assert getattr(b, field) == pytest.approx(
+                        getattr(a, field), rel=tol, abs=0
+                    )
 
     @pytest.mark.parametrize("baseline", [20.0, 2000.0])
     def test_full_visibility_with_point_on_null(self, baseline):

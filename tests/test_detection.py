@@ -24,7 +24,7 @@ from biphoton.detection import (
     window_channels,
 )
 from biphoton.engines import expected_class_probabilities
-from biphoton.errors import DomainError, PreconditionError
+from biphoton.errors import DomainError
 from biphoton.interferometer import SPEED_OF_LIGHT
 from conftest import phase_geometry
 from oracle import (
@@ -339,7 +339,7 @@ class TestTac:
         ids=["starts", "stops"],
     )
     def test_unsorted_input_rejected(self, starts, stops):
-        with pytest.raises(PreconditionError, match="sorted"):
+        with pytest.raises(DomainError, match="sorted"):
             tac_differences(np.array(starts), np.array(stops), TAC)
 
 
