@@ -149,7 +149,9 @@ def gate_scan(corpus: ScanCorpus, tac: TacConfig, window_width: float) -> Fringe
 
 
 _PHASE_GRID = 64
-_REFINEMENTS = 5  # each splits the step by 32: 2 pi/64/32**5 = 3e-9 rad
+# each refinement splits the step by 32, to 2 pi/64/32**5 = 3e-9 rad; at V = 1,
+# though, the maximum is flat to rounding over about 1e-7 rad
+_REFINEMENTS = 5
 _TOLERANCE = 1e-10  # Newton decrement, about twice the log-likelihood still to gain
 _LR_THRESHOLD = 4.0  # (2 sigma)^2: the one-sided 2-sigma level
 

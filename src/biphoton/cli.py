@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -70,13 +71,18 @@ def _artifacts(args, config_hash: str, names: list[str]) -> list[Path]:
     return paths
 
 
+# the config hash of a CSV (``# config_hash=H``) or JSON (``"config_hash": "H"``)
+# artifact; H is any token, not hex only, so a foreign one is refused too
+_HASH_LINE = re.compile(r'(?:^# config_hash=|"config_hash": ")([^\s"]+)', re.M)
+
+
 def _guard_overwrite(path: Path, config_hash: str, force: bool) -> None:
     """Refuse an output path that is a directory, or, unless ``force``, one
     that is not a regular file (a named pipe would block the read) or that
     holds an artifact of a different configuration.
 
     Only the first 4096 bytes of an existing file are read; bytes that are
-    not UTF-8 hold no hash line.
+    not UTF-8 hold no hash.
     """
     if path.is_dir():
         raise ConfigError(f"cannot write {path}: it is a directory")
@@ -92,17 +98,12 @@ def _guard_overwrite(path: Path, config_hash: str, force: bool) -> None:
             head = fh.read(4096).decode("utf-8", errors="replace")
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
-    for line in head.splitlines():
-        token = None
-        if line.startswith("# config_hash="):
-            token = line.split("=", 1)[1].strip()
-        elif '"config_hash"' in line:
-            token = line.split(":", 1)[1].strip().strip('",')
-        if token and token != config_hash:
-            raise ConfigError(
-                f"{path} was produced with config hash {token}, current hash is "
-                f"{config_hash}; pass --force to overwrite"
-            )
+    found = _HASH_LINE.search(head)
+    if found and found[1] != config_hash:
+        raise ConfigError(
+            f"{path} was produced with config hash {found[1]}, current hash is "
+            f"{config_hash}; pass --force to overwrite"
+        )
 
 
 def _write(texts: dict[Path, str]) -> None:
@@ -191,18 +192,22 @@ def cmd_fringes(args) -> int:
     _check_windows(windows_s, tac)
     chash = cfg.config_hash()
     tags = [_window_tag(window) for window in windows_s]
-    scan_paths = _artifacts(args, chash, [f"fringes_scan_{tag}.csv" for tag in tags])
-    report_paths = _artifacts(
-        args, chash, [f"fringes_report_{tag}.json" for tag in tags]
+    # the scans' paths, then the reports'
+    paths = _artifacts(
+        args,
+        chash,
+        [f"fringes_scan_{tag}.csv" for tag in tags]
+        + [f"fringes_report_{tag}.json" for tag in tags],
     )
     profile = cfg.profile()
     geometry = cfg.geometry()
+    detector = cfg.detector()
     corpus = acquire_scan_corpus(
         profile,
         geometry,
         cfg.rates(),
-        cfg.detector(),
-        cfg.detector(),
+        detector,
+        detector,
         tac,
         cfg.scan_offsets(),
         cfg.data["scan"]["duration_s"],
@@ -213,7 +218,7 @@ def cmd_fringes(args) -> int:
     # cannot be fitted leaves no file
     texts, lines = {}, []
     for window, tag, scan_path, report_path in zip(
-        windows_s, tags, scan_paths, report_paths
+        windows_s, tags, paths, paths[len(tags) :]
     ):
         scan = gate_scan(corpus, tac, window)
         regime = classify_regime(window, geometry)
@@ -273,7 +278,7 @@ def cmd_compare(args) -> int:
 
 def cmd_print_config(args) -> int:
     cfg = _load_config(args)
-    print(cfg.canonical_json())
+    print(json.dumps(cfg.data, sort_keys=True, indent=2))
     return 0
 
 

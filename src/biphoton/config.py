@@ -7,7 +7,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 
@@ -147,12 +146,6 @@ class ExperimentConfig:
     def from_file(cls, path) -> "ExperimentConfig":
         return cls.from_dict(read_config_file(path))
 
-    @classmethod
-    def packaged(cls, name: str) -> "ExperimentConfig":
-        """Load a config shipped with the package (e.g. 'experimental')."""
-        raw = (resources.files("biphoton") / "configs" / f"{name}.json").read_bytes()
-        return cls.from_dict(_parse_config(raw))
-
     # builders -----------------------------------------------------------
 
     def profile(self) -> SpectralProfile:
@@ -283,9 +276,6 @@ class ExperimentConfig:
 
     # serialization ------------------------------------------------------
 
-    def canonical_json(self) -> str:
-        return json.dumps(self.data, sort_keys=True, indent=2)
-
     def config_hash(self) -> str:
         digest = hashlib.sha256(
             json.dumps(self.data, sort_keys=True, separators=(",", ":")).encode()
@@ -315,8 +305,13 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
-def _parse_config(raw: bytes) -> dict:
-    """The raw key/value data of a UTF-8 JSON config, not yet merged."""
+def read_config_file(path) -> dict:
+    """The raw key/value data of a UTF-8 JSON config file, not yet merged."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from exc
     try:
         return json.loads(
             raw.decode(), parse_int=_parse_int, object_pairs_hook=_unique_keys
@@ -325,12 +320,3 @@ def _parse_config(raw: bytes) -> dict:
         raise ConfigError("config file nests arrays or objects too deeply") from None
     except ValueError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-
-
-def read_config_file(path) -> dict:
-    """The raw key/value data of a JSON config file, not yet merged."""
-    try:
-        with open(path, "rb") as fh:
-            return _parse_config(fh.read())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from exc

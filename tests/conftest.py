@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.special import chdtrc
 
+import biphoton
 from biphoton import (
     InterferometerGeometry,
     SourceRates,
@@ -11,6 +14,8 @@ from biphoton import (
 
 PUMP_WAVELENGTH = 427e-9
 COHERENCE_LENGTH = 100e-6
+#: the configs shipped with the package, read by path as the CLI reads them
+CONFIGS = Path(biphoton.__file__).parent / "configs"
 
 
 @pytest.fixture

@@ -43,7 +43,7 @@ FLOAT_RTOL = 1e-12
 SEEDS = (1, 2, 3)
 WINDOWS = [a for w in ("1", "2", "3", "5", "7") for a in ("--window", w)]
 ALL = (["histogram"], ["fringes", *WINDOWS], ["compare"])
-#: run group -> (config: None for the defaults, a packaged name, or data;
+#: run group -> (config: None for the defaults, a shipped config's name, or data;
 #: the commands run on it)
 MATRIX = {
     "default": (None, ALL),

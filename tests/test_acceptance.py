@@ -26,6 +26,7 @@ from biphoton.interferometer import InterferometerGeometry, delta_L
 from biphoton.spectral import SpectralProfile, coherence_length, sample_signal
 
 from conftest import (
+    CONFIGS,
     COHERENCE_LENGTH,
     PUMP_WAVELENGTH,
     flatness_pvalue,
@@ -82,7 +83,7 @@ def tac_m():
 
 @pytest.fixture(scope="module")
 def experimental_corpus():
-    cfg = ExperimentConfig.packaged("experimental")
+    cfg = ExperimentConfig.from_file(CONFIGS / "experimental.json")
     corpus = acquire_scan_corpus(
         cfg.profile(),
         cfg.geometry(),

@@ -17,6 +17,7 @@ from biphoton.cli import main
 from biphoton.config import DEFAULTS, KEYS, ExperimentConfig
 from biphoton.errors import ConfigError
 from biphoton.spectral import sample_signal
+from conftest import CONFIGS
 
 
 def write_config(tmp_path, overrides, name="config.json"):
@@ -110,14 +111,14 @@ class TestConfig:
         assert a != c
 
     def test_packaged_experimental(self):
-        cfg = ExperimentConfig.packaged("experimental")
+        cfg = ExperimentConfig.from_file(CONFIGS / "experimental.json")
         assert cfg.data["geometry"]["mode_overlap"] == 0.8
 
     def test_hashes_pinned(self):
         # a table row that changes a default's value or type (1.0e5 must stay
         # a float) changes the hash of every output
         assert ExperimentConfig.from_dict({}).config_hash() == "35faa932129b"
-        experimental = ExperimentConfig.packaged("experimental")
+        experimental = ExperimentConfig.from_file(CONFIGS / "experimental.json")
         assert experimental.config_hash() == "8fadb9211e84"
 
     def test_fuzzed_overrides_end_in_config_error(self):
@@ -528,6 +529,29 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: config file must be an object")
 
+    # a config file that cannot be read or parsed ends in one error line
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("malformed", "config file is not valid JSON: "),
+            ("not_utf8", "config file is not valid JSON: "),
+            ("missing", "cannot read config file: [Errno 2] "),
+            ("directory", "cannot read config file: [Errno 21] "),
+        ],
+    )
+    def test_unreadable_config_file(self, tmp_path, capsys, fault, message):
+        path = tmp_path / "config.json"
+        if fault == "malformed":
+            path.write_text("{")
+        elif fault == "not_utf8":
+            path.write_bytes(b"\xff\xfe{}")
+        elif fault == "directory":
+            path.mkdir()
+        assert main(["print-config", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1, err
+        assert err.startswith(f"error: {message}"), err
+
     @pytest.mark.parametrize("depth", [986, 100_000])
     @pytest.mark.parametrize("where", ["file", "value"])
     def test_deep_nesting_refused(self, tmp_path, capsys, depth, where):
@@ -565,17 +589,6 @@ class TestCliCommands:
             "error: rates.pair_rate must be a finite number in [0, inf), "
             f"got {repr(value)[:40]}\n"
         )
-
-    def test_packaged_config_parsed_like_a_file(self, tmp_path, monkeypatch):
-        configs = tmp_path / "configs"
-        configs.mkdir()
-        (configs / "twice.json").write_text('{"run": {"seed": 1, "seed": 2}}')
-        (configs / "digits.json").write_text('{"run": {"seed": 1%s}}' % ("0" * 5000))
-        monkeypatch.setattr("biphoton.config.resources.files", lambda package: tmp_path)
-        with pytest.raises(ConfigError, match="gives the key 'seed' twice"):
-            ExperimentConfig.packaged("twice")
-        with pytest.raises(ConfigError, match="an integer of 5001 digits"):
-            ExperimentConfig.packaged("digits")
 
     def test_validated_once(self, monkeypatch, capsys):
         calls = []
@@ -654,15 +667,36 @@ class TestCliCommands:
             out2 / "histogram.csv"
         ).read_bytes()
 
-    def test_overwrite_guard(self, tmp_path):
+    @pytest.mark.parametrize(
+        "command, artifact",
+        [
+            ("histogram", "histogram.csv"),
+            ("fringes", "fringes_report_1ns.json"),
+            ("compare", "compare.json"),
+        ],
+    )
+    def test_overwrite_guard(self, tmp_path, capsys, command, artifact):
         cfg = write_config(tmp_path, SMALL_RUN)
+        run = {**SMALL_RUN["run"], "seed": 9}
+        other = write_config(tmp_path, {**SMALL_RUN, "run": run}, "b.json")
         out = tmp_path / "out"
-        assert main(["histogram", "--config", cfg, "--out", str(out)]) == 0
-        other = write_config(tmp_path, {**SMALL_RUN, "run": {"seed": 9}}, "b.json")
-        assert main(["histogram", "--config", other, "--out", str(out)]) == 2
-        assert main(
-            ["histogram", "--config", other, "--out", str(out), "--force"]
-        ) == 0
+        argv = [command, "--out", str(out), "--config"]
+        assert main([*argv, cfg]) == 0
+        assert main([*argv, cfg]) == 0
+        assert main([*argv, other]) == 2
+        assert main([*argv, other, "--force"]) == 0
+        # a foreign token that is not hex, in a file that is not all UTF-8
+        path = out / artifact
+        chash = ExperimentConfig.from_file(other).config_hash()
+        text = path.read_text()
+        assert chash in text
+        path.write_bytes(text.replace(chash, "not-hex").encode() + b"\xff\xfe\n")
+        capsys.readouterr()
+        assert main([*argv, other]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path} was produced with config hash not-hex, current hash "
+            f"is {chash}; pass --force to overwrite\n"
+        )
 
     # each fault of an output path ends in one error line before any
     # acquisition, and leaves every file as it was

@@ -334,6 +334,20 @@ class TestTac:
             replace(TAC, **{field: value})
 
     @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("range", 0.0, "TAC range must be positive"),
+            ("range", -20e-9, "TAC range must be positive"),
+            ("n_channels", 1, "TAC needs at least 2 channels"),
+            ("electrical_delay", -1e-9, "electrical delay must be nonnegative"),
+        ],
+        ids=["zero_range", "negative_range", "one_channel", "negative_delay"],
+    )
+    def test_out_of_domain_config_rejected(self, field, value, message):
+        with pytest.raises(DomainError, match=message):
+            replace(TAC, **{field: value})
+
+    @pytest.mark.parametrize(
         "starts, stops",
         [([2e-9, 1e-9], [-5e-9]), ([1e-9], [-5e-9, -7e-9])],
         ids=["starts", "stops"],

@@ -39,7 +39,7 @@ from biphoton.engines import (
 from biphoton.errors import DomainError
 from biphoton.interferometer import class_probabilities_pair, transit_times
 from biphoton.spectral import SpectralShape, sample_signal, wavelength_to_wavenumber
-from conftest import PUMP_WAVELENGTH, phase_geometry, wide_rate
+from conftest import CONFIGS, PUMP_WAVELENGTH, phase_geometry, wide_rate
 from oracle import (
     TRUTH_BACKGROUND,
     class_probabilities_pair_oracle,
@@ -59,10 +59,10 @@ UNIT = SourceRates(pair_rate=2.0, singles_background=0.0)
 
 
 def named_config(name: str) -> ExperimentConfig:
-    """The defaults for ``"default"``, otherwise the packaged config ``name``."""
+    """The defaults for ``"default"``, otherwise the shipped config ``name``."""
     if name == "default":
         return ExperimentConfig.from_dict({})
-    return ExperimentConfig.packaged(name)
+    return ExperimentConfig.from_file(CONFIGS / f"{name}.json")
 
 
 class TestQuantumRates:
@@ -380,6 +380,21 @@ class TestEventGeneration:
         stream = generate_events(profile, geometry, rates, 0.0, rng)
         assert len(stream) == 0
 
+    @pytest.mark.parametrize(
+        "duration, efficiency, message",
+        [
+            (-1e-3, (1.0, 1.0), "duration must be nonnegative"),
+            (1e-3, (1.5, 1.0), r"efficiencies must lie in \[0, 1\]"),
+            (1e-3, (1.0, -0.1), r"efficiencies must lie in \[0, 1\]"),
+        ],
+        ids=["negative_duration", "efficiency_above_one", "negative_efficiency"],
+    )
+    def test_out_of_domain_rejected(
+        self, profile, geometry, rates, rng, duration, efficiency, message
+    ):
+        with pytest.raises(DomainError, match=message):
+            generate_events(profile, geometry, rates, duration, rng, efficiency)
+
     def test_stream_sorted_and_labeled(self, profile, geometry, rates, rng):
         stream = generate_events(profile, geometry, rates, 0.01, rng)
         assert stream.pairs_per_class.shape == (4,)
@@ -395,7 +410,7 @@ class TestEventGeneration:
     def test_matches_merged_oracle(self, config, duration, pair_rate):
         # with no pairs to draw, the two draw the same background clicks from
         # the same seed and consume the same draws
-        cfg = ExperimentConfig.packaged(config)
+        cfg = ExperimentConfig.from_file(CONFIGS / f"{config}.json")
         profile, geometry, rates = cfg.profile(), cfg.geometry(), cfg.rates()
         if pair_rate is not None:
             rates = SourceRates(pair_rate, rates.singles_background)

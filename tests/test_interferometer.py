@@ -41,9 +41,21 @@ class TestDeltaL:
         g = geometry.with_offset(100e-9)
         assert delta_L(g) - delta_L(geometry) == pytest.approx(1e-7, rel=1e-9)
 
-    def test_degenerate_zero_rejected(self):
-        with pytest.raises(DomainError):
-            InterferometerGeometry(path_short=0.5, path_long_base=0.5)
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("path_long_base", 0.5, "long arm must exceed short arm"),
+            ("splitter_transmittance", 0.0, r"transmittance must lie in \(0, 1\)"),
+            ("splitter_transmittance", 1.0, r"transmittance must lie in \(0, 1\)"),
+            ("mode_overlap", -0.1, r"mode_overlap must lie in \[0, 1\]"),
+            ("mode_overlap", 1.1, r"mode_overlap must lie in \[0, 1\]"),
+        ],
+        ids=["equal_arms", "t_zero", "t_one", "mu_negative", "mu_above_one"],
+    )
+    def test_out_of_domain_rejected(self, field, value, message):
+        arms = {"path_short": 0.5, "path_long_base": 1.05, field: value}
+        with pytest.raises(DomainError, match=message):
+            InterferometerGeometry(**arms)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(

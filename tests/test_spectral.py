@@ -42,11 +42,11 @@ class TestCoherenceLength:
                 1.0, rel=1e-12
             )
 
-    def test_nonpositive_delta_k_rejected(self):
-        with pytest.raises(DomainError):
-            SpectralProfile(k_pump=1.0e7, delta_k=0.0)
-        with pytest.raises(DomainError):
-            SpectralProfile(k_pump=1.0e7, delta_k=-1.0)
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    @pytest.mark.parametrize("field", ["k_pump", "delta_k"])
+    def test_nonpositive_rejected(self, field, value):
+        with pytest.raises(DomainError, match=f"{field} must be positive"):
+            SpectralProfile(**{"k_pump": 1.0e7, "delta_k": 1.0, field: value})
 
 
 class TestWavenumberConversion:
