@@ -8,34 +8,6 @@ visibility analysis with a classical-bound verdict.
 
 __version__ = "0.1.0"
 
-from .analysis import (  # noqa: F401
-    FringeScan,
-    Regime,
-    Verdict,
-    VisibilityReport,
-    classify_regime,
-    fit_visibility,
-)
-from .detection import (  # noqa: F401
-    DetectorModel,
-    TacConfig,
-    acquire_histogram,
-    gate_count,
-)
-from .engines import (  # noqa: F401
-    EventStream,
-    SourceRates,
-    classical_rate,
-    generate_events,
-    quantum_rate_narrow,
-)
-from .interferometer import (  # noqa: F401
-    InterferometerGeometry,
-    delta_L,
-)
-from .spectral import (  # noqa: F401
-    SpectralProfile,
-    SpectralShape,
-    coherence_length,
-    wavelength_to_wavenumber,
-)
+# bound here too only because the benchmark's trace checks that it patches
+# this binding (ROADMAP item 9); import every name from its own module
+from .detection import gate_count  # noqa: F401

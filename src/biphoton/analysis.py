@@ -1,10 +1,11 @@
 """Fringe-scan orchestration, visibility fitting, and the classicality verdict.
 
-The regime label compares the coincidence window's width with the
-arrival-time split delta_L/c, strictly: wider is classical, anything else
-quantum.  It ignores the jitter-broadened side peaks, so a window just wider
-than the split can still gate out most of them and fit a V well above 50%
-(ROADMAP item 1 derives the label from the gated peaks).  A locked-period
+The regime label reads the gate the window applies, delay +/- W/2: the
+window is classical when its half-width strictly exceeds the arrival-time
+split delta_L/c, so the gate reaches the side peaks' centres, and quantum
+otherwise.  It ignores the peaks' jitter width, so a window whose half-width
+lies just past the split still cuts off part of them and can fit a V above
+50% (ROADMAP item 1 derives the label from the gated peaks).  A locked-period
 Poisson fit whose one-sided likelihood-ratio test rejects V <= 0.5 at 2 sigma
 is nonclassical.
 A scan is acquired once, a row of :func:`acquire_histogram` per point, and a
@@ -13,7 +14,7 @@ window gates every row at once, as one range of the TAC's channels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
@@ -36,10 +37,10 @@ class Verdict(Enum):
 
 
 def classify_regime(window_width: float, geometry: InterferometerGeometry) -> Regime:
-    """Classical if the width strictly exceeds delta_L/c, else quantum, even
-    at equality; the side peaks the window holds are not considered."""
+    """Classical if the gate's half-width strictly exceeds delta_L/c, so it
+    reaches the side peaks' centres, else quantum, even at equality."""
     split = delta_L(geometry) / SPEED_OF_LIGHT
-    return Regime.CLASSICAL if window_width > split else Regime.QUANTUM
+    return Regime.CLASSICAL if window_width / 2 > split else Regime.QUANTUM
 
 
 @dataclass
@@ -60,10 +61,12 @@ class FringeScan:
 
 @dataclass
 class VisibilityReport:
+    """A fit's result; each field is the key it is written under."""
+
     visibility: float
     visibility_sigma: float
-    period: float
-    phase: float
+    period_m: float
+    phase_rad: float
     baseline: float
     regime: Regime | None
     verdict: Verdict
@@ -71,16 +74,9 @@ class VisibilityReport:
     n_points: int
 
     def to_dict(self) -> dict:
-        return {
-            "visibility": self.visibility,
-            "visibility_sigma": self.visibility_sigma,
-            "period_m": self.period,
-            "phase_rad": self.phase,
-            "baseline": self.baseline,
+        return asdict(self) | {
             "regime": self.regime.value if self.regime else None,
             "verdict": self.verdict.value,
-            "chi2": self.chi2,
-            "n_points": self.n_points,
         }
 
 
@@ -274,8 +270,8 @@ def fit_visibility(
     return VisibilityReport(
         visibility=vis,
         visibility_sigma=vis_sigma,
-        period=float(known_period),
-        phase=math.remainder(phase, TWO_PI),
+        period_m=float(known_period),
+        phase_rad=math.remainder(phase, TWO_PI),
         baseline=baseline,
         regime=regime,
         verdict=verdict,

@@ -5,17 +5,22 @@ import pytest
 from scipy.special import chdtrc
 
 import biphoton
-from biphoton import (
-    InterferometerGeometry,
-    SourceRates,
-    SpectralProfile,
-    wavelength_to_wavenumber,
-)
+from biphoton.config import ExperimentConfig
+from biphoton.engines import SourceRates
+from biphoton.interferometer import InterferometerGeometry
+from biphoton.spectral import SpectralProfile, wavelength_to_wavenumber
 
 PUMP_WAVELENGTH = 427e-9
 COHERENCE_LENGTH = 100e-6
 #: the configs shipped with the package, read by path as the CLI reads them
 CONFIGS = Path(biphoton.__file__).parent / "configs"
+
+
+def named_config(name: str) -> ExperimentConfig:
+    """The defaults for ``"default"``, otherwise the shipped config ``name``."""
+    if name == "default":
+        return ExperimentConfig.from_dict({})
+    return ExperimentConfig.from_file(CONFIGS / f"{name}.json")
 
 
 @pytest.fixture

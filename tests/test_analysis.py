@@ -7,25 +7,28 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from biphoton import (
-    DetectorModel,
+from biphoton.analysis import (
     FringeScan,
-    InterferometerGeometry,
     Regime,
-    SourceRates,
-    SpectralProfile,
-    TacConfig,
     Verdict,
+    _fixed_visibility_fit,
+    acquire_scan_corpus,
     classify_regime,
     fit_visibility,
-    gate_count,
-    wavelength_to_wavenumber,
+    gate_scan,
 )
-from biphoton.analysis import _fixed_visibility_fit, acquire_scan_corpus, gate_scan
-from biphoton.detection import acquire_histogram
+from biphoton.detection import (
+    DetectorModel,
+    TacConfig,
+    acquire_histogram,
+    gate_count,
+    window_channels,
+)
+from biphoton.engines import SourceRates
 from biphoton.errors import DomainError, FitError
-from biphoton.interferometer import SPEED_OF_LIGHT
-from conftest import COHERENCE_LENGTH, flatness_pvalue
+from biphoton.interferometer import SPEED_OF_LIGHT, InterferometerGeometry, delta_L
+from biphoton.spectral import SpectralProfile, wavelength_to_wavenumber
+from conftest import COHERENCE_LENGTH, flatness_pvalue, named_config
 
 PUMP = 427e-9
 IDEAL = DetectorModel(timing_jitter_sigma=300e-12, dead_time=0.0, efficiency=1.0)
@@ -78,9 +81,34 @@ class TestRegime:
         assert classify_regime(1e-9, geometry) is Regime.QUANTUM
 
     def test_boundary_is_quantum(self, geometry):
-        split = 0.55 / SPEED_OF_LIGHT
-        assert classify_regime(split, geometry) is Regime.QUANTUM
-        assert classify_regime(np.nextafter(split, 1.0), geometry) is Regime.CLASSICAL
+        # the gate is delay +/- W/2, so the edge is W = 2 delta_L/c
+        edge = 2 * (0.55 / SPEED_OF_LIGHT)
+        assert classify_regime(edge, geometry) is Regime.QUANTUM
+        assert classify_regime(np.nextafter(edge, 1.0), geometry) is Regime.CLASSICAL
+
+    @pytest.mark.parametrize("config", ["default", "experimental"])
+    def test_label_matches_gate(self, config):
+        # classical exactly when the channels nearest the side peaks' centres,
+        # delay +/- delta_L/c, lie inside the window's channel range; widths
+        # whose half lies within one channel of delta_L/c are not decided
+        cfg = named_config(config)
+        tac, geometry = cfg.tac(), cfg.geometry()
+        split = delta_L(geometry) / SPEED_OF_LIGHT
+        delay, channel = tac.electrical_delay, tac.range / tac.n_channels
+        near_lo, near_hi = (
+            int(np.argmin(np.abs(tac.bin_centers - (delay + side))))
+            for side in (-split, split)
+        )
+        decided = 0
+        for width in np.arange(20, 1901) * 1e-11:
+            if abs(width / 2 - split) <= channel:
+                continue
+            gate = window_channels(tac, delay, width)
+            holds_sides = gate.start <= near_lo and near_hi < gate.stop
+            classical = classify_regime(width, geometry) is Regime.CLASSICAL
+            assert classical == holds_sides, width
+            decided += 1
+        assert decided > 1800
 
 
 class TestFitVisibility:
@@ -169,7 +197,7 @@ class TestFitVisibility:
             b = fit_visibility(shuffled, known_period=PUMP)
             assert b.verdict is a.verdict
             assert b.visibility == pytest.approx(a.visibility, rel=tol, abs=0)
-            assert abs(math.remainder(b.phase - a.phase, 2 * math.pi)) <= tol
+            assert abs(math.remainder(b.phase_rad - a.phase_rad, 2 * math.pi)) <= tol
             if vis < 1.0:
                 for field in ("visibility_sigma", "baseline", "chi2"):
                     assert getattr(b, field) == pytest.approx(
@@ -207,7 +235,7 @@ class TestFitVisibility:
             report = fit_visibility(scan, known_period=PUMP)
             assert 0.0 <= report.visibility <= 1.0
             fitted = poisson_loglik(
-                scan, report.baseline, report.visibility, report.phase
+                scan, report.baseline, report.visibility, report.phase_rad
             )
             theta = 2 * math.pi * scan.offsets / PUMP
             for v in np.linspace(0.0, 1.0, 21):

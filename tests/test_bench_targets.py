@@ -2,8 +2,11 @@ import importlib
 import json
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
+
+import biphoton
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -47,3 +50,15 @@ def test_one_job_of_each_workload(monkeypatch, tmp_path, name):
     checks, _ = workloads.check(ctx, workloads.collect(ctx, payload))
     assert checks
     assert [c for c in checks if not c[1]] == []
+
+
+def test_package_root_binds_version_and_gate_count():
+    # every name is imported from the module that defines it; the root keeps
+    # its version and the one binding the traced benchmark patches there
+    public = {
+        name
+        for name, value in vars(biphoton).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert public == {"gate_count"}
+    assert isinstance(biphoton.__version__, str)

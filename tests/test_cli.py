@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -766,6 +767,29 @@ class TestCliCommands:
         assert err.startswith(f"error: cannot write {out / name}: "), err
         assert err.count("\n") == 1 and "Traceback" not in err, err
         assert {p: p.is_dir() or p.read_bytes() for p in tmp_path.rglob("*")} == before
+
+    def test_unreadable_artifact_exit_code(self, tmp_path, capsys, monkeypatch):
+        # an existing artifact whose head cannot be read for its hash: one
+        # error line naming it, exit 2, and nothing written
+        cfg = write_config(tmp_path, SMALL_RUN)
+        out = tmp_path / "out"
+        argv = ["histogram", "--config", cfg, "--out", str(out)]
+        assert main(argv) == 0
+
+        def unreadable(path, mode="r", *args, **kwargs):
+            if mode == "rb":
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+            return open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", unreadable, raising=False)
+        before = {p: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read {out / 'histogram.csv'}: "
+            f"{os.strerror(errno.EACCES)}\n"
+        )
+        assert {p: p.read_bytes() for p in out.iterdir()} == before
 
     def test_dangling_symlink_artifact_is_replaced(self, tmp_path):
         # the rename into place replaces the link itself, and writes nothing

@@ -6,24 +6,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from biphoton import (
-    DetectorModel,
-    SourceRates,
-    TacConfig,
-    acquire_histogram,
-    gate_count,
-    generate_events,
-)
 from biphoton import detection
 from biphoton.detection import (
+    DetectorModel,
+    TacConfig,
     _accept_free,
+    acquire_histogram,
     detect_clicks,
     detect_streams,
+    gate_count,
     histogram_from_clicks,
     tac_differences,
     window_channels,
 )
-from biphoton.engines import expected_class_probabilities
+from biphoton.engines import SourceRates, expected_class_probabilities, generate_events
 from biphoton.errors import DomainError
 from biphoton.interferometer import SPEED_OF_LIGHT
 from conftest import phase_geometry

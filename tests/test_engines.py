@@ -9,14 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from biphoton import (
-    InterferometerGeometry,
-    SourceRates,
-    SpectralProfile,
-    classical_rate,
-    generate_events,
-    quantum_rate_narrow,
-)
 from biphoton import engines
 from biphoton.config import ExperimentConfig
 from biphoton.detection import (
@@ -27,19 +19,32 @@ from biphoton.detection import (
 )
 from biphoton.engines import (
     EventStream,
+    SourceRates,
     _sin_in_place,
     classical_monte_carlo,
+    classical_rate,
     expected_class_probabilities,
+    generate_events,
     normalization_check,
     pair_monte_carlo,
+    quantum_rate_narrow,
     residual_integral,
     sample_pair_outcomes,
     side_class_rate,
 )
 from biphoton.errors import DomainError
-from biphoton.interferometer import class_probabilities_pair, transit_times
-from biphoton.spectral import SpectralShape, sample_signal, wavelength_to_wavenumber
-from conftest import CONFIGS, PUMP_WAVELENGTH, phase_geometry, wide_rate
+from biphoton.interferometer import (
+    InterferometerGeometry,
+    class_probabilities_pair,
+    transit_times,
+)
+from biphoton.spectral import (
+    SpectralProfile,
+    SpectralShape,
+    sample_signal,
+    wavelength_to_wavenumber,
+)
+from conftest import CONFIGS, PUMP_WAVELENGTH, named_config, phase_geometry, wide_rate
 from oracle import (
     TRUTH_BACKGROUND,
     class_probabilities_pair_oracle,
@@ -56,13 +61,6 @@ from oracle import (
 LCOH = 100e-6
 #: R/2 = 1, so classical_rate is the classical bracket itself
 UNIT = SourceRates(pair_rate=2.0, singles_background=0.0)
-
-
-def named_config(name: str) -> ExperimentConfig:
-    """The defaults for ``"default"``, otherwise the shipped config ``name``."""
-    if name == "default":
-        return ExperimentConfig.from_dict({})
-    return ExperimentConfig.from_file(CONFIGS / f"{name}.json")
 
 
 class TestQuantumRates:

@@ -6,11 +6,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import constants
 
-from biphoton import InterferometerGeometry, delta_L
 from biphoton.errors import DomainError
 from biphoton.interferometer import (
     SPEED_OF_LIGHT,
+    InterferometerGeometry,
     class_probabilities_pair,
+    delta_L,
     fringe_phase,
     offset_for_phase,
 )

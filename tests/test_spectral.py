@@ -5,14 +5,14 @@ import pytest
 from scipy import stats
 from scipy.integrate import simpson
 
-from biphoton import (
+from biphoton.errors import DomainError
+from biphoton.spectral import (
     SpectralProfile,
     SpectralShape,
     coherence_length,
+    sample_signal,
     wavelength_to_wavenumber,
 )
-from biphoton.errors import DomainError
-from biphoton.spectral import sample_signal
 
 # independently computed: delta_k = 2*pi*delta_lambda/lambda^2 for
 # delta_lambda = 1 nm at 854 nm, and the matching coherence length
