@@ -13,7 +13,7 @@ import numpy as np
 from .analysis import fringe_design
 from .detection import DetectorModel, TacConfig
 from .engines import SourceRates
-from .errors import BiphotonError, ConfigError
+from .errors import ConfigError, FitError
 from .interferometer import SPEED_OF_LIGHT, InterferometerGeometry, delta_L
 from .spectral import (
     SpectralProfile,
@@ -110,19 +110,12 @@ def _refusal(name: str, value, default, allowed) -> str | None:
         lo, hi = (float(end) for end in allowed[1:-1].split(","))
         above = lo <= value if allowed[0] == "[" else lo < value
         below = value <= hi if allowed[-1] == "]" else value < hi
-        # the builders turn a float key's int into a float, which must be finite
+        # the builders pass an int through unchanged, but the float arithmetic
+        # on a float key's value converts it, so it must be finite as a float
         if above and below and (integer or abs(value) <= sys.float_info.max):
             return None
     kind = "an integer" if integer else "a finite number"
     return f"{name} must be {kind} in {allowed}, got {value!r:.40}"
-
-
-def _build(section: str, builder):
-    """``builder()``, with any error it raises as a ConfigError naming ``section``."""
-    try:
-        return builder()
-    except (BiphotonError, ValueError, TypeError, ArithmeticError) as exc:
-        raise ConfigError(f"{section}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -210,7 +203,19 @@ class ExperimentConfig:
                 f"geometry.path_long_base_m = {geo['path_long_base_m']} m must "
                 f"exceed geometry.path_short_m = {geo['path_short_m']} m"
             )
-        profile = _build("source", self.profile)
+        profile = self.profile()
+        src = self.data["source"]
+        # a positive length below about 1e-308 m passes KEYS, but the
+        # wavenumber derived from it overflows
+        for key, name, derived in (
+            ("pump_wavelength_m", "k_pump = 2*pi/lambda", profile.k_pump),
+            ("coherence_length_m", "delta_k = 1/l_c", profile.delta_k),
+        ):
+            if not math.isfinite(derived):
+                raise ConfigError(
+                    f"source.{key} = {src[key]!r} m is too small: "
+                    f"{name} overflows to inf"
+                )
         lo, hi = profile.support()
         if not (lo > 0.0 and hi < profile.k_pump):
             # pairs need 0 < k1 < k_pump, and both the sampler and the
@@ -220,10 +225,8 @@ class ExperimentConfig:
                 f"crosses 0 or k_pump = {profile.k_pump:.6g} rad/m; "
                 "source.coherence_length_m is too short"
             )
-        geometry = _build("geometry", self.geometry)
-        rates = _build("rates", self.rates)
-        detector = _build("detector", self.detector)
-        tac = _build("tac", self.tac)
+        geometry, rates = self.geometry(), self.rates()
+        detector, tac = self.detector(), self.tac()
         for section in ("run", "scan"):
             duration = self.data[section]["duration_s"]
             photons = 2.0 * (rates.pair_rate + rates.singles_background) * duration
@@ -260,8 +263,7 @@ class ExperimentConfig:
         # point splits the peaks most: if the TAC holds its three, it holds all
         offsets = self.scan_offsets()
         travel = float(offsets.max())
-        last = _build("scan", lambda: geometry.with_offset(travel))
-        split = delta_L(last) / SPEED_OF_LIGHT
+        split = delta_L(geometry.with_offset(travel)) / SPEED_OF_LIGHT
         if tac.electrical_delay < split or tac.electrical_delay + split > tac.range:
             raise ConfigError(
                 f"scan.span_periods = {span!r} moves the long arm by {travel:.6g} m, "
@@ -271,7 +273,10 @@ class ExperimentConfig:
                 f">= delta_L/c and tac.electrical_delay_s + delta_L/c <= "
                 f"tac.range_s = {tac.range!r} s at every point"
             )
-        _build("scan", lambda: fringe_design(offsets, period))
+        try:
+            fringe_design(offsets, period)
+        except FitError as exc:
+            raise ConfigError(f"scan: {exc}") from exc
         return warnings
 
     # serialization ------------------------------------------------------

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engines import SourceRates, generate_events
-from .errors import DomainError, require_finite
+from .errors import DomainError
 from .interferometer import InterferometerGeometry
 from .spectral import SpectralProfile
 
@@ -40,17 +40,6 @@ class DetectorModel:
     dead_time: float
     efficiency: float
 
-    def __post_init__(self) -> None:
-        require_finite(
-            timing_jitter_sigma=self.timing_jitter_sigma,
-            dead_time=self.dead_time,
-            efficiency=self.efficiency,
-        )
-        if self.timing_jitter_sigma < 0 or self.dead_time < 0:
-            raise DomainError("jitter and dead time must be nonnegative")
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise DomainError(f"efficiency must lie in [0, 1], got {self.efficiency}")
-
 
 @dataclass(frozen=True)
 class TacConfig:
@@ -59,19 +48,6 @@ class TacConfig:
     electrical_delay: float
     range: float
     n_channels: int
-
-    def __post_init__(self) -> None:
-        require_finite(
-            electrical_delay=self.electrical_delay,
-            range=self.range,
-            n_channels=self.n_channels,
-        )
-        if self.range <= 0:
-            raise DomainError("TAC range must be positive")
-        if self.n_channels < 2:
-            raise DomainError("TAC needs at least 2 channels")
-        if self.electrical_delay < 0:
-            raise DomainError("electrical delay must be nonnegative")
 
     @functools.cached_property
     def bin_centers(self) -> np.ndarray:

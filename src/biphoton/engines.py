@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, require_finite
+from .errors import DomainError
 from .interferometer import (
     InterferometerGeometry,
     class_probabilities,
@@ -127,13 +127,6 @@ class SourceRates:
 
     pair_rate: float
     singles_background: float
-
-    def __post_init__(self) -> None:
-        require_finite(
-            pair_rate=self.pair_rate, singles_background=self.singles_background
-        )
-        if self.pair_rate < 0 or self.singles_background < 0:
-            raise DomainError("rates must be nonnegative")
 
 
 def normalization_check(profile: SpectralProfile) -> float:
@@ -419,10 +412,6 @@ def generate_events(
     Poisson draw of mean zero takes nothing from ``rng``, so the stream is
     draw for draw the one of the nine cells alone.
     """
-    if duration < 0:
-        raise DomainError(f"duration must be nonnegative, got {duration}")
-    if not all(0.0 <= eta <= 1.0 for eta in efficiency):
-        raise DomainError(f"efficiencies must lie in [0, 1], got {efficiency}")
     t_short, t_long = transit_times(geometry)
     probs = expected_class_probabilities(profile, geometry, rates)
     p_none = max(probs["none"], 0.0)

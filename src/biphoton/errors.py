@@ -1,7 +1,5 @@
 """Exception types shared across the package."""
 
-import math
-
 
 class BiphotonError(Exception):
     """Base class for all package-specific errors."""
@@ -18,10 +16,3 @@ class ConfigError(BiphotonError):
 
 class FitError(BiphotonError, RuntimeError):
     """A fringe scan that no visibility can be fitted to."""
-
-
-def require_finite(**values) -> None:
-    """Reject NaN and infinite parameters, which every comparison lets through."""
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value!r}")

@@ -13,8 +13,6 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, require_finite
-
 TWO_PI = 2.0 * math.pi
 
 
@@ -36,13 +34,6 @@ class SpectralProfile:
     k_pump: float
     delta_k: float
     shape: SpectralShape = SpectralShape.GAUSSIAN
-
-    def __post_init__(self) -> None:
-        require_finite(k_pump=self.k_pump, delta_k=self.delta_k)
-        if self.k_pump <= 0:
-            raise DomainError(f"k_pump must be positive, got {self.k_pump}")
-        if self.delta_k <= 0:
-            raise DomainError(f"delta_k must be positive, got {self.delta_k}")
 
     @property
     def k_center(self) -> float:
@@ -78,8 +69,6 @@ def coherence_length(profile: SpectralProfile) -> float:
 
 def wavelength_to_wavenumber(wavelength: float) -> float:
     """Angular wavenumber k = 2*pi/lambda (rad/m)."""
-    if wavelength <= 0:
-        raise DomainError(f"wavelength must be positive, got {wavelength}")
     return TWO_PI / wavelength
 
 

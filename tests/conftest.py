@@ -7,6 +7,7 @@ from scipy.special import chdtrc
 import biphoton
 from biphoton.config import ExperimentConfig
 from biphoton.engines import SourceRates
+from biphoton.errors import ConfigError
 from biphoton.interferometer import InterferometerGeometry
 from biphoton.spectral import SpectralProfile, wavelength_to_wavenumber
 
@@ -21,6 +22,15 @@ def named_config(name: str) -> ExperimentConfig:
     if name == "default":
         return ExperimentConfig.from_dict({})
     return ExperimentConfig.from_file(CONFIGS / f"{name}.json")
+
+
+def assert_refused(section: str, key: str, value) -> None:
+    """The defaults with ``section.key`` = ``value`` are refused by the one
+    gate, ``ExperimentConfig.validate``, with a ConfigError naming the key.
+    The model dataclasses trust their fields, so this is where a bad setting
+    of one of them is stopped."""
+    with pytest.raises(ConfigError, match=rf"^{section}\.{key} (must|=)"):
+        ExperimentConfig.from_dict({section: {key: value}})
 
 
 @pytest.fixture

@@ -480,6 +480,19 @@ class TestCliCommands:
         assert "RuntimeWarning" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["pump_wavelength_m", "coherence_length_m"])
+    def test_derived_wavenumber_overflow_names_the_key(self, tmp_path, capsys, key):
+        # 1e-320 m lies in the key's (0, inf), but k_pump = 2*pi/lambda or
+        # delta_k = 1/l_c derived from it is inf
+        cfg = write_config(tmp_path, {"source": {key: 1e-320}})
+        out = tmp_path / "out"
+        assert main(["histogram", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        assert err.startswith(f"error: source.{key} = 1e-320 m "), err
+        assert "overflows to inf" in err, err
+        assert not out.exists()
+
     def test_allocation_bounds_inclusive(self):
         ExperimentConfig.from_dict({"run": {"duration_s": 500.0}})
         # every closed end of every key's interval is accepted

@@ -22,7 +22,7 @@ from biphoton.detection import (
 from biphoton.engines import SourceRates, expected_class_probabilities, generate_events
 from biphoton.errors import DomainError
 from biphoton.interferometer import SPEED_OF_LIGHT
-from conftest import phase_geometry
+from conftest import assert_refused, phase_geometry
 from oracle import (
     TRUTH_SIDE_LS,
     accept_free_oracle,
@@ -174,26 +174,36 @@ def ideal_histogram(times_a, times_b, rng):
     return histogram_from_clicks(t_a, t_b, TAC)
 
 
+# the config key that sets each DetectorModel and TacConfig field
+DETECTOR_KEYS = {
+    "timing_jitter_sigma": "jitter_sigma_s",
+    "dead_time": "dead_time_s",
+    "efficiency": "efficiency",
+}
+TAC_KEYS = {
+    "electrical_delay": "electrical_delay_s",
+    "range": "range_s",
+    "n_channels": "n_channels",
+}
+
+
 class TestDetectorModel:
     def test_invalid_parameters(self):
-        with pytest.raises(DomainError):
-            DetectorModel(timing_jitter_sigma=0.0, dead_time=0.0, efficiency=1.5)
-        with pytest.raises(DomainError):
-            DetectorModel(timing_jitter_sigma=-1.0, dead_time=0.0, efficiency=1.0)
-
-    def test_dead_time_suppression(self, rng):
-        model = DetectorModel(timing_jitter_sigma=0.0, dead_time=50e-9, efficiency=1.0)
-        times = np.array([0.0, 10e-9, 60e-9, 200e-9])
-        kept = detect_clicks(times, model, rng)
-        assert np.allclose(kept, [0.0, 60e-9, 200e-9])
+        assert_refused("detector", "efficiency", 1.5)
+        assert_refused("detector", "jitter_sigma_s", -1.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
         "field", ["timing_jitter_sigma", "dead_time", "efficiency"]
     )
     def test_non_finite_parameters_rejected(self, field, value):
-        with pytest.raises(DomainError, match=field):
-            replace(IDEAL, **{field: value})
+        assert_refused("detector", DETECTOR_KEYS[field], value)
+
+    def test_dead_time_suppression(self, rng):
+        model = DetectorModel(timing_jitter_sigma=0.0, dead_time=50e-9, efficiency=1.0)
+        times = np.array([0.0, 10e-9, 60e-9, 200e-9])
+        kept = detect_clicks(times, model, rng)
+        assert np.allclose(kept, [0.0, 60e-9, 200e-9])
 
     def test_efficiency_thinning(self, profile, geometry, rng):
         # efficiency is applied where photons are drawn.  A pair puts one
@@ -326,22 +336,20 @@ class TestTac:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["electrical_delay", "range", "n_channels"])
     def test_non_finite_config_rejected(self, field, value):
-        with pytest.raises(DomainError, match=field):
-            replace(TAC, **{field: value})
+        assert_refused("tac", TAC_KEYS[field], value)
 
     @pytest.mark.parametrize(
-        "field, value, message",
+        "field, value",
         [
-            ("range", 0.0, "TAC range must be positive"),
-            ("range", -20e-9, "TAC range must be positive"),
-            ("n_channels", 1, "TAC needs at least 2 channels"),
-            ("electrical_delay", -1e-9, "electrical delay must be nonnegative"),
+            ("range", 0.0),
+            ("range", -20e-9),
+            ("n_channels", 1),
+            ("electrical_delay", -1e-9),
         ],
         ids=["zero_range", "negative_range", "one_channel", "negative_delay"],
     )
-    def test_out_of_domain_config_rejected(self, field, value, message):
-        with pytest.raises(DomainError, match=message):
-            replace(TAC, **{field: value})
+    def test_out_of_domain_config_rejected(self, field, value):
+        assert_refused("tac", TAC_KEYS[field], value)
 
     @pytest.mark.parametrize(
         "starts, stops",

@@ -44,7 +44,14 @@ from biphoton.spectral import (
     sample_signal,
     wavelength_to_wavenumber,
 )
-from conftest import CONFIGS, PUMP_WAVELENGTH, named_config, phase_geometry, wide_rate
+from conftest import (
+    CONFIGS,
+    PUMP_WAVELENGTH,
+    assert_refused,
+    named_config,
+    phase_geometry,
+    wide_rate,
+)
 from oracle import (
     TRUTH_BACKGROUND,
     class_probabilities_pair_oracle,
@@ -363,14 +370,12 @@ class TestReducedSine:
 
 class TestSourceRates:
     def test_negative_rejected(self):
-        with pytest.raises(DomainError):
-            SourceRates(pair_rate=-1.0, singles_background=0.0)
+        assert_refused("rates", "pair_rate", -1.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["pair_rate", "singles_background"])
-    def test_non_finite_rejected(self, rates, field, value):
-        with pytest.raises(DomainError, match=field):
-            replace(rates, **{field: value})
+    def test_non_finite_rejected(self, field, value):
+        assert_refused("rates", field, value)
 
 
 class TestEventGeneration:
@@ -378,20 +383,19 @@ class TestEventGeneration:
         stream = generate_events(profile, geometry, rates, 0.0, rng)
         assert len(stream) == 0
 
+    # generate_events trusts its duration and efficiencies: the config keys
+    # that set them are refused outside their domain
     @pytest.mark.parametrize(
-        "duration, efficiency, message",
+        "section, key, value",
         [
-            (-1e-3, (1.0, 1.0), "duration must be nonnegative"),
-            (1e-3, (1.5, 1.0), r"efficiencies must lie in \[0, 1\]"),
-            (1e-3, (1.0, -0.1), r"efficiencies must lie in \[0, 1\]"),
+            ("run", "duration_s", -1e-3),
+            ("detector", "efficiency", 1.5),
+            ("detector", "efficiency", -0.1),
         ],
         ids=["negative_duration", "efficiency_above_one", "negative_efficiency"],
     )
-    def test_out_of_domain_rejected(
-        self, profile, geometry, rates, rng, duration, efficiency, message
-    ):
-        with pytest.raises(DomainError, match=message):
-            generate_events(profile, geometry, rates, duration, rng, efficiency)
+    def test_out_of_domain_rejected(self, section, key, value):
+        assert_refused(section, key, value)
 
     def test_stream_sorted_and_labeled(self, profile, geometry, rates, rng):
         stream = generate_events(profile, geometry, rates, 0.01, rng)

@@ -16,7 +16,7 @@ from biphoton.interferometer import (
     offset_for_phase,
 )
 from biphoton.spectral import TWO_PI, SpectralProfile, SpectralShape, sample_signal
-from conftest import phase_geometry
+from conftest import assert_refused, phase_geometry
 from oracle import (
     class_probabilities_pair_oracle,
     coincidence_terms,
@@ -43,29 +43,32 @@ class TestDeltaL:
         assert delta_L(g) - delta_L(geometry) == pytest.approx(1e-7, rel=1e-9)
 
     @pytest.mark.parametrize(
-        "field, value, message",
+        "key, value",
         [
-            ("path_long_base", 0.5, "long arm must exceed short arm"),
-            ("splitter_transmittance", 0.0, r"transmittance must lie in \(0, 1\)"),
-            ("splitter_transmittance", 1.0, r"transmittance must lie in \(0, 1\)"),
-            ("mode_overlap", -0.1, r"mode_overlap must lie in \[0, 1\]"),
-            ("mode_overlap", 1.1, r"mode_overlap must lie in \[0, 1\]"),
+            ("path_long_base_m", 0.5),
+            ("splitter_transmittance", 0.0),
+            ("splitter_transmittance", 1.0),
+            ("mode_overlap", -0.1),
+            ("mode_overlap", 1.1),
         ],
         ids=["equal_arms", "t_zero", "t_one", "mu_negative", "mu_above_one"],
     )
-    def test_out_of_domain_rejected(self, field, value, message):
-        arms = {"path_short": 0.5, "path_long_base": 1.05, field: value}
-        with pytest.raises(DomainError, match=message):
-            InterferometerGeometry(**arms)
+    def test_out_of_domain_rejected(self, key, value):
+        # path_short_m is 0.5 by default, so the first case gives equal arms
+        assert_refused("geometry", key, value)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
         "field", ["path_short", "path_long_base", "path_long_offset"]
     )
     def test_non_finite_rejected(self, field, value):
-        arms = {"path_short": 0.5, "path_long_base": 1.05, field: value}
-        with pytest.raises(DomainError, match=field):
-            InterferometerGeometry(**arms)
+        # the long-arm offsets are the scan's, span_periods pump wavelengths
+        section, key = {
+            "path_short": ("geometry", "path_short_m"),
+            "path_long_base": ("geometry", "path_long_base_m"),
+            "path_long_offset": ("scan", "span_periods"),
+        }[field]
+        assert_refused(section, key, value)
 
     def test_offset_phase_precision(self, geometry, k_pump):
         # a 1 nm offset must move the pump fringe phase by exactly k_p * 1 nm
