@@ -248,16 +248,19 @@ def cmd_compare(args) -> int:
     rates = cfg.rates()
     rng = np.random.default_rng(cfg.data["run"]["seed"])
     n_mc = 200_000
+    phases = [i * TWO_PI / 8.0 for i in range(9)]
+    geoms = [
+        geometry.with_offset(offset_for_phase(profile.k_pump, geometry, phase))
+        for phase in phases
+    ]
+    monte_carlo = pair_monte_carlo(profile, geoms, n_mc, rng)
     rows = []
-    for i in range(9):
-        phase = i * TWO_PI / 8.0
-        geom = geometry.with_offset(
-            offset_for_phase(profile.k_pump, geometry, phase)
-        )
+    for phase, geom, (cmc_mean, cmc_err, coincidences) in zip(
+        phases, geoms, monte_carlo
+    ):
         narrow = quantum_rate_narrow(profile, geom, rates)
         wide = narrow + side_class_rate(profile, geom, rates)
         classical = classical_rate(profile, geom, rates)
-        cmc_mean, cmc_err, coincidences = pair_monte_carlo(profile, geom, n_mc, rng)
         qmc = coincidences / n_mc * rates.pair_rate
         rows.append(
             {

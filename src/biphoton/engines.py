@@ -37,14 +37,16 @@ Per-pair sampling, :func:`sample_pair_outcomes`, stays as the independent
 check of these rates.
 
 :func:`pair_monte_carlo` draws the signal deviations delta and fills both
-Monte Carlo columns of ``compare`` from one sine per pair, s = sin x with
-x = delta * delta_L.  The classical integrand (1 + cos phi_1)(1 - cos phi_2)
-is exactly (sin phi_c - s)^2, phi_c the fringe phase of k_pump/2, and the
-quantum kernel reads cos(phi_1 - phi_2) = cos 2x = 1 - 2 s^2, so the
-coincidence threshold is a + b s^2.  It draws a row's delta in one call,
-into the array that becomes its sines, and makes one pass over it in blocks
-of ``_BLOCK`` pairs, so a block's temporaries stay in cache.  The
-single-column engines :func:`classical_monte_carlo` and
+Monte Carlo columns of every row of ``compare`` from one sine per pair,
+s = sin x with x = delta * delta_L.  The classical integrand
+(1 + cos phi_1)(1 - cos phi_2) is exactly (sin phi_c - s)^2, phi_c the
+fringe phase of k_pump/2, and the quantum kernel reads
+cos(phi_1 - phi_2) = cos 2x = 1 - 2 s^2, so the coincidence threshold is
+a + b s^2.  It draws delta once, in one call, for all the rows, which then
+share it as common random numbers; each row makes one pass over it in
+blocks of ``_BLOCK`` pairs, scaling each block by its delta_L into one
+reusable array that becomes the row's sines, so a block's temporaries stay
+in cache.  The single-column engines :func:`classical_monte_carlo` and
 :func:`sample_pair_outcomes`, which take delta as an argument, remain as its
 reference; each is one whole-array pass.  s calls no libm: x, which reaches
 thousands of radians, is reduced by pi, and a Taylor polynomial of degree 21
@@ -70,8 +72,8 @@ from .interferometer import (
 )
 from .spectral import SpectralProfile, SpectralShape, sample_signal
 
-#: pairs per block of :func:`pair_monte_carlo`'s one pass, whose temporaries
-#: stay in cache; only the draws, which become the sines, are full length
+#: pairs per block of :func:`pair_monte_carlo`'s pass over a row, whose
+#: temporaries stay in cache; only the draws and one row's sines are full length
 _BLOCK = 8192
 
 #: pi in two parts (Cody & Waite, *Software Manual for the Elementary
@@ -295,63 +297,73 @@ def sample_pair_outcomes(
 
 def pair_monte_carlo(
     profile: SpectralProfile,
-    geometry: InterferometerGeometry,
+    geometries: list[InterferometerGeometry],
     n: int,
     rng: np.random.Generator,
-) -> tuple[float, float, int]:
+) -> list[tuple[float, float, int]]:
     """Both Monte Carlo columns of ``compare`` from ``n`` pairs and one sine
-    per pair: ``(classical_mean, classical_stderr, coincidences)``.
+    per pair: ``(classical_mean, classical_stderr, coincidences)`` for each
+    of ``geometries``, in order.
 
-    The pairs are drawn here, in one :func:`sample_signal` call of ``n``,
-    and one pass over that array in blocks does the rest.  It takes each
-    block's sines s = sin x in place, by the polynomial kernel of
+    The deviations are drawn here, in one :func:`sample_signal` call of
+    ``n``, and every row reads the same ones: common random numbers (Law &
+    Kelton, *Simulation Modeling and Analysis*).  The rows are then
+    correlated, but each keeps its n, its law and its standard error.  A
+    row makes one pass over them in blocks, into one reusable buffer.  Each
+    block scales its deviations by the row's delta_L, x = delta * delta_L,
+    and takes their sines s = sin x in place, by the polynomial kernel of
     :func:`classical_monte_carlo`, within max(2.3e-16, ulp(x)) of sin x.  It
-    draws the block's uniforms, after all the deviations as
-    :func:`sample_pair_outcomes` draws them, and counts those below the
-    threshold of the last coincidence class.  That threshold
-    p_c + p_sl + p_ls is linear in cos 2x = 1 - 2 s^2 (no clamp acts for
-    mu <= 1), so it is a + b s^2 with a and b from the kernel at cos 2x = +1
-    and -1.  It differs from the reference's by rounding alone, so a count
-    can differ only where a uniform lies within about 1e-16 of it.  Last, it
-    turns the sines into the classical integrand (sin phi_c - s)^2, whose
-    mean and standard error are those of :func:`classical_monte_carlo`, by
-    the same float operations: at T = 1/2 and mu = 1 whatever ``geometry``
-    holds, while the coincidences read both.
+    draws the block's uniforms, fresh for every row, after the deviations
+    and the earlier rows' uniforms, as :func:`sample_pair_outcomes` draws
+    them, and counts those below the threshold of the last coincidence
+    class.  That threshold p_c + p_sl + p_ls is linear in cos 2x = 1 - 2 s^2
+    (no clamp acts for mu <= 1), so it is a + b s^2 with a and b from the
+    kernel at cos 2x = +1 and -1.  It differs from the reference's by
+    rounding alone, so a count can differ only where a uniform lies within
+    about 1e-16 of it.  Last, it turns the sines into the classical
+    integrand (sin phi_c - s)^2, whose mean and standard error are those of
+    :func:`classical_monte_carlo`, by the same float operations: at T = 1/2
+    and mu = 1 whatever a geometry holds, while the coincidences read both.
     """
     if n < 1:
         raise DomainError(f"need at least one pair, got n = {n}")
-    dl = delta_L(geometry)
-    sin_c = math.sin(fringe_phase(profile.k_center, geometry))
-    cos_pump = np.cos(fringe_phase(profile.k_pump, geometry))
-    # the coincidence threshold is a at s = 0 (cos 2x = 1) and a + b at
-    # s^2 = 1 (cos 2x = -1)
-    a, a_plus_b = (
-        float(sum(class_probabilities(cos_pump, cos_diff, geometry)))
-        for cos_diff in (1.0, -1.0)
-    )
-    b = a_plus_b - a
-    vals = sample_signal(profile, rng, n)
+    delta = sample_signal(profile, rng, n)
+    vals = np.empty(n)
     threshold = np.empty(min(n, _BLOCK))
     uniforms = np.empty_like(threshold)
-    coincidences = 0
-    for start in range(0, n, _BLOCK):
-        block = vals[start : start + _BLOCK]
-        thr, u = threshold[: block.size], uniforms[: block.size]
-        block *= dl
-        _sin_in_place(block, thr, u)
-        np.square(block, out=thr)
-        thr *= b
-        thr += a
-        rng.random(out=u)
-        coincidences += int(np.count_nonzero(u < thr))
-        np.subtract(sin_c, block, out=block)
-        np.square(block, out=block)
-    mean = float(np.mean(vals))
-    if n == 1:
-        return mean, 0.0, coincidences
-    vals -= mean
-    np.square(vals, out=vals)
-    return mean, math.sqrt(float(np.sum(vals)) / (n - 1)) / math.sqrt(n), coincidences
+    rows = []
+    for geometry in geometries:
+        sin_c = math.sin(fringe_phase(profile.k_center, geometry))
+        cos_pump = np.cos(fringe_phase(profile.k_pump, geometry))
+        # the coincidence threshold is a at s = 0 (cos 2x = 1) and a + b at
+        # s^2 = 1 (cos 2x = -1)
+        a, a_plus_b = (
+            float(sum(class_probabilities(cos_pump, cos_diff, geometry)))
+            for cos_diff in (1.0, -1.0)
+        )
+        b = a_plus_b - a
+        dl = delta_L(geometry)
+        coincidences = 0
+        for start in range(0, n, _BLOCK):
+            block = vals[start : start + _BLOCK]
+            np.multiply(delta[start : start + _BLOCK], dl, out=block)
+            thr, u = threshold[: block.size], uniforms[: block.size]
+            _sin_in_place(block, thr, u)
+            np.square(block, out=thr)
+            thr *= b
+            thr += a
+            rng.random(out=u)
+            coincidences += int(np.count_nonzero(u < thr))
+            np.subtract(sin_c, block, out=block)
+            np.square(block, out=block)
+        mean = float(np.mean(vals))
+        stderr = 0.0
+        if n > 1:
+            vals -= mean
+            np.square(vals, out=vals)
+            stderr = math.sqrt(float(np.sum(vals)) / (n - 1)) / math.sqrt(n)
+        rows.append((mean, stderr, coincidences))
+    return rows
 
 
 @dataclass

@@ -37,9 +37,9 @@ idler's phase phi_2 = phi_p - phi_1, is the oracle of
 ``biphoton.engines.classical_monte_carlo``, which evaluates the same product
 as (sin phi_c - sin x)^2 on the same signal deviations.
 :func:`pair_monte_carlo_oracle` is ``biphoton.engines.pair_monte_carlo``
-with ``np.sin`` on the unreduced x = delta * delta_L, one draw of each kind
-for all pairs instead of one per block, and the standard error from
-``np.std``; it draws the same stream.
+with ``np.sin`` on the unreduced x = delta * delta_L, one draw of uniforms
+for all of a row's pairs instead of one per block, and the standard error
+from ``np.std``; it draws the same stream, the deviations once for all rows.
 
 Dekker's exact two-product (Numer. Math. 18, 224, 1971) with ``np.fmod`` is
 the oracle of the exact rational reduction in
@@ -459,22 +459,26 @@ def classical_monte_carlo_oracle(profile, geometry, delta) -> tuple[float, float
     return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(vals.size))
 
 
-def pair_monte_carlo_oracle(profile, geometry, n: int, rng) -> tuple[float, float, int]:
-    """``(classical_mean, classical_stderr, coincidences)`` of ``n`` pairs, from
-    one sine s = np.sin(x) per pair: the classical integrand (sin phi_c - s)^2
-    and the coincidence threshold a + b s^2, linear in cos 2x = 1 - 2 s^2."""
-    x = sample_signal(profile, rng, n) * delta_L(geometry)
-    s = np.sin(x)
-    cos_pump = np.cos(fringe_phase(profile.k_pump, geometry))
-    a, a_plus_b = (
-        float(sum(class_probabilities(cos_pump, cos_diff, geometry)))
-        for cos_diff in (1.0, -1.0)
-    )
-    threshold = a + (a_plus_b - a) * np.square(s)
-    coincidences = int(np.count_nonzero(rng.random(n) < threshold))
-    vals = np.square(math.sin(fringe_phase(profile.k_center, geometry)) - s)
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return float(np.mean(vals)), stderr, coincidences
+def pair_monte_carlo_oracle(profile, geometries, n: int, rng) -> list:
+    """``(classical_mean, classical_stderr, coincidences)`` of ``n`` pairs for
+    each of ``geometries``, every row on the same deviations, from one sine
+    s = np.sin(x) per pair: the classical integrand (sin phi_c - s)^2 and the
+    coincidence threshold a + b s^2, linear in cos 2x = 1 - 2 s^2."""
+    delta = sample_signal(profile, rng, n)
+    rows = []
+    for geometry in geometries:
+        s = np.sin(delta * delta_L(geometry))
+        cos_pump = np.cos(fringe_phase(profile.k_pump, geometry))
+        a, a_plus_b = (
+            float(sum(class_probabilities(cos_pump, cos_diff, geometry)))
+            for cos_diff in (1.0, -1.0)
+        )
+        threshold = a + (a_plus_b - a) * np.square(s)
+        coincidences = int(np.count_nonzero(rng.random(n) < threshold))
+        vals = np.square(math.sin(fringe_phase(profile.k_center, geometry)) - s)
+        stderr = float(np.std(vals, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        rows.append((float(np.mean(vals)), stderr, coincidences))
+    return rows
 
 
 def expected_class_probabilities_oracle(profile, geometry) -> dict:

@@ -30,7 +30,6 @@ from biphoton.engines import (
     quantum_rate_narrow,
     residual_integral,
     sample_pair_outcomes,
-    side_class_rate,
 )
 from biphoton.errors import DomainError
 from biphoton.interferometer import (
@@ -256,40 +255,46 @@ class TestPairMonteCarlo:
     @pytest.mark.parametrize("shape", list(SpectralShape))
     def test_matches_reference_engines(self, k_pump, geometry, shape, t, mu, n):
         # one sine per pair for both columns, against the classical engine
-        # and the per-pair outcomes on deviations drawn from a copy of the
-        # RNG, at the nine phases of compare; 8191, 8193 and 50 001 leave a
-        # partial last block, 8192 fills exactly one
+        # and the per-pair outcomes, row by row, at the nine phases of
+        # compare in one call: every row reads the deviations drawn from a
+        # copy of the RNG, and draws its own uniforms after the earlier
+        # rows'; 8191, 8193 and 50 001 leave a partial last block, 8192
+        # fills exactly one
         profile = SpectralProfile(k_pump=k_pump, delta_k=1.0 / LCOH, shape=shape)
         base = replace(geometry, splitter_transmittance=t, mode_overlap=mu)
-        for i in range(9):
-            g = phase_geometry(base, k_pump, i * 2.0 * math.pi / 8.0)
-            rng = np.random.default_rng(100 + i)
-            rng_ref = copy.deepcopy(rng)
-            mean, stderr, coincidences = pair_monte_carlo(profile, g, n, rng)
-            delta = sample_signal(profile, rng_ref, n)
+        geoms = [phase_geometry(base, k_pump, i * 2.0 * math.pi / 8.0) for i in range(9)]
+        rng = np.random.default_rng(100)
+        rng_ref = copy.deepcopy(rng)
+        rows = pair_monte_carlo(profile, geoms, n, rng)
+        delta = sample_signal(profile, rng_ref, n)
+        assert len(rows) == len(geoms)
+        for g, (mean, stderr, coincidences) in zip(geoms, rows):
             assert (mean, stderr) == classical_monte_carlo(profile, g, delta)
             codes = sample_pair_outcomes(profile, g, delta, rng_ref)
             assert coincidences == np.count_nonzero(codes != 3)
-            assert rng.bit_generator.state == rng_ref.bit_generator.state
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
 
     def test_sample_count_validated(self, profile, geometry, rng):
         state = rng.bit_generator.state
         with pytest.raises(DomainError):
-            pair_monte_carlo(profile, geometry, 0, rng)
+            pair_monte_carlo(profile, [geometry], 0, rng)
         assert rng.bit_generator.state == state
 
     def test_one_full_length_array(self, profile, geometry, rng):
-        # the sines are the only array as long as the draws: the peak stays
-        # within a quarter of it above 8 bytes per pair
+        # the shared deviations and one row's sines, which every row reuses,
+        # are the only arrays as long as the draws: the peak, measured at
+        # 2.09 times 8 bytes per pair, stays within a quarter of one array
+        # above 16 bytes per pair
         n = 200_000
-        pair_monte_carlo(profile, geometry, n, rng)  # memoize the phases
+        geoms = [geometry] * 9
+        pair_monte_carlo(profile, geoms, n, rng)  # memoize the phases
         tracemalloc.start()
         try:
-            pair_monte_carlo(profile, geometry, n, rng)
+            pair_monte_carlo(profile, geoms, n, rng)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.25 * 8 * n
+        assert peak < 2.25 * 8 * n
 
 
 class TestReducedSine:
@@ -337,26 +342,27 @@ class TestReducedSine:
     @pytest.mark.parametrize("shape", list(SpectralShape))
     def test_matches_unreduced_sine_kernel(self, k_pump, geometry, shape, t, mu, n):
         # the polynomial sine moves the classical columns by rounding alone
-        # and leaves every coincidence count as np.sin's, at the nine phases
-        # of compare, with imperfect splitters as well
+        # and leaves every coincidence count as np.sin's, row by row at the
+        # nine phases of compare in one call, with imperfect splitters as well
         profile = SpectralProfile(k_pump=k_pump, delta_k=1.0 / LCOH, shape=shape)
         base = replace(geometry, splitter_transmittance=t, mode_overlap=mu)
-        for i in range(9):
-            g = phase_geometry(base, k_pump, i * 2.0 * math.pi / 8.0)
-            mean, stderr, coincidences = pair_monte_carlo(
-                profile, g, n, np.random.default_rng(100 + i)
-            )
-            ref_mean, ref_stderr, ref_coincidences = pair_monte_carlo_oracle(
-                profile, g, n, np.random.default_rng(100 + i)
-            )
+        geoms = [phase_geometry(base, k_pump, i * 2.0 * math.pi / 8.0) for i in range(9)]
+        rng = np.random.default_rng(100)
+        ref_rng = copy.deepcopy(rng)
+        rows = pair_monte_carlo(profile, geoms, n, rng)
+        ref_rows = pair_monte_carlo_oracle(profile, geoms, n, ref_rng)
+        assert len(rows) == len(ref_rows) == len(geoms)
+        for (mean, stderr, coincidences), (ref_mean, ref_stderr, ref_coincidences) in zip(
+            rows, ref_rows
+        ):
             assert coincidences == ref_coincidences
             assert mean == pytest.approx(ref_mean, rel=1e-14, abs=0.0)
             assert stderr == pytest.approx(ref_stderr, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("n", [1, 8191, 8192, 8193, 50_001])
     def test_one_draw_per_pair(self, profile, geometry, rng, monkeypatch, n):
-        # one draw of the whole row: the traced spectral.sample_signal.draws
-        # of compare counts pairs
+        # one draw of n deviations serves every row: the traced
+        # spectral.sample_signal.draws of compare counts one row's pairs
         sizes = []
 
         def counted(profile, rng, size):
@@ -364,7 +370,7 @@ class TestReducedSine:
             return sample_signal(profile, rng, size)
 
         monkeypatch.setattr(engines, "sample_signal", counted)
-        pair_monte_carlo(profile, geometry, n, rng)
+        pair_monte_carlo(profile, [geometry] * 9, n, rng)
         assert sizes == [n]
 
 
