@@ -9,11 +9,16 @@ lies just past the split still cuts off part of them and can fit a V above
 Poisson fit whose one-sided likelihood-ratio test rejects V <= 0.5 at 2 sigma
 is nonclassical.
 A scan is acquired once, a row of :func:`acquire_histogram` per point, and a
-window gates every row at once, as one range of the TAC's channels.
+window gates every row at once, as one range of the TAC's channels.  The
+points run on a pool of min(usable CPUs, points) threads, each on its own
+random stream into its own row, so the corpus does not depend on the pool's
+size.
 """
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from enum import Enum
 
@@ -106,9 +111,12 @@ def acquire_scan_corpus(
     """Simulate the full scan once; every window analysis reuses this corpus.
 
     Point ``i`` is one :func:`acquire_histogram` run on its own stream,
-    ``SeedSequence(seed, spawn_key=(i,))``, so points can be computed in any
-    order (or in parallel) with identical results.  Each run returns its row
-    of the preallocated int64 ``counts`` and ``clicks`` matrices.
+    ``SeedSequence(seed, spawn_key=(i,))``, that writes its row of the
+    preallocated int64 ``counts`` and ``clicks`` matrices.  The points run on
+    a pool of min(usable CPUs, points) threads, made for this call; no two
+    share a stream or a row, so the corpus is bit-identical whatever the
+    pool's size.  A point's exception is raised here, after the points
+    already running have finished.
     """
     offsets = np.array(offsets, dtype=float)
     corpus = ScanCorpus(
@@ -117,13 +125,28 @@ def acquire_scan_corpus(
         counts=np.empty((offsets.size, tac.n_channels), dtype=np.int64),
         duration=duration,
     )
-    for i, offset in enumerate(offsets):
+
+    def acquire_point(i: int) -> None:
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        geom = geometry.with_offset(float(offset))
+        geom = geometry.with_offset(float(offsets[i]))
         corpus.counts[i], corpus.clicks[i] = acquire_histogram(
             profile, geom, rates, detector_a, detector_b, tac, duration, rng
         )
+
+    # numpy releases the interpreter lock for the jitter draws, the sorts and
+    # the TAC's binary search, about half of a point's time
+    workers = max(1, min(_usable_cpus(), offsets.size))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(acquire_point, range(offsets.size)))  # raises a point's error
     return corpus
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (``nproc``), or the machine's count
+    where the platform has no affinity mask."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def gate_scan(corpus: ScanCorpus, tac: TacConfig, window_width: float) -> FringeScan:

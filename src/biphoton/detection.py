@@ -50,13 +50,21 @@ class TacConfig:
     n_channels: int
 
     @functools.cached_property
+    def bin_edges(self) -> np.ndarray:
+        """Edges of the MCA channels, ``n_channels + 1`` even steps over
+        [0, range]: the channel map, computed once and read-only."""
+        edges = np.linspace(0.0, self.range, self.n_channels + 1)
+        edges.flags.writeable = False
+        return edges
+
+    @functools.cached_property
     def bin_centers(self) -> np.ndarray:
-        """Centres of the MCA channels, which split [0, range] evenly.
+        """Centres of the MCA channels, the midpoints of :attr:`bin_edges`.
 
         Computed once and read-only, so every histogram and window of this
         TAC shares the one array.
         """
-        edges = np.linspace(0.0, self.range, self.n_channels + 1)
+        edges = self.bin_edges
         centers = 0.5 * (edges[:-1] + edges[1:])
         centers.flags.writeable = False
         return centers
@@ -166,11 +174,25 @@ def tac_differences(
 def histogram_from_clicks(
     t_a: np.ndarray, t_b: np.ndarray, tac: TacConfig
 ) -> np.ndarray:
-    """int64 counts of the start-stop differences in each of the
-    ``tac.n_channels`` even MCA channels over [0, ``tac.range``]."""
+    """int64 counts of the start-stop differences, which
+    :func:`tac_differences` returns in (0, ``tac.range``], in each of the
+    ``tac.n_channels`` even MCA channels over [0, ``tac.range``].
+
+    These are the counts ``np.histogram`` gives on ``tac.bin_edges``, by its
+    own rule without its wrapper's cost: a difference's scaled value,
+    truncated, lies within one channel of its own; one step down where it
+    falls below that channel's lower edge, then one up where it reaches the
+    upper edge (except in the last channel, which holds ``range``), settle
+    it on the edges.
+    """
     diffs = tac_differences(t_a, t_b, tac)
-    counts, _ = np.histogram(diffs, tac.n_channels, (0.0, tac.range))
-    return counts.astype(np.int64)
+    n = tac.n_channels
+    edges = tac.bin_edges
+    channel = (diffs * (n / tac.range)).astype(np.intp)
+    np.minimum(channel, n - 1, out=channel)
+    channel -= diffs < edges[channel]
+    channel += (diffs >= edges[channel + 1]) & (channel != n - 1)
+    return np.bincount(channel, minlength=n).astype(np.int64, copy=False)
 
 
 def acquire_histogram(

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from biphoton import analysis
 from biphoton.analysis import (
     FringeScan,
     Regime,
@@ -315,19 +317,29 @@ LOSSY_SEED = 11
 LOSSY_DURATION = 0.02
 
 
+LOSSY_SETUP = (
+    SpectralProfile(
+        k_pump=wavelength_to_wavenumber(PUMP), delta_k=1.0 / COHERENCE_LENGTH
+    ),
+    InterferometerGeometry(path_short=0.5, path_long_base=1.05),
+    SourceRates(pair_rate=1.0e5, singles_background=2e4),
+)
+
+
+def acquire_lossy(offsets):
+    profile, geometry, rates = LOSSY_SETUP
+    return acquire_scan_corpus(
+        profile, geometry, rates, LOSSY_A, LOSSY_B, TAC,
+        offsets, LOSSY_DURATION, LOSSY_SEED,
+    )
+
+
 @pytest.fixture(scope="module")
 def lossy_scan():
     """A corpus of lossy detectors with dead time, and each of its points
     acquired alone by acquire_histogram on the point's derived seed."""
-    profile = SpectralProfile(
-        k_pump=wavelength_to_wavenumber(PUMP), delta_k=1.0 / COHERENCE_LENGTH
-    )
-    geometry = InterferometerGeometry(path_short=0.5, path_long_base=1.05)
-    rates = SourceRates(pair_rate=1.0e5, singles_background=2e4)
-    corpus = acquire_scan_corpus(
-        profile, geometry, rates, LOSSY_A, LOSSY_B, TAC,
-        LOSSY_OFFSETS, LOSSY_DURATION, LOSSY_SEED,
-    )
+    profile, geometry, rates = LOSSY_SETUP
+    corpus = acquire_lossy(LOSSY_OFFSETS)
     hists = []
     for i, offset in enumerate(LOSSY_OFFSETS):
         seed = np.random.SeedSequence(LOSSY_SEED, spawn_key=(i,))
@@ -374,6 +386,45 @@ class TestScanPipeline:
             assert list(corpus.clicks[i]) == list(clicks)
         # the rows are distinct acquisitions, not one repeated
         assert len({row.tobytes() for row in corpus.counts}) == len(hists)
+
+    @pytest.mark.parametrize("n_points", [1, 3, 8])
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    def test_pool_size_leaves_corpus_unchanged(
+        self, lossy_scan, monkeypatch, cpus, n_points
+    ):
+        # min(cpus, points) threads acquire the points; at every pool size,
+        # fewer points than threads included, each row is its lone acquisition
+        _, hists = lossy_scan
+        threads = set()
+
+        def recorded(*args):
+            threads.add(threading.get_ident())
+            return acquire_histogram(*args)
+
+        monkeypatch.setattr(analysis, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(analysis, "acquire_histogram", recorded)
+        corpus = acquire_lossy(LOSSY_OFFSETS[:n_points])
+        assert 1 <= len(threads) <= min(cpus, n_points)
+        for i, (counts, clicks) in enumerate(hists[:n_points]):
+            assert np.array_equal(corpus.counts[i], counts)
+            assert list(corpus.clicks[i]) == list(clicks)
+
+    def test_point_error_reaches_caller(self, monkeypatch):
+        # a point's exception is raised in the caller, and the pool's threads
+        # are gone when it is
+        monkeypatch.setattr(analysis, "_usable_cpus", lambda: 2)
+        failing = LOSSY_SETUP[1].with_offset(float(LOSSY_OFFSETS[5]))
+
+        def fail_at_point_5(profile, geometry, *args):
+            if geometry == failing:
+                raise DomainError("point 5 fails")
+            return acquire_histogram(profile, geometry, *args)
+
+        monkeypatch.setattr(analysis, "acquire_histogram", fail_at_point_5)
+        before = threading.active_count()
+        with pytest.raises(DomainError, match="point 5 fails"):
+            acquire_lossy(LOSSY_OFFSETS)
+        assert threading.active_count() == before
 
     @given(width=st.floats(min_value=0.01e-9, max_value=2 * TAC.electrical_delay))
     @settings(max_examples=50, deadline=None)

@@ -12,11 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from biphoton import cli, engines
+from biphoton import analysis, cli, engines
 from biphoton.analysis import gate_scan
 from biphoton.cli import main
 from biphoton.config import DEFAULTS, KEYS, ExperimentConfig
-from biphoton.errors import ConfigError
+from biphoton.detection import acquire_histogram
+from biphoton.errors import ConfigError, DomainError
 from biphoton.spectral import sample_signal
 from conftest import CONFIGS
 
@@ -652,6 +653,23 @@ class TestCliCommands:
         assert "no coincidences" in err
         # the window that failed its fit left neither a scan nor a report
         assert list((tmp_path / "out").iterdir()) == []
+
+    def test_failing_scan_point_exit_code(self, tmp_path, monkeypatch, capsys):
+        # a point that fails on the acquisition pool ends fringes like any
+        # DomainError: exit 3, one error line, no file
+        failing = ExperimentConfig.from_dict(SMALL_RUN).scan_offsets()[5]
+
+        def fail_at_point_5(profile, geometry, *args):
+            if geometry.path_long_offset == failing:
+                raise DomainError("point 5 fails")
+            return acquire_histogram(profile, geometry, *args)
+
+        monkeypatch.setattr(analysis, "acquire_histogram", fail_at_point_5)
+        cfg = write_config(tmp_path, SMALL_RUN)
+        out = tmp_path / "out"
+        assert main(["fringes", "--config", cfg, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "error: point 5 fails\n"
+        assert not out.exists() or not list(out.iterdir())
 
     # 1.0000001 ns shares the output tag 1ns with the first window
     # 0.001 ns lies between two MCA channel centres, so it holds no channel

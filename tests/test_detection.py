@@ -300,12 +300,14 @@ class TestTac:
 
     def test_bin_centers_read_only(self):
         tac = TacConfig(electrical_delay=10e-9, range=20e-9, n_channels=8)
-        centers = tac.bin_centers
-        assert tac.bin_centers is centers
-        edges = np.linspace(0.0, 20e-9, 9)
+        centers, edges = tac.bin_centers, tac.bin_edges
+        assert tac.bin_centers is centers and tac.bin_edges is edges
+        assert np.array_equal(edges, np.linspace(0.0, 20e-9, 9))
         assert np.array_equal(centers, 0.5 * (edges[:-1] + edges[1:]))
         with pytest.raises(ValueError):
             centers[0] = 1.0
+        with pytest.raises(ValueError):
+            edges[0] = 1.0
 
     # no stops, every start after the last stop, starts after a converting
     # one that find no later stop, no starts, and neither: each trailing start
@@ -617,6 +619,27 @@ class TestChannelRange:
         tac, t_a, t_b = case
         counts = histogram_from_clicks(t_a, t_b, tac)
         diffs = tac_differences(t_a, t_b, tac)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, histogram_oracle(diffs, tac))
+
+    @pytest.mark.parametrize("n_channels", [1, 7, 1000, 4096])
+    @pytest.mark.parametrize("range_s", [20e-9, 8.0, 1e-7 / 3])
+    def test_histogram_settles_every_edge(self, monkeypatch, range_s, n_channels):
+        # each edge, its float neighbours both ways, 0, the range and uniform
+        # draws, all binned as the explicit edges bin them; tac_differences
+        # returns only differences in [0, range], so those are the ones drawn
+        tac = TacConfig(electrical_delay=0.0, range=range_s, n_channels=n_channels)
+        edges = np.linspace(0.0, range_s, n_channels + 1)
+        diffs = np.concatenate([
+            edges,
+            np.nextafter(edges, -np.inf),
+            np.nextafter(edges, np.inf),
+            [0.0, range_s],
+            np.random.default_rng(n_channels).uniform(0.0, range_s, 10_000),
+        ])
+        diffs = diffs[(diffs >= 0.0) & (diffs <= range_s)]
+        monkeypatch.setattr(detection, "tac_differences", lambda *args: diffs)
+        counts = histogram_from_clicks(np.empty(0), np.empty(0), tac)
         assert counts.dtype == np.int64
         assert np.array_equal(counts, histogram_oracle(diffs, tac))
 
