@@ -7,7 +7,8 @@ otherwise.  It ignores the peaks' jitter width, so a window whose half-width
 lies just past the split still cuts off part of them and can fit a V above
 50% (ROADMAP item 1 derives the label from the gated peaks).  A locked-period
 Poisson fit whose one-sided likelihood-ratio test rejects V <= 0.5 at 2 sigma
-is nonclassical.
+is nonclassical.  Its fixed-V fits are Newton's method on the phase, checked
+against a grid over every phase in ``tests/oracle.py``.
 A scan is acquired once, a row of :func:`acquire_histogram` per point, and a
 window gates every row at once, as one range of the TAC's channels.  The
 points run on a pool of min(usable CPUs, points) threads, each on its own
@@ -167,42 +168,38 @@ def gate_scan(corpus: ScanCorpus, tac: TacConfig, window_width: float) -> Fringe
     )
 
 
-_PHASE_GRID = 64
-# each refinement splits the step by 32, to 2 pi/64/32**5 = 3e-9 rad; at V = 1,
-# though, the maximum is flat to rounding over about 1e-7 rad
-_REFINEMENTS = 5
+# a Newton step on the phase is at most 1/64 turn: at V = 1 the profile has a
+# pole at each counted point's null, and short steps stay between the poles
+_PHASE_STEP = TWO_PI / 64
 _TOLERANCE = 1e-10  # Newton decrement, about twice the log-likelihood still to gain
 _LR_THRESHOLD = 4.0  # (2 sigma)^2: the one-sided 2-sigma level
 
 
 def _fixed_visibility_fit(
-    theta: np.ndarray, y: np.ndarray, vis: float
+    theta: np.ndarray, y: np.ndarray, vis: float, phi: float
 ) -> tuple[float, float, float]:
     """Maximum Poisson log-likelihood of baseline * (1 - vis cos(theta + phi)).
 
     The baseline profiles out as N / sum(g), g = 1 - vis cos(theta + phi), and
-    phi comes from a coarse grid refined around each of its local maxima.
-    Returns (log-likelihood, baseline, phi).
+    Newton's method from the given phi climbs sum(y log g) - N log sum(g), by
+    analytic derivatives, each step clipped to ``_PHASE_STEP`` and uphill
+    where the profile is not concave.  Returns (log-likelihood, baseline, phi).
     """
-    n_total = float(y.sum())
-    hit = y > 0
-
-    def profile(phi):
-        g = 1.0 - vis * np.cos(theta + phi[:, None])
-        with np.errstate(divide="ignore"):
-            return np.log(g[:, hit]) @ y[hit] - n_total * np.log(g.sum(axis=1))
-
-    step = TWO_PI / _PHASE_GRID
-    h = profile(np.arange(_PHASE_GRID) * step)
-    phi = np.flatnonzero((h >= np.roll(h, 1)) & (h >= np.roll(h, -1))) * step
-    for _ in range(_REFINEMENTS):
-        grid = phi[:, None] + np.linspace(-step, step, 65)
-        h = profile(grid.ravel()).reshape(grid.shape)
-        phi = grid[np.arange(phi.size), h.argmax(axis=1)]
-        step /= 32.0
-    best = float(grid.flat[h.argmax()])
-    total = float(np.sum(1.0 - vis * np.cos(theta + best)))
-    return n_total * (math.log(n_total) - 1.0) + float(h.max()), n_total / total, best
+    n_total, hit = float(y.sum()), y > 0
+    for _ in range(100):
+        c, s = vis * np.cos(theta + phi), vis * np.sin(theta + phi)
+        g, total = 1.0 - c[hit], theta.size - c.sum()
+        ratio, mean_c, mean_s = s[hit] / g, c.sum() / total, s.sum() / total
+        slope = y[hit] @ ratio - n_total * mean_s
+        curve = y[hit] @ (c[hit] / g - ratio**2) - n_total * (mean_c - mean_s**2)
+        step = -slope / curve if curve < 0 else math.copysign(_PHASE_STEP, slope)
+        phi += min(max(step, -_PHASE_STEP), _PHASE_STEP)
+        if slope * step < _TOLERANCE:
+            break
+    g = 1.0 - vis * np.cos(theta + phi)
+    total = float(g.sum())
+    h = float(np.log(g[hit]) @ y[hit]) - n_total * math.log(total)
+    return n_total * (math.log(n_total) - 1.0) + h, n_total / total, phi
 
 
 def fringe_design(offsets, period: float) -> tuple[np.ndarray, np.ndarray]:
@@ -235,9 +232,12 @@ def fit_visibility(
 
     The verdict is a one-sided likelihood-ratio test of V <= 0.5 (Chernoff,
     Ann. Math. Stat. 25, 573, 1954): nonclassical only when V > 0.5 and
-    2 (l_max - l(V = 0.5)) > 4, the 2-sigma level.  ``visibility_sigma`` is
-    the delta-method error from the information weighted by 1/max(count, 1),
-    and ``chi2`` the matching Neyman chi-square.
+    2 (l_max - l(V = 0.5)) > 4, the 2-sigma level.  A fit at fixed V is
+    Newton's method on the phase from where the ascent stopped: the likelihood
+    is concave and {V <= v} a convex cone, so the maximum there is unique, on
+    the surface, next to that start.  ``visibility_sigma`` is the delta-method
+    error from the information weighted by 1/max(count, 1), and ``chi2`` the
+    matching Neyman chi-square.
     """
     x = np.asarray(scan.offsets, dtype=float)
     y = np.asarray(scan.coincidences, dtype=float)
@@ -279,16 +279,16 @@ def fit_visibility(
     phase = math.atan2(b[2], -b[1])
     if not converged:
         # a concave likelihood whose ascent stalls peaks on the V = 1 boundary
-        edge_loglik, edge_baseline, edge_phase = _fixed_visibility_fit(theta, y, 1.0)
-        if edge_loglik >= loglik:
-            loglik, baseline, vis, phase = edge_loglik, edge_baseline, 1.0, edge_phase
+        edge = _fixed_visibility_fit(theta, y, 1.0, phase)
+        if edge[0] >= loglik:
+            loglik, baseline, vis, phase = edge[0], edge[1], 1.0, edge[2]
 
     mu = baseline * (1.0 - vis * np.cos(theta + phase))
     grad = np.array([-vis, -math.cos(phase), math.sin(phase)]) / baseline
     vis_sigma = math.sqrt(grad @ np.linalg.solve(info, grad))
-    null_loglik = _fixed_visibility_fit(theta, y, 0.5)[0] if vis > 0.5 else loglik
+    null = _fixed_visibility_fit(theta, y, 0.5, phase)[0] if vis > 0.5 else loglik
     verdict = Verdict.CONSISTENT_WITH_CLASSICAL
-    if 2.0 * (loglik - null_loglik) > _LR_THRESHOLD:
+    if 2.0 * (loglik - null) > _LR_THRESHOLD:  # null = l(V = 0.5)
         verdict = Verdict.NONCLASSICAL
     return VisibilityReport(
         visibility=vis,

@@ -46,6 +46,13 @@ the oracle of the exact rational reduction in
 ``biphoton.interferometer.fringe_phase``.  It works on arrays, so it also
 gives the per-arm phases of the amplitude oracle and the integrands of the
 quadrature.
+
+:func:`fixed_visibility_oracle` is the oracle of
+``biphoton.analysis._fixed_visibility_fit``: where the kernel runs Newton's
+method on the phase from the start it is given, the oracle searches every
+phase, a 64-point grid refined around each of its local maxima.  Its
+resolution, 3e-9 rad, leaves its log-likelihood within rounding of the
+maximum, so the kernel's must not fall below it.
 """
 from __future__ import annotations
 
@@ -498,3 +505,33 @@ def expected_class_probabilities_oracle(profile, geometry) -> dict:
         "side_ls": p_ls,
         "none": 1.0 - (p_c + p_sl + p_ls),
     }
+
+
+def fixed_visibility_oracle(theta, y, vis) -> tuple[float, float, float]:
+    """Global maximum Poisson log-likelihood of baseline * (1 - vis cos(theta + phi)).
+
+    The baseline profiles out as N / sum(g), g = 1 - vis cos(theta + phi), and
+    phi comes from a 64-point grid refined around each of its local maxima, 5
+    times over 65 points, each refinement splitting the step by 32, to
+    2 pi/64/32**5 = 3e-9 rad.  It needs no start.  Returns (log-likelihood,
+    baseline, phi).
+    """
+    n_total = float(y.sum())
+    hit = y > 0
+
+    def profile(phi):
+        g = 1.0 - vis * np.cos(theta + phi[:, None])
+        with np.errstate(divide="ignore"):
+            return np.log(g[:, hit]) @ y[hit] - n_total * np.log(g.sum(axis=1))
+
+    step = TWO_PI / 64
+    h = profile(np.arange(64) * step)
+    phi = np.flatnonzero((h >= np.roll(h, 1)) & (h >= np.roll(h, -1))) * step
+    for _ in range(5):
+        grid = phi[:, None] + np.linspace(-step, step, 65)
+        h = profile(grid.ravel()).reshape(grid.shape)
+        phi = grid[np.arange(phi.size), h.argmax(axis=1)]
+        step /= 32.0
+    best = float(grid.flat[h.argmax()])
+    total = float(np.sum(1.0 - vis * np.cos(theta + best)))
+    return n_total * (math.log(n_total) - 1.0) + float(h.max()), n_total / total, best
