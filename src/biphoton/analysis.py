@@ -7,8 +7,9 @@ otherwise.  It ignores the peaks' jitter width, so a window whose half-width
 lies just past the split still cuts off part of them and can fit a V above
 50% (ROADMAP item 1 derives the label from the gated peaks).  A locked-period
 Poisson fit whose one-sided likelihood-ratio test rejects V <= 0.5 at 2 sigma
-is nonclassical.  Its fixed-V fits are Newton's method on the phase, checked
-against a grid over every phase in ``tests/oracle.py``.
+is nonclassical.  One kernel fits the fringe at a fixed V, by Newton's method
+on the phase, checked against a grid over every phase in ``tests/oracle.py``;
+the free fit climbs its profile over V, bracketed on [0, 1].
 A scan is acquired once, a row of :func:`acquire_histogram` per point, and a
 window gates every row at once, as one range of the TAC's channels.  The
 points run on a pool of min(usable CPUs, points) threads, each on its own
@@ -17,6 +18,7 @@ size.
 """
 from __future__ import annotations
 
+import cmath
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -177,29 +179,40 @@ _LR_THRESHOLD = 4.0  # (2 sigma)^2: the one-sided 2-sigma level
 
 def _fixed_visibility_fit(
     theta: np.ndarray, y: np.ndarray, vis: float, phi: float
-) -> tuple[float, float, float]:
+) -> tuple[float, float, float, float, float]:
     """Maximum Poisson log-likelihood of baseline * (1 - vis cos(theta + phi)).
 
     The baseline profiles out as N / sum(g), g = 1 - vis cos(theta + phi), and
     Newton's method from the given phi climbs sum(y log g) - N log sum(g), by
     analytic derivatives, each step clipped to ``_PHASE_STEP`` and uphill
-    where the profile is not concave.  Returns (log-likelihood, baseline, phi).
+    where the profile is not concave.  The arrays at the phi it stops at also
+    give the slope of l_p(V) = max_phi l(V, phi), dl/dV by the envelope
+    theorem, and its curvature, the Schur complement l_VV - l_Vphi^2/l_phiphi.
+    Returns (log-likelihood, baseline, phi, dl_p/dV, d2l_p/dV2).
     """
     n_total, hit = float(y.sum()), y > 0
-    for _ in range(100):
-        c, s = vis * np.cos(theta + phi), vis * np.sin(theta + phi)
-        g, total = 1.0 - c[hit], theta.size - c.sum()
-        ratio, mean_c, mean_s = s[hit] / g, c.sum() / total, s.sum() / total
-        slope = y[hit] @ ratio - n_total * mean_s
-        curve = y[hit] @ (c[hit] / g - ratio**2) - n_total * (mean_c - mean_s**2)
-        step = -slope / curve if curve < 0 else math.copysign(_PHASE_STEP, slope)
-        phi += min(max(step, -_PHASE_STEP), _PHASE_STEP)
-        if slope * step < _TOLERANCE:
-            break
-    g = 1.0 - vis * np.cos(theta + phi)
-    total = float(g.sum())
-    h = float(np.log(g[hit]) @ y[hit]) - n_total * math.log(total)
-    return n_total * (math.log(n_total) - 1.0) + h, n_total / total, phi
+    turn = np.exp(1j * theta)  # e^{i theta}, rotated by e^{i phi} on each step
+    y, turn_hit, turn_sum = y[hit], turn[hit], complex(turn.sum())
+    # a counted point on the null at V = 1 gives inf and nan, and a step off it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(100):
+            rotation = cmath.exp(1j * phi)
+            wave, wave_sum = turn_hit * rotation, turn_sum * rotation
+            g, total = 1.0 - vis * wave.real, theta.size - vis * wave_sum.real
+            a, b = wave.real / g, wave.imag / g
+            mean_c, mean_s = wave_sum.real / total, wave_sum.imag / total
+            d_a, d_b = y @ a - n_total * mean_c, y @ b - n_total * mean_s
+            slope = vis * d_b  # dl/dphi
+            curve = vis * d_a - vis**2 * (y @ b**2 - n_total * mean_s**2)
+            step = -slope / curve if curve < 0 else math.copysign(_PHASE_STEP, slope)
+            step = min(max(step, -_PHASE_STEP), _PHASE_STEP)
+            if curve < 0 and slope * step < _TOLERANCE:
+                break
+            phi += step
+    curve_vphi = d_b + vis * (y @ (a * b) - n_total * mean_c * mean_s)
+    curve_v = n_total * mean_c**2 - y @ a**2 - curve_vphi**2 / curve
+    loglik = n_total * (math.log(n_total / total) - 1.0) + float(np.log(g) @ y)
+    return loglik, n_total / total, phi, float(-d_a), float(curve_v)
 
 
 def fringe_design(offsets, period: float) -> tuple[np.ndarray, np.ndarray]:
@@ -223,21 +236,24 @@ def fit_visibility(
 ) -> VisibilityReport:
     """Poisson maximum-likelihood fit of baseline * (1 - V cos(2 pi x/P + phi)).
 
-    The period P is locked to ``known_period``, which is required, so the
-    model b0 + b1 cos(theta) + b2 sin(theta), theta = 2 pi x/P, is linear and
-    V = sqrt(b1^2 + b2^2)/b0 is kept in [0, 1].  From a linear solve weighted
-    by 1/max(count, 1), Fisher-scoring steps climb the concave log-likelihood,
-    each halved until it keeps V < 1 and does not lower the likelihood; if
-    they stall against V = 1, the best fit with V fixed at 1 is reported.
+    The period P is locked to ``known_period``, which is required.  In the
+    linear form b0 + b1 cos(theta) + b2 sin(theta), theta = 2 pi x/P, the
+    log-likelihood is concave and each {V <= v}, V = sqrt(b1^2 + b2^2)/b0, a
+    convex cone, so the profile l_p(V) = max_phi l(V, phi) is unimodal on
+    [0, 1] (Murphy & van der Vaart, JASA 95, 449, 2000).  Newton's method on
+    V climbs it from a linear solve weighted by 1/max(count, 1), each step a
+    fixed-V fit started at the last one's phase; the slope's sign brackets
+    the maximum, a step that leaves the bracket bisects it, and the fit
+    stops at V = 1 when l_p still rises there, which is the maximum's KKT
+    condition.
 
     The verdict is a one-sided likelihood-ratio test of V <= 0.5 (Chernoff,
     Ann. Math. Stat. 25, 573, 1954): nonclassical only when V > 0.5 and
-    2 (l_max - l(V = 0.5)) > 4, the 2-sigma level.  A fit at fixed V is
-    Newton's method on the phase from where the ascent stopped: the likelihood
-    is concave and {V <= v} a convex cone, so the maximum there is unique, on
-    the surface, next to that start.  ``visibility_sigma`` is the delta-method
-    error from the information weighted by 1/max(count, 1), and ``chi2`` the
-    matching Neyman chi-square.
+    2 (l_max - l(V = 0.5)) > 4, the 2-sigma level, l(V = 0.5) being the same
+    kernel started at the fitted phase: on the surface of a convex cone
+    below the maximum, the maximum is unique and next to that start.
+    ``visibility_sigma`` is the delta-method error from the information
+    weighted by 1/max(count, 1), and ``chi2`` the matching Neyman chi-square.
     """
     x = np.asarray(scan.offsets, dtype=float)
     y = np.asarray(scan.coincidences, dtype=float)
@@ -250,39 +266,22 @@ def fit_visibility(
     theta, design = fringe_design(x, known_period)
     neyman = 1.0 / np.maximum(y, 1.0)
     info = (design.T * neyman) @ design
-    start = np.linalg.solve(info, design.T @ (neyman * y))
-
-    def inside(coef):
-        return math.hypot(coef[1], coef[2]) < coef[0]
-
-    def loglik_of(coef):
-        mu = design @ coef
-        return float(y @ np.log(mu) - mu.sum())  # up to -sum(log y!)
-
-    b = start if inside(start) else np.array([y.mean(), 0.0, 0.0])
-    loglik = loglik_of(b)
+    b0, b1, b2 = np.linalg.solve(info, design.T @ (neyman * y))
+    amplitude, phase = math.hypot(b1, b2), math.atan2(b2, -b1)
+    # l_p rises on [0, lo] and falls on [hi, 1]; a start outside V < 1 tries V = 1
+    trial, lo, hi = amplitude / b0 if 0 < amplitude < b0 else 1.0, 0.0, math.inf
     for _ in range(100):
-        mu = design @ b
-        score = design.T @ (y / mu - 1.0)
-        step = np.linalg.solve((design.T / mu) @ design, score)
-        converged = score @ step < _TOLERANCE
-        if converged:
+        vis = trial
+        loglik, baseline, phase, slope, curve = _fixed_visibility_fit(
+            theta, y, vis, phase
+        )
+        lo, hi = (vis, hi) if slope >= 0 else (lo, vis)
+        step = -slope / curve if curve < 0 else math.copysign(math.inf, slope)
+        if lo == 1.0 or slope * step < _TOLERANCE:
             break
-        for trial in (b + 0.5**k * step for k in range(40)):
-            if inside(trial) and (trial_loglik := loglik_of(trial)) >= loglik:
-                break
-        else:
-            break
-        b, loglik = trial, trial_loglik
-    baseline = float(b[0])
-    vis = math.hypot(b[1], b[2]) / baseline
-    phase = math.atan2(b[2], -b[1])
-    if not converged:
-        # a concave likelihood whose ascent stalls peaks on the V = 1 boundary
-        edge = _fixed_visibility_fit(theta, y, 1.0, phase)
-        if edge[0] >= loglik:
-            loglik, baseline, vis, phase = edge[0], edge[1], 1.0, edge[2]
-
+        trial = min(vis + step, 1.0)
+        if not lo < trial < hi:
+            trial = (lo + min(hi, 1.0)) / 2
     mu = baseline * (1.0 - vis * np.cos(theta + phase))
     grad = np.array([-vis, -math.cos(phase), math.sin(phase)]) / baseline
     vis_sigma = math.sqrt(grad @ np.linalg.solve(info, grad))

@@ -46,8 +46,9 @@ def synthetic_scan(
     window=1e-9,
     rng=None,
     offset_shift=0.0,
+    periods=2.0,
 ):
-    x = np.linspace(0.0, 2 * period, n_points, endpoint=False) + offset_shift
+    x = np.linspace(0.0, periods * period, n_points, endpoint=False) + offset_shift
     mean = baseline * (1.0 - visibility * np.cos(2 * math.pi * (x - offset_shift) / period + phase))
     counts = mean if rng is None else rng.poisson(mean).astype(float)
     return FringeScan(
@@ -73,6 +74,28 @@ def one_count_scan():
     scan = synthetic_scan(0.0, baseline=0.0)
     scan.coincidences[5] = 1.0
     return scan
+
+
+def assert_order_is_irrelevant(scan, orders):
+    """The fit of ``scan`` with its points in each of ``orders`` agrees with
+    the fit in the given order to 1e-12: absolute in the phase, relative in
+    the other fields, and exactly in the verdict."""
+    a = fit_visibility(scan, known_period=PUMP)
+    for order in orders:
+        shuffled = replace(
+            scan,
+            offsets=scan.offsets[order],
+            singles_a=scan.singles_a[order],
+            singles_b=scan.singles_b[order],
+            coincidences=scan.coincidences[order],
+        )
+        b = fit_visibility(shuffled, known_period=PUMP)
+        assert b.verdict is a.verdict
+        assert abs(math.remainder(b.phase_rad - a.phase_rad, 2 * math.pi)) <= 1e-12
+        for field in ("visibility", "visibility_sigma", "baseline", "chi2"):
+            assert getattr(b, field) == pytest.approx(
+                getattr(a, field), rel=1e-12, abs=0
+            )
 
 
 def record_fixed_fits(monkeypatch):
@@ -196,30 +219,35 @@ class TestFitVisibility:
     @pytest.mark.parametrize("vis", [0.2, 0.5, 0.8, 1.0])
     def test_point_order_is_irrelevant(self, vis):
         # the likelihood, the design rank and chi2 are sums over the points,
-        # so the order moves the fit by rounding alone; at V = 1 the ascent
-        # stalls where rounding lets it, but Newton's method on the phase
-        # then converges from there to the one maximum on the boundary
-        tol, rel = (1e-9, 1e-8) if vis == 1.0 else (1e-12, 1e-12)
+        # so the order moves the fit by rounding alone: the Newton steps on V
+        # and on the phase take the same path from the same start, interior
+        # or on the V = 1 boundary
         for seed in range(5):
             rng = np.random.default_rng(seed)
             scan = synthetic_scan(vis, phase=0.4 + seed, rng=rng)
-            order = rng.permutation(scan.offsets.size)
-            shuffled = replace(
-                scan,
-                offsets=scan.offsets[order],
-                singles_a=scan.singles_a[order],
-                singles_b=scan.singles_b[order],
-                coincidences=scan.coincidences[order],
-            )
-            a = fit_visibility(scan, known_period=PUMP)
-            b = fit_visibility(shuffled, known_period=PUMP)
-            assert b.verdict is a.verdict
-            assert b.visibility == pytest.approx(a.visibility, rel=tol, abs=0)
-            assert abs(math.remainder(b.phase_rad - a.phase_rad, 2 * math.pi)) <= tol
-            for field in ("visibility_sigma", "baseline", "chi2"):
-                assert getattr(b, field) == pytest.approx(
-                    getattr(a, field), rel=rel, abs=0
-                )
+            assert_order_is_irrelevant(scan, [rng.permutation(scan.offsets.size)])
+
+    def test_point_order_is_irrelevant_near_full_visibility(self):
+        # V = 1 scans whose fits land on the boundary or just inside it,
+        # where the likelihood is steepest and rounding moves it most
+        for seed in range(80):
+            rng = np.random.default_rng(seed)
+            phase, baseline = rng.uniform(-math.pi, math.pi), rng.uniform(3.0, 3000.0)
+            scan = synthetic_scan(1.0, baseline=baseline, phase=phase, rng=rng)
+            orders = [rng.permutation(scan.offsets.size) for _ in range(5)]
+            assert_order_is_irrelevant(scan, orders)
+
+    @pytest.mark.parametrize(
+        "n_points, index, counts", [(8, 3, 1.0), (8, 3, 2.0), (16, 6, 3.0)]
+    )
+    def test_all_counts_on_one_point(self, n_points, index, counts):
+        # every count at theta = 3 pi/2: the maximum lies on the V = 1
+        # boundary, with the fringe's null on the points at theta = pi/2
+        scan = synthetic_scan(0.0, baseline=0.0, n_points=n_points)
+        scan.coincidences[index] = counts
+        report = fit_visibility(scan, known_period=PUMP)
+        assert report.visibility == 1.0
+        assert report.verdict is Verdict.CONSISTENT_WITH_CLASSICAL
 
     @pytest.mark.parametrize("baseline", [20.0, 2000.0])
     def test_full_visibility_with_point_on_null(self, baseline):
@@ -239,26 +267,45 @@ class TestFitVisibility:
         assert report.visibility <= 1.0
         assert report.verdict is Verdict.CONSISTENT_WITH_CLASSICAL
 
-    @pytest.mark.parametrize(
-        "vis, baseline, phase",
-        [(0.3, 20.0, 0.4), (0.8, 20.0, 2.0), (1.0, 20.0, 0.0), (1.0, 2000.0, -1.0)],
+    @given(
+        vis=st.one_of(
+            st.floats(min_value=0.0, max_value=0.1),
+            st.floats(min_value=0.0, max_value=1.0),
+            st.just(1.0),
+        ),
+        baseline=st.floats(min_value=0.3, max_value=3000.0),
+        n_points=st.integers(min_value=8, max_value=64),
+        periods=st.floats(min_value=1.0, max_value=3.0),
+        phase=st.floats(min_value=-math.pi, max_value=math.pi),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
-    def test_fit_is_constrained_maximum(self, vis, baseline, phase):
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @example(vis=0.3, baseline=20.0, n_points=24, periods=2.0, phase=0.4, seed=0)
+    @example(vis=1.0, baseline=20.0, n_points=24, periods=2.0, phase=0.0, seed=1)
+    @example(vis=1.0, baseline=2000.0, n_points=24, periods=2.0, phase=-1.0, seed=2)
+    # the linear start's phase is a minimum over phases, with a zero slope
+    @example(vis=0.0, baseline=0.3046875, n_points=8, periods=1.0, phase=0.0, seed=563)
+    # the linear start puts a counted point on the null of the V = 1 fringe
+    @example(vis=1.0, baseline=1.0, n_points=8, periods=1.0, phase=1.5, seed=991481)
+    def test_fit_is_constrained_maximum(
+        self, vis, baseline, n_points, periods, phase, seed
+    ):
         # no visibility in [0, 1] beats the reported fit
-        for seed in range(5):
-            scan = synthetic_scan(
-                vis, baseline=baseline, phase=phase, rng=np.random.default_rng(seed)
+        scan = synthetic_scan(
+            vis, baseline=baseline, n_points=n_points, phase=phase,
+            rng=np.random.default_rng(seed), periods=periods,
+        )
+        assume(scan.coincidences.sum() > 0)
+        report = fit_visibility(scan, known_period=PUMP)
+        assert 0.0 <= report.visibility <= 1.0
+        fitted = poisson_loglik(
+            scan, report.baseline, report.visibility, report.phase_rad
+        )
+        theta = 2 * math.pi * scan.offsets / PUMP
+        for v in np.linspace(0.0, 1.0, 21):
+            assert fixed_visibility_oracle(theta, scan.coincidences, v)[0] <= (
+                fitted + 1e-9
             )
-            report = fit_visibility(scan, known_period=PUMP)
-            assert 0.0 <= report.visibility <= 1.0
-            fitted = poisson_loglik(
-                scan, report.baseline, report.visibility, report.phase_rad
-            )
-            theta = 2 * math.pi * scan.offsets / PUMP
-            for v in np.linspace(0.0, 1.0, 21):
-                assert fixed_visibility_oracle(theta, scan.coincidences, v)[0] <= (
-                    fitted + 1e-9
-                )
 
     @given(
         vis=st.floats(min_value=0.2, max_value=1.0),
@@ -283,7 +330,7 @@ class TestFitVisibility:
         with pytest.MonkeyPatch.context() as patch:
             calls = record_fixed_fits(patch)
             fit_visibility(scan, known_period=PUMP)
-        for theta, y, v, _, (loglik, _, _) in calls:
+        for theta, y, v, _, (loglik, *_) in calls:
             assert loglik >= fixed_visibility_oracle(theta, y, v)[0] - 1e-9
 
 
@@ -350,7 +397,7 @@ class TestFixedVisibilityFit:
             kernel(theta, y, vis, grid[profile.argmax()] + d)
             for d in (-math.pi / 64, math.pi / 64)
         ]
-        for loglik, baseline, phase in fits:
+        for loglik, baseline, phase, *_ in fits:
             # the reported maximum is the likelihood of the reported
             # parameters ...
             assert loglik == pytest.approx(
