@@ -15,12 +15,7 @@ from .detection import DetectorModel, TacConfig
 from .engines import SourceRates
 from .errors import ConfigError, FitError
 from .interferometer import SPEED_OF_LIGHT, InterferometerGeometry, delta_L
-from .spectral import (
-    SpectralProfile,
-    SpectralShape,
-    coherence_length,
-    wavelength_to_wavenumber,
-)
+from .spectral import SpectralProfile, SpectralShape, wavelength_to_wavenumber
 
 # Expected photons of one acquisition, 2 (pair_rate + singles_background)
 # duration, at most.  One acquisition's tracemalloc peak at run.duration_s = 10
@@ -149,28 +144,13 @@ class ExperimentConfig:
         return SpectralProfile(k_pump=k_pump, delta_k=delta_k, shape=shape)
 
     def geometry(self) -> InterferometerGeometry:
-        geo = self.data["geometry"]
-        return InterferometerGeometry(
-            path_short=geo["path_short_m"],
-            path_long_base=geo["path_long_base_m"],
-            splitter_transmittance=geo["splitter_transmittance"],
-            mode_overlap=geo["mode_overlap"],
-        )
+        return InterferometerGeometry(**self.data["geometry"])
 
     def rates(self) -> SourceRates:
-        r = self.data["rates"]
-        return SourceRates(
-            pair_rate=r["pair_rate"],
-            singles_background=r["singles_background"],
-        )
+        return SourceRates(**self.data["rates"])
 
     def detector(self) -> DetectorModel:
-        d = self.data["detector"]
-        return DetectorModel(
-            timing_jitter_sigma=d["jitter_sigma_s"],
-            dead_time=d["dead_time_s"],
-            efficiency=d["efficiency"],
-        )
+        return DetectorModel(**self.data["detector"])
 
     def tac(self) -> TacConfig:
         t = self.data["tac"]
@@ -197,11 +177,11 @@ class ExperimentConfig:
                 refusal = _refusal(f"{section}.{key}", value, default, allowed)
                 if refusal:
                     raise ConfigError(refusal)
-        geo = self.data["geometry"]
-        if not geo["path_long_base_m"] > geo["path_short_m"]:
+        geometry, rates = self.geometry(), self.rates()
+        if not geometry.path_long_base_m > geometry.path_short_m:
             raise ConfigError(
-                f"geometry.path_long_base_m = {geo['path_long_base_m']} m must "
-                f"exceed geometry.path_short_m = {geo['path_short_m']} m"
+                f"geometry.path_long_base_m = {geometry.path_long_base_m} m must "
+                f"exceed geometry.path_short_m = {geometry.path_short_m} m"
             )
         profile = self.profile()
         src = self.data["source"]
@@ -225,7 +205,6 @@ class ExperimentConfig:
                 f"crosses 0 or k_pump = {profile.k_pump:.6g} rad/m; "
                 "source.coherence_length_m is too short"
             )
-        geometry, rates = self.geometry(), self.rates()
         detector, tac = self.detector(), self.tac()
         for section in ("run", "scan"):
             duration = self.data[section]["duration_s"]
@@ -238,17 +217,18 @@ class ExperimentConfig:
                 )
 
         dl = delta_L(geometry)
-        lcoh = coherence_length(profile)
+        lcoh = src["coherence_length_m"]
         if dl < 100.0 * lcoh:
             warnings.append(
-                f"path difference {dl} m is below 100x the coherence length "
-                f"{lcoh} m; single-photon interference is not negligible"
+                f"path difference delta_L = {dl:.6g} m is below 100x the coherence "
+                f"length source.coherence_length_m = {lcoh!r} m; single-photon "
+                "interference is not negligible"
             )
         # a start-stop difference carries the jitter of both detectors
-        spread = math.sqrt(2.0) * detector.timing_jitter_sigma
+        spread = math.sqrt(2.0) * detector.jitter_sigma_s
         if not spread < tac.range:
             raise ConfigError(
-                f"detector.jitter_sigma_s = {detector.timing_jitter_sigma!r} s: "
+                f"detector.jitter_sigma_s = {detector.jitter_sigma_s!r} s: "
                 f"sqrt(2) * jitter = {spread:.6g} s, the spread of a start-stop "
                 f"difference, must be less than tac.range_s = {tac.range!r} s"
             )

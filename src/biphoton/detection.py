@@ -34,10 +34,10 @@ from .spectral import SpectralProfile
 
 @dataclass(frozen=True)
 class DetectorModel:
-    """Timing jitter (Gaussian sigma), dead time, and quantum efficiency."""
+    """Timing jitter (Gaussian sigma) and dead time, s, and quantum efficiency."""
 
-    timing_jitter_sigma: float
-    dead_time: float
+    jitter_sigma_s: float
+    dead_time_s: float
     efficiency: float
 
 
@@ -104,19 +104,19 @@ def detect_clicks(
     :func:`biphoton.engines.generate_events`, so ``model.efficiency`` is not
     read here.  They may come in any order: the clicks are sorted after the
     jitter, the one place the chain orders them, and returned sorted.  Dead
-    time is non-paralysable: a click is kept when ``t >= last + dead_time``,
+    time is non-paralysable: a click is kept when ``t >= last + dead_time_s``,
     ``last`` being the last kept click, and a lost click does not extend the
     dead period.  This is the TAC's busy-period rule with no stop, so both
     share one kernel (``_accept_free``).
     """
     times = np.asarray(times, dtype=float)
-    if model.timing_jitter_sigma > 0:
+    if model.jitter_sigma_s > 0:
         jitter = rng.standard_normal(times.size)
-        jitter *= model.timing_jitter_sigma  # rng.normal(0.0, sigma, n), in place
+        jitter *= model.jitter_sigma_s  # rng.normal(0.0, sigma, n), in place
         times = np.add(times, jitter, out=jitter)
     times = np.sort(times)
-    if model.dead_time > 0:
-        times = times[_accept_free(times, times + model.dead_time)]
+    if model.dead_time_s > 0:
+        times = times[_accept_free(times, times + model.dead_time_s)]
     return times
 
 

@@ -40,7 +40,7 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
 @dataclass(frozen=True)
 class InterferometerGeometry:
-    """Arm lengths and beam-splitter parameters.
+    """Arm lengths (m) and beam-splitter parameters, named as the geometry keys.
 
     The long arm is stored as a coarse base plus a fine scan offset, so the
     metre-scale term k * (L_base - S) of a fringe phase is reduced mod 2*pi
@@ -48,26 +48,26 @@ class InterferometerGeometry:
     k * offset (:func:`fringe_phase`).
     """
 
-    path_short: float
-    path_long_base: float
-    path_long_offset: float = 0.0
+    path_short_m: float
+    path_long_base_m: float
+    path_long_offset_m: float = 0.0
     splitter_transmittance: float = 0.5
     mode_overlap: float = 1.0
 
     def with_offset(self, offset: float) -> "InterferometerGeometry":
-        return replace(self, path_long_offset=offset)
+        return replace(self, path_long_offset_m=offset)
 
 
 def delta_L(geometry: InterferometerGeometry) -> float:
-    """Optical-path difference L - S; the fine offset enters at full precision."""
-    return (geometry.path_long_base - geometry.path_short) + geometry.path_long_offset
+    """Optical-path difference L - S, m; the fine offset enters at full precision."""
+    base = geometry.path_long_base_m - geometry.path_short_m
+    return base + geometry.path_long_offset_m
 
 
 def transit_times(geometry: InterferometerGeometry) -> tuple[float, float]:
     """(short-arm, long-arm) propagation times in seconds."""
-    t_s = geometry.path_short / SPEED_OF_LIGHT
-    t_l = (geometry.path_long_base + geometry.path_long_offset) / SPEED_OF_LIGHT
-    return t_s, t_l
+    long_arm = geometry.path_long_base_m + geometry.path_long_offset_m
+    return geometry.path_short_m / SPEED_OF_LIGHT, long_arm / SPEED_OF_LIGHT
 
 
 def fringe_phase(k: float, geometry: InterferometerGeometry) -> float:
@@ -75,18 +75,20 @@ def fringe_phase(k: float, geometry: InterferometerGeometry) -> float:
 
     k * (L_base - S) is reduced mod 2*pi in exact rational arithmetic and
     rounded once, keeping the sign of k as ``np.fmod`` does; the offset term
-    k * offset is added after.  A float product of a ~1e7 rad/m wavenumber
-    and a metre-scale path would be off by ~1e-9 rad, far below the fringe
-    scale (1 nm of offset moves the pump phase by 1.5e-2 rad), so the exact
-    reduction buys no resolution.  What it buys is a phase independent of
-    the float product's rounding: the correctly rounded residue, which any
-    exact reduction gives bit for bit, so the outputs are bit-reproducible
-    against such an oracle (``tests/oracle.py``).  The reduction is
-    memoized on (k, L_base - S), which every point of a scan and every row
-    of ``compare`` share; only the offset differs.
+    k * offset is added after.  A float product would be off by ~1e-9 rad,
+    far below the fringe scale (1 nm of offset moves the pump phase by
+    1.5e-2 rad), so exactness buys no resolution.  It buys two things.  The
+    phase is the correctly rounded residue, which any exact reduction gives
+    bit for bit (``tests/oracle.py``).  And phases add: the residues of
+    k1 * delta_L and k2 * delta_L sum to that of k_pump * delta_L to within
+    rounding, the identity phi_1 + phi_2 = phi_p that the kernel's one pump
+    phase rests on; rounded products break it and move the class
+    probabilities by up to 1.6e-10.  The reduction is memoized on
+    (k, L_base - S), which every point of a scan and every row of
+    ``compare`` share.
     """
-    base = _reduced_base_phase(k, geometry.path_long_base - geometry.path_short)
-    return base + k * geometry.path_long_offset
+    base = _reduced_base_phase(k, geometry.path_long_base_m - geometry.path_short_m)
+    return base + k * geometry.path_long_offset_m
 
 
 @functools.lru_cache

@@ -46,7 +46,7 @@ def profile(k_pump):
 @pytest.fixture
 def geometry():
     # delta_L = 0.55 m, the bench arrangement scale
-    return InterferometerGeometry(path_short=0.5, path_long_base=1.05)
+    return InterferometerGeometry(path_short_m=0.5, path_long_base_m=1.05)
 
 
 @pytest.fixture

@@ -112,16 +112,16 @@ def product_mod_2pi(k, length):
 
 def fringe_phase_oracle(k, geometry: InterferometerGeometry):
     """``fringe_phase`` for an array of wavenumbers."""
-    base = product_mod_2pi(k, geometry.path_long_base - geometry.path_short)
-    return base + np.multiply(k, geometry.path_long_offset)
+    base = product_mod_2pi(k, geometry.path_long_base_m - geometry.path_short_m)
+    return base + np.multiply(k, geometry.path_long_offset_m)
 
 
 def path_phase(k, geometry: InterferometerGeometry, path: PathLabel):
     """k * (path length), reduced so the scan offset contributes exactly."""
     if path is PathLabel.S:
-        return product_mod_2pi(k, geometry.path_short)
-    base = product_mod_2pi(k, geometry.path_long_base)
-    return base + np.multiply(k, geometry.path_long_offset)
+        return product_mod_2pi(k, geometry.path_short_m)
+    base = product_mod_2pi(k, geometry.path_long_base_m)
+    return base + np.multiply(k, geometry.path_long_offset_m)
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,7 @@ def fringe_visibility(rate_fn, profile, geometry, rates):
 def desk_corpus(profile_m, geometry_m, tac_m):
     """24-point fringe scan at delta_L = 0.55 m, ~2e3 coincidences per point."""
     rates = SourceRates(pair_rate=1e5, singles_background=0.0)
-    detector = DetectorModel(timing_jitter_sigma=300e-12, dead_time=0.0, efficiency=1.0)
+    detector = DetectorModel(jitter_sigma_s=300e-12, dead_time_s=0.0, efficiency=1.0)
     offsets = np.linspace(0.0, 2.0 * PERIOD, 24, endpoint=False)
     start = time.perf_counter()
     corpus = acquire_scan_corpus(
@@ -73,7 +73,7 @@ def profile_m():
 
 @pytest.fixture(scope="module")
 def geometry_m():
-    return InterferometerGeometry(path_short=0.5, path_long_base=1.05)
+    return InterferometerGeometry(path_short_m=0.5, path_long_base_m=1.05)
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +102,7 @@ def test_criterion_1_analytic_visibilities(profile_m, geometry_m):
     rates = SourceRates(pair_rate=1e5, singles_background=0.0)
     v_narrow = fringe_visibility(quantum_rate_narrow, profile_m, geometry_m, rates)
     wide_geom = InterferometerGeometry(
-        path_short=0.5, path_long_base=0.5 + 100.0 * COHERENCE_LENGTH
+        path_short_m=0.5, path_long_base_m=0.5 + 100.0 * COHERENCE_LENGTH
     )
     v_wide = fringe_visibility(wide_rate, profile_m, wide_geom, rates)
     v_classical = fringe_visibility(classical_rate, profile_m, geometry_m, rates)

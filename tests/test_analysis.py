@@ -33,7 +33,7 @@ from conftest import COHERENCE_LENGTH, flatness_pvalue, named_config
 from oracle import fixed_visibility_oracle
 
 PUMP = 427e-9
-IDEAL = DetectorModel(timing_jitter_sigma=300e-12, dead_time=0.0, efficiency=1.0)
+IDEAL = DetectorModel(jitter_sigma_s=300e-12, dead_time_s=0.0, efficiency=1.0)
 TAC = TacConfig(electrical_delay=10e-9, range=20e-9, n_channels=4096)
 
 
@@ -409,8 +409,8 @@ class TestFixedVisibilityFit:
             assert loglik >= profile.max() - 1e-9
 
 
-LOSSY_A = DetectorModel(timing_jitter_sigma=300e-12, dead_time=50e-9, efficiency=0.6)
-LOSSY_B = DetectorModel(timing_jitter_sigma=200e-12, dead_time=0.0, efficiency=0.8)
+LOSSY_A = DetectorModel(jitter_sigma_s=300e-12, dead_time_s=50e-9, efficiency=0.6)
+LOSSY_B = DetectorModel(jitter_sigma_s=200e-12, dead_time_s=0.0, efficiency=0.8)
 LOSSY_OFFSETS = 0.3 * PUMP + np.linspace(0.0, 2 * PUMP, 8, endpoint=False)
 LOSSY_SEED = 11
 LOSSY_DURATION = 0.02
@@ -420,7 +420,7 @@ LOSSY_SETUP = (
     SpectralProfile(
         k_pump=wavelength_to_wavenumber(PUMP), delta_k=1.0 / COHERENCE_LENGTH
     ),
-    InterferometerGeometry(path_short=0.5, path_long_base=1.05),
+    InterferometerGeometry(path_short_m=0.5, path_long_base_m=1.05),
     SourceRates(pair_rate=1.0e5, singles_background=2e4),
 )
 

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -16,10 +17,12 @@ from biphoton import analysis, cli, engines
 from biphoton.analysis import gate_scan
 from biphoton.cli import main
 from biphoton.config import DEFAULTS, KEYS, ExperimentConfig
-from biphoton.detection import acquire_histogram
+from biphoton.detection import DetectorModel, acquire_histogram
+from biphoton.engines import SourceRates
 from biphoton.errors import ConfigError, DomainError
+from biphoton.interferometer import InterferometerGeometry
 from biphoton.spectral import sample_signal
-from conftest import CONFIGS
+from conftest import CONFIGS, named_config
 
 
 def write_config(tmp_path, overrides, name="config.json"):
@@ -66,6 +69,44 @@ class TestConfig:
             {"source": {"coherence_length_m": 0.01}}
         )
         assert any("coherence" in w for w in cfg.validate())
+        # the value as given, not 1/(1/l_c), which prints 0.005899999999999999
+        cfg = ExperimentConfig.from_dict({"source": {"coherence_length_m": 0.0059}})
+        (warning,) = cfg.validate()
+        assert "delta_L = 0.55 m" in warning
+        assert "coherence length source.coherence_length_m = 0.0059 m;" in warning
+
+    @pytest.mark.parametrize(
+        "section, record, extra",
+        [
+            ("geometry", InterferometerGeometry, {"path_long_offset_m"}),
+            ("detector", DetectorModel, set()),
+            ("rates", SourceRates, set()),
+        ],
+    )
+    def test_records_take_the_config_keys(self, section, record, extra):
+        # one vocabulary: the scan sets the geometry's one field beyond its keys
+        assert {f.name for f in fields(record)} == set(KEYS[section]) | extra
+
+    @pytest.mark.parametrize("name", ["default", "experimental"])
+    def test_builders_pass_their_sections_through(self, name):
+        cfg = named_config(name)
+        geo, det, rates = (cfg.data[s] for s in ("geometry", "detector", "rates"))
+        assert cfg.geometry() == InterferometerGeometry(
+            path_short_m=geo["path_short_m"],
+            path_long_base_m=geo["path_long_base_m"],
+            path_long_offset_m=0.0,
+            splitter_transmittance=geo["splitter_transmittance"],
+            mode_overlap=geo["mode_overlap"],
+        )
+        assert cfg.detector() == DetectorModel(
+            jitter_sigma_s=det["jitter_sigma_s"],
+            dead_time_s=det["dead_time_s"],
+            efficiency=det["efficiency"],
+        )
+        assert cfg.rates() == SourceRates(
+            pair_rate=rates["pair_rate"],
+            singles_background=rates["singles_background"],
+        )
 
     def test_tac_coverage_enforced(self):
         with pytest.raises(ConfigError):
@@ -660,7 +701,7 @@ class TestCliCommands:
         failing = ExperimentConfig.from_dict(SMALL_RUN).scan_offsets()[5]
 
         def fail_at_point_5(profile, geometry, *args):
-            if geometry.path_long_offset == failing:
+            if geometry.path_long_offset_m == failing:
                 raise DomainError("point 5 fails")
             return acquire_histogram(profile, geometry, *args)
 

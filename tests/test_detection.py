@@ -33,7 +33,7 @@ from oracle import (
     window_mask_oracle,
 )
 
-IDEAL = DetectorModel(timing_jitter_sigma=0.0, dead_time=0.0, efficiency=1.0)
+IDEAL = DetectorModel(jitter_sigma_s=0.0, dead_time_s=0.0, efficiency=1.0)
 TAC = TacConfig(electrical_delay=10e-9, range=20e-9, n_channels=4096)
 DT_SPLIT = 0.55 / SPEED_OF_LIGHT  # 1.8346 ns
 CENTERS = TAC.bin_centers
@@ -174,12 +174,7 @@ def ideal_histogram(times_a, times_b, rng):
     return histogram_from_clicks(t_a, t_b, TAC)
 
 
-# the config key that sets each DetectorModel and TacConfig field
-DETECTOR_KEYS = {
-    "timing_jitter_sigma": "jitter_sigma_s",
-    "dead_time": "dead_time_s",
-    "efficiency": "efficiency",
-}
+# the config key that sets each TacConfig field
 TAC_KEYS = {
     "electrical_delay": "electrical_delay_s",
     "range": "range_s",
@@ -193,14 +188,12 @@ class TestDetectorModel:
         assert_refused("detector", "jitter_sigma_s", -1.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize(
-        "field", ["timing_jitter_sigma", "dead_time", "efficiency"]
-    )
-    def test_non_finite_parameters_rejected(self, field, value):
-        assert_refused("detector", DETECTOR_KEYS[field], value)
+    @pytest.mark.parametrize("key", ["jitter_sigma_s", "dead_time_s", "efficiency"])
+    def test_non_finite_parameters_rejected(self, key, value):
+        assert_refused("detector", key, value)
 
     def test_dead_time_suppression(self, rng):
-        model = DetectorModel(timing_jitter_sigma=0.0, dead_time=50e-9, efficiency=1.0)
+        model = DetectorModel(jitter_sigma_s=0.0, dead_time_s=50e-9, efficiency=1.0)
         times = np.array([0.0, 10e-9, 60e-9, 200e-9])
         kept = detect_clicks(times, model, rng)
         assert np.allclose(kept, [0.0, 60e-9, 200e-9])
@@ -228,7 +221,7 @@ class TestDetectorModel:
         rates = SourceRates(pair_rate=1e5, singles_background=2e4)
         duration = 1.0
         detectors = [
-            replace(IDEAL, timing_jitter_sigma=300e-12, efficiency=eta)
+            replace(IDEAL, jitter_sigma_s=300e-12, efficiency=eta)
             for eta in (0.3, 0.7)
         ]
         clicks = detect_streams(profile, geometry, rates, *detectors, duration, rng)
@@ -430,7 +423,7 @@ class TestStateMachineOracles:
     @example(ticks=[0.0, 2.0, 4.0, 6.0, 8.0], dead=3.0)
     def test_dead_time_matches_loop(self, ticks, dead):
         model = DetectorModel(
-            timing_jitter_sigma=0.0, dead_time=dead * UNIT, efficiency=1.0
+            jitter_sigma_s=0.0, dead_time_s=dead * UNIT, efficiency=1.0
         )
         times = np.array(ticks) * UNIT
         with pytest.MonkeyPatch.context() as mp:
@@ -466,7 +459,7 @@ class TestStateMachineOracles:
     @example(clicks=([0.0, 2.0, 3.0, 5.0, 6.0], 3.0))
     def test_dead_time_long_busy_runs(self, clicks):
         ticks, dead = clicks
-        model = replace(IDEAL, dead_time=dead * UNIT)
+        model = replace(IDEAL, dead_time_s=dead * UNIT)
         times = np.array(ticks) * UNIT
         assert longest_busy_run(times, times + dead * UNIT) >= 3
         with pytest.MonkeyPatch.context() as mp:
@@ -505,8 +498,8 @@ class TestStateMachineOracles:
         # 1e6 pairs/s: about 5 % of clicks fall within 50 ns of the previous
         rates = SourceRates(pair_rate=1e6, singles_background=2e5)
         events = generate_events(profile, geometry, rates, 0.01, rng)
-        jitter = replace(IDEAL, timing_jitter_sigma=300e-12)
-        dead = replace(IDEAL, dead_time=50e-9)
+        jitter = replace(IDEAL, jitter_sigma_s=300e-12)
+        dead = replace(IDEAL, dead_time_s=50e-9)
         kept = []
         for photons in (events.a, events.b):
             clicks = detect_clicks(photons, jitter, rng)

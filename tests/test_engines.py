@@ -82,7 +82,7 @@ class TestQuantumRates:
 
     def test_wide_white_light_null(self, profile, k_pump, rates):
         # delta_L -> 0: side-class residual cancels the whole rate
-        geom = InterferometerGeometry(path_short=0.5, path_long_base=0.5 + 1e-12)
+        geom = InterferometerGeometry(path_short_m=0.5, path_long_base_m=0.5 + 1e-12)
         assert wide_rate(profile, geom, rates) == pytest.approx(
             0.0, abs=1e-6 * rates.pair_rate
         )
@@ -99,7 +99,7 @@ class TestQuantumRates:
 
     def test_narrow_visibility_equals_mode_overlap(self, profile, k_pump, rates):
         geom = InterferometerGeometry(
-            path_short=0.5, path_long_base=1.05, mode_overlap=0.8
+            path_short_m=0.5, path_long_base_m=1.05, mode_overlap=0.8
         )
         lo = quantum_rate_narrow(profile, phase_geometry(geom, k_pump, 0.0), rates)
         hi = quantum_rate_narrow(profile, phase_geometry(geom, k_pump, math.pi), rates)
@@ -107,7 +107,7 @@ class TestQuantumRates:
 
     def test_wide_visibility_half_mode_overlap(self, profile, k_pump, rates):
         geom = InterferometerGeometry(
-            path_short=0.5, path_long_base=1.05, mode_overlap=0.6
+            path_short_m=0.5, path_long_base_m=1.05, mode_overlap=0.6
         )
         lo = wide_rate(profile, phase_geometry(geom, k_pump, 0.0), rates)
         hi = wide_rate(profile, phase_geometry(geom, k_pump, math.pi), rates)
@@ -117,8 +117,8 @@ class TestQuantumRates:
         for t in (0.1, 0.5, 0.9):
             for mu in (0.0, 0.5, 1.0):
                 geom = InterferometerGeometry(
-                    path_short=0.5,
-                    path_long_base=1.05,
+                    path_short_m=0.5,
+                    path_long_base_m=1.05,
                     splitter_transmittance=t,
                     mode_overlap=mu,
                 )
@@ -177,8 +177,8 @@ class TestClosedFormAverages:
         k_pump = wavelength_to_wavenumber(PUMP_WAVELENGTH)
         profile = SpectralProfile(k_pump=k_pump, delta_k=1.0 / LCOH, shape=shape)
         geom = InterferometerGeometry(
-            path_short=0.5,
-            path_long_base=0.5 + dl,
+            path_short_m=0.5,
+            path_long_base_m=0.5 + dl,
             splitter_transmittance=t,
             mode_overlap=mu,
         )
@@ -197,7 +197,9 @@ class TestClosedFormAverages:
         # below the coherence length the single-photon fringe means C1 and C2
         # are about 0.52, so the quadrature checks that they cancel
         profile = SpectralProfile(k_pump=k_pump, delta_k=1.0 / LCOH, shape=shape)
-        geom = InterferometerGeometry(path_short=0.5, path_long_base=0.5 + 0.4 * LCOH)
+        geom = InterferometerGeometry(
+            path_short_m=0.5, path_long_base_m=0.5 + 0.4 * LCOH
+        )
 
         def bracket(k):
             return (1.0 + np.cos(fringe_phase_oracle(k, geom))) * (
@@ -237,7 +239,7 @@ class TestClassicalModel:
         delta = sample_signal(profile, np.random.default_rng(41), 50_001)
         for i in range(9):
             g = phase_geometry(geometry, k_pump, i * 2.0 * math.pi / 8.0)
-            g = g.with_offset(g.path_long_offset + 3.0 * PUMP_WAVELENGTH)
+            g = g.with_offset(g.path_long_offset_m + 3.0 * PUMP_WAVELENGTH)
             mean, stderr = classical_monte_carlo(profile, g, delta)
             mean_o, stderr_o = classical_monte_carlo_oracle(profile, g, delta)
             assert mean == pytest.approx(mean_o, rel=1e-9, abs=0)
@@ -652,8 +654,8 @@ class TestEventGeneration:
         # the codes the eight-term oracle's probabilities give on the same
         # RNG stream: signal deviations first, then one uniform per pair
         geom = InterferometerGeometry(
-            path_short=0.5,
-            path_long_base=1.05,
+            path_short_m=0.5,
+            path_long_base_m=1.05,
             splitter_transmittance=0.4,
             mode_overlap=0.8,
         )

@@ -59,15 +59,15 @@ class TestDeltaL:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
-        "field", ["path_short", "path_long_base", "path_long_offset"]
+        "section, key",
+        [
+            ("geometry", "path_short_m"),
+            ("geometry", "path_long_base_m"),
+            # the long-arm offsets are the scan's, span_periods pump wavelengths
+            ("scan", "span_periods"),
+        ],
     )
-    def test_non_finite_rejected(self, field, value):
-        # the long-arm offsets are the scan's, span_periods pump wavelengths
-        section, key = {
-            "path_short": ("geometry", "path_short_m"),
-            "path_long_base": ("geometry", "path_long_base_m"),
-            "path_long_offset": ("scan", "span_periods"),
-        }[field]
+    def test_non_finite_rejected(self, section, key, value):
         assert_refused(section, key, value)
 
     def test_offset_phase_precision(self, geometry, k_pump):
@@ -96,7 +96,7 @@ class TestPhaseReduction:
         # bit for bit, sign of k included
         assume(long + offset > short)
         g = InterferometerGeometry(
-            path_short=short, path_long_base=long, path_long_offset=offset
+            path_short_m=short, path_long_base_m=long, path_long_offset_m=offset
         )
         assert _same_bits(fringe_phase(k, g), fringe_phase_oracle(k, g))
 
@@ -104,7 +104,7 @@ class TestPhaseReduction:
         # where k * delta_L lies within an ulp of a multiple of 2*pi, the
         # oracle's rounded product can land on the far side of it and its
         # remainder falls a period off; the exact one stays in [0, 2*pi]
-        dl = geometry.path_long_base - geometry.path_short
+        dl = geometry.path_long_base_m - geometry.path_short_m
         for turns in (1, 1000, 2_000_000):
             k = turns * TWO_PI / dl
             for _ in range(4):
@@ -131,7 +131,7 @@ class TestDetectorAmplitudes:
     @settings(max_examples=100, deadline=None)
     def test_unitarity(self, t, k):
         geom = InterferometerGeometry(
-            path_short=0.5, path_long_base=1.05, splitter_transmittance=t
+            path_short_m=0.5, path_long_base_m=1.05, splitter_transmittance=t
         )
         total = sum(abs(a) ** 2 for a in detector_amplitudes(k, geom).as_tuple())
         assert total == pytest.approx(1.0, abs=1e-12)
@@ -175,7 +175,7 @@ class TestCoincidenceClasses:
 
     def test_mu_zero_is_phase_independent(self, profile, k_pump, rng):
         geom = InterferometerGeometry(
-            path_short=0.5, path_long_base=1.05, mode_overlap=0.0
+            path_short_m=0.5, path_long_base_m=1.05, mode_overlap=0.0
         )
         delta, _ = _draw_signal(profile, rng)
         values = []
@@ -326,8 +326,8 @@ class TestCoincidenceClasses:
 def _geometry_at(t, mu, phase):
     """Geometry with transmittance t, mode overlap mu and pump phase ``phase``."""
     geom = InterferometerGeometry(
-        path_short=0.5,
-        path_long_base=1.05,
+        path_short_m=0.5,
+        path_long_base_m=1.05,
         splitter_transmittance=t,
         mode_overlap=mu,
     )
