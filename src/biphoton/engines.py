@@ -49,10 +49,12 @@ reusable array that becomes the row's sines, so a block's temporaries stay
 in cache.  The single-column engines :func:`classical_monte_carlo` and
 :func:`sample_pair_outcomes`, which take delta as an argument, remain as its
 reference; each is one whole-array pass.  s calls no libm: x, which reaches
-thousands of radians, is reduced by pi, and a Taylor polynomial of degree 21
-on [-pi/2, pi/2] gives s within max(2.3e-16, ulp(x)) of sin x: at most
-0.875 of that bound in 10^6 draws on [1, 2), where it is weakest.  Built
-from IEEE arithmetic alone, s is the same on every platform.
+thousands of radians, is reduced by pi, the sign (-1)^k goes on as one XOR
+of bits, and a least-squares polynomial of degree 17 on [-pi/2, pi/2] gives
+s within max(2.3e-16, ulp(x)) of sin x: at most 0.849 of that bound in 10^6
+draws on [1, 2), 0.848 on [-pi, pi] and 0.807 about pi/2, where it is
+weakest.  Built from IEEE arithmetic alone, s is the same on every platform
+for |x| < 2.9e19.
 """
 from __future__ import annotations
 
@@ -74,7 +76,7 @@ from .spectral import SpectralProfile, SpectralShape, sample_signal
 
 #: pairs per block of :func:`pair_monte_carlo`'s pass over a row, whose
 #: temporaries stay in cache; only the draws and one row's sines are full length
-_BLOCK = 8192
+_BLOCK = 20_480
 
 #: pi in two parts (Cody & Waite, *Software Manual for the Elementary
 #: Functions*, 1980), the exact halves of a split of 2 pi: hi keeps 26 bits,
@@ -82,35 +84,50 @@ _BLOCK = 8192
 _PI_HI = 3.1415926218032837
 _PI_LO = 3.178650954705639e-08  # the double nearest pi - hi
 
-#: Taylor coefficients of (sin r - r + r^3/6) / r^5 in r^2, highest first:
-#: (-1)^j / (2j + 5)! down to j = 0; on |r| <= pi/2 the first term left out,
-#: (pi/2)^23 / 23!, is 1.3e-18
-_SIN_TAYLOR = tuple((-1.0) ** j / math.factorial(2 * j + 5) for j in range(8, -1, -1))
+#: Q's coefficients in z = r^2, highest first: g(z) = (sin r - r + r^3/6) / r^5
+#: fitted on z in [0, (pi/2)^2] by least squares weighted by r^5 (the error
+#: on sin r), at Chebyshev nodes in 60-digit arithmetic, then rounded to
+#: doubles; r + r^5 Q - r^3/6 is then within 3.7e-18 of sin r on
+#: [-pi/2, pi/2] (3.3e-19 before the rounding), where 7 Taylor terms leave
+#: (pi/2)^19 / 19! = 4.4e-14
+_SIN_Q = (
+    2.7221331286657042e-15,
+    -7.643100936887538e-13,
+    1.6058944891930222e-10,
+    -2.5052107004146384e-08,
+    2.755731921304226e-06,
+    -0.0001984126984122487,
+    0.00833333333333326,
+)
 
 
 def _sin_in_place(x: np.ndarray, k: np.ndarray, prod: np.ndarray) -> None:
-    """x <- sin x from IEEE arithmetic, rint and floor alone, within
-    max(2.3e-16, ulp(x)); ``k`` and ``prod`` are scratch like x.
+    """x <- sin x from IEEE arithmetic, rint and integer bit operations
+    alone, within max(2.3e-16, ulp(x)); ``k`` and ``prod`` are contiguous
+    float64 scratch like x.
 
     With k = rint(x / pi), r = (x - k hi) - k lo lies in [-pi/2, pi/2] and
-    sin x = (-1)^k sin r.  The sign goes onto r, and sin r is
-    r + (r^5 Q(r^2) - r^3/6), Q by Horner over ``_SIN_TAYLOR``; r^3/6 is a
-    true division, as r^3 fl(1/6), or -1/6 inside Q, exceeds the bound on
-    [1, 2).  No libm call is made, so the result is the same on every
-    platform.
+    sin x = (-1)^k sin r.  The sign goes onto r as one XOR of bits: k, cast
+    to int64, has its lowest bit shifted into the sign bit.  The cast is
+    exact for |k| < 2^63; past that, |x| > 2.9e19, ulp(x) >= 4096, so either
+    sign meets the bound, and the sign is the one the platform's
+    out-of-range cast leaves.  sin r is r + (r^5 Q(r^2) - r^3/6), Q by
+    Horner over ``_SIN_Q``; r^3/6 is a true division, as r^3 fl(1/6), or
+    -1/6 inside Q, exceeds the bound on [1, 2).  No libm call is made, so
+    below 2.9e19 the result is the same on every platform.
     """
     np.rint(np.multiply(x, 1.0 / math.pi, out=k), out=k)
     x -= np.multiply(k, _PI_HI, out=prod)
     x -= np.multiply(k, _PI_LO, out=prod)
-    # (-1)^k = 1 - 4 (k/2 - floor(k/2))
-    k *= 0.5
-    k -= np.floor(k, out=prod)
-    k *= -4.0
-    k += 1.0
-    x *= k
+    sign = prod.view(np.uint64)
+    with np.errstate(invalid="ignore"):  # |k| >= 2^63 is out of range
+        np.copyto(prod.view(np.int64), k, casting="unsafe")
+    np.left_shift(sign, 63, out=sign)
+    bits = x.view(np.uint64)
+    np.bitwise_xor(bits, sign, out=bits)
     z = np.square(x, out=k)
-    np.multiply(z, _SIN_TAYLOR[0], out=prod)
-    for c in _SIN_TAYLOR[1:]:
+    np.multiply(z, _SIN_Q[0], out=prod)
+    for c in _SIN_Q[1:]:
         prod += c
         prod *= z
     # prod = z Q(z); z becomes r^3, then r^3 / 6
@@ -262,7 +279,7 @@ def classical_monte_carlo(
     since the pump phase phi_p is 2 phi_c.  The integrand
     (1 + cos phi_1)(1 - cos phi_2) is then exactly (sin phi_c - sin x)^2: one
     sine per deviation, by :func:`_sin_in_place` (x reduced by pi and a
-    Taylor polynomial, within max(2.3e-16, ulp(x)) of sin x), all in one
+    polynomial, within max(2.3e-16, ulp(x)) of sin x), all in one
     whole-array pass.  T = 1/2 and mu = 1, as in
     :func:`classical_rate`.
     """
@@ -331,6 +348,7 @@ def pair_monte_carlo(
     vals = np.empty(n)
     threshold = np.empty(min(n, _BLOCK))
     uniforms = np.empty_like(threshold)
+    below = np.empty_like(threshold, dtype=bool)
     rows = []
     for geometry in geometries:
         sin_c = math.sin(fringe_phase(profile.k_center, geometry))
@@ -347,13 +365,14 @@ def pair_monte_carlo(
         for start in range(0, n, _BLOCK):
             block = vals[start : start + _BLOCK]
             np.multiply(delta[start : start + _BLOCK], dl, out=block)
-            thr, u = threshold[: block.size], uniforms[: block.size]
+            m = block.size
+            thr, u, hit = threshold[:m], uniforms[:m], below[:m]
             _sin_in_place(block, thr, u)
             np.square(block, out=thr)
             thr *= b
             thr += a
             rng.random(out=u)
-            coincidences += int(np.count_nonzero(u < thr))
+            coincidences += int(np.count_nonzero(np.less(u, thr, out=hit)))
             np.subtract(sin_c, block, out=block)
             np.square(block, out=block)
         mean = float(np.mean(vals))

@@ -62,11 +62,6 @@ class SpectralProfile:
         return (self.k_center - half, self.k_center + half)
 
 
-def coherence_length(profile: SpectralProfile) -> float:
-    """Coherence length 1/delta_k of the down-converted field (m)."""
-    return 1.0 / profile.delta_k
-
-
 def wavelength_to_wavenumber(wavelength: float) -> float:
     """Angular wavenumber k = 2*pi/lambda (rad/m)."""
     return TWO_PI / wavelength

@@ -30,7 +30,8 @@ every photon emitted; at unit efficiency ``generate_events`` must return
 exactly its arrays from the same stream.
 
 Simpson quadrature over the signal spectrum is the oracle of the closed-form
-spectral averages in ``biphoton.engines``.
+spectral averages in ``biphoton.engines``, and :func:`coherence_length`,
+1/delta_k, the scale the tests set path imbalances against.
 
 The literal classical integrand (1 + cos phi_1)(1 - cos phi_2), with the
 idler's phase phi_2 = phi_p - phi_1, is the oracle of
@@ -434,6 +435,11 @@ def generate_events_nine_cells(profile, geometry, rates, duration: float, rng):
         n_bg = int(rng.poisson(rates.singles_background * duration))
         clicks.append(rng.random(n_bg) * duration)
     return np.concatenate(a), np.concatenate(b), np.append(counts[:3], counts[3:].sum())
+
+
+def coherence_length(profile) -> float:
+    """Coherence length 1/delta_k of the down-converted field (m)."""
+    return 1.0 / profile.delta_k
 
 
 def quadrature_mean(profile, func, tol: float = 1e-9) -> float:

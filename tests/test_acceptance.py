@@ -23,7 +23,7 @@ from biphoton.engines import (
     sample_pair_outcomes,
 )
 from biphoton.interferometer import InterferometerGeometry, delta_L
-from biphoton.spectral import SpectralProfile, coherence_length, sample_signal
+from biphoton.spectral import SpectralProfile, sample_signal
 
 from conftest import (
     CONFIGS,
@@ -33,6 +33,7 @@ from conftest import (
     phase_geometry,
     wide_rate,
 )
+from oracle import coherence_length
 
 C = 299792458.0
 PERIOD = PUMP_WAVELENGTH

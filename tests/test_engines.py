@@ -65,6 +65,9 @@ from oracle import (
 )
 
 LCOH = 100e-6
+#: pair counts of pair_monte_carlo around its block: a partial block alone,
+#: exactly one, one block and one pair more, and two blocks and a partial tail
+BLOCK_SIZES = [engines._BLOCK - 1, engines._BLOCK, engines._BLOCK + 1, 50_001]
 #: R/2 = 1, so classical_rate is the classical bracket itself
 UNIT = SourceRates(pair_rate=2.0, singles_background=0.0)
 
@@ -251,7 +254,7 @@ class TestClassicalModel:
 
 
 class TestPairMonteCarlo:
-    @pytest.mark.parametrize("n", [50_001, 8193, 8192, 8191, 2, 1])
+    @pytest.mark.parametrize("n", BLOCK_SIZES + [2, 1])
     @pytest.mark.parametrize("mu", [1.0, 0.7])
     @pytest.mark.parametrize("t", [0.5, 0.3, 0.7])
     @pytest.mark.parametrize("shape", list(SpectralShape))
@@ -260,8 +263,8 @@ class TestPairMonteCarlo:
         # and the per-pair outcomes, row by row, at the nine phases of
         # compare in one call: every row reads the deviations drawn from a
         # copy of the RNG, and draws its own uniforms after the earlier
-        # rows'; 8191, 8193 and 50 001 leave a partial last block, 8192
-        # fills exactly one
+        # rows'; _BLOCK - 1, _BLOCK + 1 and 50 001 leave a partial last
+        # block, _BLOCK fills exactly one
         profile = SpectralProfile(k_pump=k_pump, delta_k=1.0 / LCOH, shape=shape)
         base = replace(geometry, splitter_transmittance=t, mode_overlap=mu)
         geoms = [phase_geometry(base, k_pump, i * 2.0 * math.pi / 8.0) for i in range(9)]
@@ -285,7 +288,7 @@ class TestPairMonteCarlo:
     def test_one_full_length_array(self, profile, geometry, rng):
         # the shared deviations and one row's sines, which every row reuses,
         # are the only arrays as long as the draws: the peak, measured at
-        # 2.09 times 8 bytes per pair, stays within a quarter of one array
+        # 2.22 times 8 bytes per pair, stays within a quarter of one array
         # above 16 bytes per pair
         n = 200_000
         geoms = [geometry] * 9
@@ -309,7 +312,9 @@ class TestReducedSine:
             ("uniform", math.pi),
             ("octave", 1.0),
             ("half_pi_band", 1e-3),
+            ("uniform", 1e15),
             ("pi_multiples", 1e-6),
+            ("negative_pi_multiples", 1e-6),
         ],
     )
     def test_matches_long_double_sine(self, law, scale):
@@ -318,7 +323,9 @@ class TestReducedSine:
         # weakest where sin r nears 1: on [-pi, pi], on [1, 2) and about
         # pi/2.  r^3 fl(1/6) in place of r^3 / 6, or -1/6 inside Q, exceeds
         # the bound at about 5 in 10^6 points of [1, 2), so 10^6 are drawn.
-        # k pi +- 1e-6, k = 1 ... 10^4, checks the sign (-1)^k
+        # k pi +- 1e-6, k = +-1 ... +-10^4, checks the sign (-1)^k from k's
+        # lowest bit, odd negative k in two's complement too; +-1e15 puts k
+        # near 2^48, far past the 2^27 of k * hi, in the int64 cast
         rng = np.random.default_rng(23)
         n = 1_000_000
         if law == "normal":
@@ -331,6 +338,8 @@ class TestReducedSine:
             x = 0.5 * math.pi + rng.uniform(-scale, scale, n)
         else:
             k = np.arange(1, 10_001)[:, None]
+            if law == "negative_pi_multiples":
+                k = -k
             offsets = rng.uniform(-scale, scale, (k.size, n // k.size))
             x = (k * math.pi + offsets).ravel()
         got = x.copy()
@@ -338,7 +347,7 @@ class TestReducedSine:
         error = np.abs(got - np.sin(x.astype(np.longdouble)))
         assert np.all(error <= np.maximum(2.3e-16, np.spacing(np.abs(x))))
 
-    @pytest.mark.parametrize("n", [50_001, 8192, 8191])
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
     @pytest.mark.parametrize("mu", [1.0, 0.7])
     @pytest.mark.parametrize("t", [0.5, 0.3, 0.7])
     @pytest.mark.parametrize("shape", list(SpectralShape))
@@ -361,7 +370,7 @@ class TestReducedSine:
             assert mean == pytest.approx(ref_mean, rel=1e-14, abs=0.0)
             assert stderr == pytest.approx(ref_stderr, rel=1e-14, abs=0.0)
 
-    @pytest.mark.parametrize("n", [1, 8191, 8192, 8193, 50_001])
+    @pytest.mark.parametrize("n", [1] + BLOCK_SIZES)
     def test_one_draw_per_pair(self, profile, geometry, rng, monkeypatch, n):
         # one draw of n deviations serves every row: the traced
         # spectral.sample_signal.draws of compare counts one row's pairs

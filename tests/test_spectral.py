@@ -6,11 +6,11 @@ from scipy import stats
 from scipy.integrate import simpson
 
 from conftest import assert_refused
+from oracle import coherence_length
 
 from biphoton.spectral import (
     SpectralProfile,
     SpectralShape,
-    coherence_length,
     sample_signal,
     wavelength_to_wavenumber,
 )
