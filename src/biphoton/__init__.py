@@ -9,5 +9,5 @@ visibility analysis with a classical-bound verdict.
 __version__ = "0.1.0"
 
 # bound here too only because the benchmark's trace checks that it patches
-# this binding (ROADMAP item 9); import every name from its own module
+# this binding; import every name from its own module
 from .detection import gate_count  # noqa: F401

@@ -1,20 +1,15 @@
 """Fringe-scan orchestration, visibility fitting, and the classicality verdict.
 
-The regime label reads the gate the window applies, delay +/- W/2: the
-window is classical when its half-width strictly exceeds the arrival-time
-split delta_L/c, so the gate reaches the side peaks' centres, and quantum
-otherwise.  It ignores the peaks' jitter width, so a window whose half-width
-lies just past the split still cuts off part of them and can fit a V above
-50% (ROADMAP item 1 derives the label from the gated peaks).  A locked-period
-Poisson fit whose one-sided likelihood-ratio test rejects V <= 0.5 at 2 sigma
-is nonclassical.  One kernel fits the fringe at a fixed V, by Newton's method
-on the phase, checked against a grid over every phase in ``tests/oracle.py``;
-the free fit climbs its profile over V, bracketed on [0, 1].
-A scan is acquired once, a row of :func:`acquire_histogram` per point, and a
-window gates every row at once, as one range of the TAC's channels.  The
-points run on a pool of min(usable CPUs, points) threads, each on its own
-random stream into its own row, so the corpus does not depend on the pool's
-size.
+A scan is acquired once, a row of :func:`acquire_histogram` per point
+(:func:`acquire_scan_corpus`), and a window gates every row at once, as one
+range of the TAC's channels (:func:`gate_scan`).
+
+The regime label reads the gate the window applies, delay +/- W/2, against
+the arrival-time split delta_L/c (:func:`classify_regime`).  It ignores the
+peaks' jitter width, so a window whose half-width lies just past the split
+still cuts off part of them and can fit a V above 50%; a later change is to
+derive the label from the gated peaks.  The fit and the verdict are
+:func:`fit_visibility`'s.
 """
 from __future__ import annotations
 
@@ -188,7 +183,8 @@ def _fixed_visibility_fit(
     where the profile is not concave.  The arrays at the phi it stops at also
     give the slope of l_p(V) = max_phi l(V, phi), dl/dV by the envelope
     theorem, and its curvature, the Schur complement l_VV - l_Vphi^2/l_phiphi.
-    Returns (log-likelihood, baseline, phi, dl_p/dV, d2l_p/dV2).
+    Returns (log-likelihood, baseline, phi, dl_p/dV, d2l_p/dV2).  Its
+    reference in ``tests/oracle.py`` searches every phase on a grid.
     """
     n_total, hit = float(y.sum()), y > 0
     turn = np.exp(1j * theta)  # e^{i theta}, rotated by e^{i phi} on each step

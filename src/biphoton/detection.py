@@ -1,23 +1,18 @@
 """Detectors, TAC and MCA simulation.
 
 Turns one acquisition into a start-stop time-difference histogram: the
-int64 counts in each MCA channel, and the clicks at A and B.
-:func:`detect_streams` draws only the photons its detectors detect, with
-:func:`biphoton.engines.generate_events` at their efficiencies, and the
-detector model here adds timing jitter and dead time.  Detector A provides
-the start pulse, detector B the stop pulse after a fixed electrical delay;
-the TAC is single-start/single-stop (starts arriving while a conversion is
-pending are dropped, a start with no stop inside the range times out).  The
-coincidence window is applied afterwards, on the recorded histogram, as one
-range of channels, so the window choice is a delayed choice.
+int64 counts in each MCA channel, and the clicks at A and B
+(:func:`acquire_histogram`).  The photons come from
+:func:`biphoton.engines.generate_events`, already thinned by the detectors'
+efficiencies, and the detector model here adds timing jitter and dead time.
+Detector A provides the start pulse, detector B the stop pulse after a fixed
+electrical delay, into a single-start/single-stop TAC
+(:func:`tac_differences`).  The coincidence window is applied afterwards, on
+the recorded histogram, as one range of channels, so the window choice is a
+delayed choice.
 
-A detector with non-paralysable dead time and the TAC both go blind after
-an event they accept: a later event counts only if it arrives at or after
-the end of the last accepted event's busy period (the dead time, or the
-pending conversion).  One array kernel, ``_accept_free``, applies that rule
-for both, in two tiers: an event free of the previous event's busy period
-is accepted and a busy event right after it rejected, all at once; only
-the later events of a run of busy events are decided in a short loop.
+Detector dead time and the TAC's pending conversion are one busy-period
+rule, which one array kernel, :func:`_accept_free`, applies for both.
 """
 from __future__ import annotations
 

@@ -7,7 +7,11 @@ Three mutually checkable routes to the same observables:
   wide-window rate),
 * the classical random-wavenumber model, closed form and Monte Carlo, of an
   ideal interferometer: it reads neither T nor mu, the quantum rates both,
-* Monte Carlo event generation producing each detector's photon arrival times.
+  so at T != 0.5 or mu < 1 (``experimental.json`` has mu = 0.8) ``compare``
+  sets an imperfect quantum interferometer beside an ideal classical one,
+* Monte Carlo event generation producing each detector's photon arrival
+  times, one Poisson count per outcome (:func:`generate_events`), checked
+  against the per-pair draw of :func:`sample_pair_outcomes`.
 
 The pairs are degenerate, k1 = k_pump/2 + delta, so every spectral average
 here is the mean of cos(2 delta * delta_L) over the symmetric |phi|^2: its
@@ -19,42 +23,10 @@ efficiency, background and mode overlap each have their own parameter: the
 narrow-window rate is R * p_central, (R/4)(1 - mu cos(k_p delta_L)) at
 T = 0.5, so R is the coincidence normalization R_c0 of the two-photon fringe.
 
-Event generation needs no wavenumber per pair.  Pairs are emitted as a
-Poisson process of rate R, and a pair's signal wavenumber serves only to
-pick its outcome, so each pair is independently marked with outcome j with
-probability P_j, the spectral mean of its class probability.  By the marking
-(colouring) theorem of Poisson processes (Kingman, *Poisson Processes*,
-1993; Lewis & Shedler, Nav. Res. Logist. Q. 26, 403, 1979) the pairs of each
-outcome then form independent Poisson processes of rates R * P_j.  An
-acquisition of length T is drawn as one Poisson count per outcome, mean
-R * T * P_j, and that many uniform emission times.  The no-coincidence
-outcome splits further by port and arms, each split again a marking.
-Detection is the last marking: each photon is detected independently with
-its detector's efficiency eta, so every cell splits by which of its photons
-are detected, and only detected photons are drawn.  Background clicks are
-drawn at eta times their rate, the same Poisson law as thinning them.
-Per-pair sampling, :func:`sample_pair_outcomes`, stays as the independent
-check of these rates.
-
-:func:`pair_monte_carlo` draws the signal deviations delta and fills both
-Monte Carlo columns of every row of ``compare`` from one sine per pair,
-s = sin x with x = delta * delta_L.  The classical integrand
-(1 + cos phi_1)(1 - cos phi_2) is exactly (sin phi_c - s)^2, phi_c the
-fringe phase of k_pump/2, and the quantum kernel reads
-cos(phi_1 - phi_2) = cos 2x = 1 - 2 s^2, so the coincidence threshold is
-a + b s^2.  It draws delta once, in one call, for all the rows, which then
-share it as common random numbers; each row makes one pass over it in
-blocks of ``_BLOCK`` pairs, scaling each block by its delta_L into one
-reusable array that becomes the row's sines, so a block's temporaries stay
-in cache.  The single-column engines :func:`classical_monte_carlo` and
-:func:`sample_pair_outcomes`, which take delta as an argument, remain as its
-reference; each is one whole-array pass.  s calls no libm: x, which reaches
-thousands of radians, is reduced by pi, the sign (-1)^k goes on as one XOR
-of bits, and a least-squares polynomial of degree 17 on [-pi/2, pi/2] gives
-s within max(2.3e-16, ulp(x)) of sin x: at most 0.849 of that bound in 10^6
-draws on [1, 2), 0.848 on [-pi, pi] and 0.807 about pi/2, where it is
-weakest.  Built from IEEE arithmetic alone, s is the same on every platform
-for |x| < 2.9e19.
+Both Monte Carlo columns of ``compare`` come from :func:`pair_monte_carlo`,
+one sine per pair by :func:`_sin_in_place`, which calls no libm; the
+single-column :func:`classical_monte_carlo` and :func:`sample_pair_outcomes`
+are its references.
 """
 from __future__ import annotations
 
@@ -104,17 +76,20 @@ _SIN_Q = (
 def _sin_in_place(x: np.ndarray, k: np.ndarray, prod: np.ndarray) -> None:
     """x <- sin x from IEEE arithmetic, rint and integer bit operations
     alone, within max(2.3e-16, ulp(x)); ``k`` and ``prod`` are contiguous
-    float64 scratch like x.
+    float64 scratch like x.  x may reach thousands of radians.  In 10^6
+    draws the error is at most 0.849 of that bound on [1, 2), 0.848 on
+    [-pi, pi] and 0.807 about pi/2, where the polynomial is weakest.
 
     With k = rint(x / pi), r = (x - k hi) - k lo lies in [-pi/2, pi/2] and
     sin x = (-1)^k sin r.  The sign goes onto r as one XOR of bits: k, cast
     to int64, has its lowest bit shifted into the sign bit.  The cast is
     exact for |k| < 2^63; past that, |x| > 2.9e19, ulp(x) >= 4096, so either
     sign meets the bound, and the sign is the one the platform's
-    out-of-range cast leaves.  sin r is r + (r^5 Q(r^2) - r^3/6), Q by
-    Horner over ``_SIN_Q``; r^3/6 is a true division, as r^3 fl(1/6), or
-    -1/6 inside Q, exceeds the bound on [1, 2).  No libm call is made, so
-    below 2.9e19 the result is the same on every platform.
+    out-of-range cast leaves.  sin r is r + (r^5 Q(r^2) - r^3/6), a
+    polynomial of degree 17, Q by Horner over ``_SIN_Q``; r^3/6 is a true
+    division, as r^3 fl(1/6), or -1/6 inside Q, exceeds the bound on [1, 2).
+    No libm call is made, so below 2.9e19 the result is the same on every
+    platform.
     """
     np.rint(np.multiply(x, 1.0 / math.pi, out=k), out=k)
     x -= np.multiply(k, _PI_HI, out=prod)
@@ -278,10 +253,8 @@ def classical_monte_carlo(
     and k2 = k_pump - k1 makes phi_2 = phi_p - phi_1 = phi_c - x (mod 2 pi),
     since the pump phase phi_p is 2 phi_c.  The integrand
     (1 + cos phi_1)(1 - cos phi_2) is then exactly (sin phi_c - sin x)^2: one
-    sine per deviation, by :func:`_sin_in_place` (x reduced by pi and a
-    polynomial, within max(2.3e-16, ulp(x)) of sin x), all in one
-    whole-array pass.  T = 1/2 and mu = 1, as in
-    :func:`classical_rate`.
+    sine per deviation, by :func:`_sin_in_place`, all in one whole-array
+    pass.  T = 1/2 and mu = 1, as in :func:`classical_rate`.
     """
     n = np.size(delta)
     if n < 1:
@@ -328,8 +301,7 @@ def pair_monte_carlo(
     correlated, but each keeps its n, its law and its standard error.  A
     row makes one pass over them in blocks, into one reusable buffer.  Each
     block scales its deviations by the row's delta_L, x = delta * delta_L,
-    and takes their sines s = sin x in place, by the polynomial kernel of
-    :func:`classical_monte_carlo`, within max(2.3e-16, ulp(x)) of sin x.  It
+    and takes their sines s = sin x in place, by :func:`_sin_in_place`.  It
     draws the block's uniforms, fresh for every row, after the deviations
     and the earlier rows' uniforms, as :func:`sample_pair_outcomes` draws
     them, and counts those below the threshold of the last coincidence
@@ -420,24 +392,28 @@ def generate_events(
     """Simulate one acquisition: the detected photon arrival times at each
     detector, whose efficiencies are ``efficiency`` = (eta_A, eta_B).
 
-    Pairs are emitted as a Poisson process of rate R = ``pair_rate``.  Each
-    pair lands in one of the three coincidence classes, with the spectral
-    mean P_j of its class probability, or else in the no-coincidence
+    Pairs are emitted as a Poisson process of rate R = ``pair_rate``.  A
+    pair's signal wavenumber serves only to pick its outcome, so none is
+    drawn: each pair lands in one of the three coincidence classes, with the
+    spectral mean P_j of its class probability, or else in the no-coincidence
     remainder, which sends both photons to one port so that singles rates
     stay flat across the fringe.  The port is a fair coin and each photon
     takes either arm with even odds: both short, both long, or one of each,
-    with odds 1/4, 1/4 and 1/2.  By the marking theorem each of these nine
-    cells is an independent Poisson process, of rate R times the cell's
-    probability.  Detection is one more marking: each photon of a cell is
-    detected independently with the efficiency eta of its detector, so a
-    cell splits into four sub-cells, both photons detected, only the first,
-    only the second, or neither.  The acquisition draws one Poisson count
+    with odds 1/4, 1/4 and 1/2.  By the marking (colouring) theorem of
+    Poisson processes (Kingman, *Poisson Processes*, 1993; Lewis & Shedler,
+    Nav. Res. Logist. Q. 26, 403, 1979) each of these nine cells is an
+    independent Poisson process, of rate R times the cell's probability.
+    Detection is one more marking: each photon of a cell is detected
+    independently with the efficiency eta of its detector, so a cell splits
+    into four sub-cells, both photons detected, only the first, only the
+    second, or neither.  The acquisition draws one Poisson count
     per sub-cell, and one uniform emission time per pair of the sub-cells
     with a detected photon; the photons arrive after the transit times of
     their arms.  The same counts give each detector's undetected photons,
     ``lost``, at no further draw.  Independent Poisson background clicks,
-    at rate eta * ``singles_background``, are added on each detector.  Each
-    detector's times come grouped by sub-cell, unsorted.
+    at rate eta * ``singles_background``, the law of thinning them, are
+    added on each detector.  Each detector's times come grouped by sub-cell,
+    unsorted.
 
     At eta = 1 only the both-detected sub-cells have a nonzero mean, and a
     Poisson draw of mean zero takes nothing from ``rng``, so the stream is

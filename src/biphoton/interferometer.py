@@ -19,10 +19,6 @@ phase that varies from pair to pair is phi_1 - phi_2 = 2 delta * delta_L:
 :func:`class_probabilities_pair` costs one multiply and one cosine per pair.
 The eight-term sum itself, with the single-photon port amplitudes it is
 built from, lives in ``tests/oracle.py`` as the reference it is tested against.
-
-``SPEED_OF_LIGHT`` is c = 299 792 458 m/s, exact by the SI definition of the
-metre (BIPM, *The International System of Units*, 9th ed., 2019); every
-arm-length-to-time conversion in the package uses it.
 """
 from __future__ import annotations
 
@@ -35,7 +31,10 @@ import numpy as np
 
 from .spectral import TWO_PI, SpectralProfile
 
-SPEED_OF_LIGHT = 299_792_458.0  # m/s
+#: c, m/s, exact by the SI definition of the metre (BIPM, *The International
+#: System of Units*, 9th ed., 2019); every arm-length-to-time conversion in
+#: the package uses it
+SPEED_OF_LIGHT = 299_792_458.0
 
 
 @dataclass(frozen=True)
@@ -148,7 +147,8 @@ def class_probabilities_pair(
     k2 = k_pump - k1, vectorized over the deviations ``delta``.
 
     phi_i = k_i * delta_L.  phi_1 + phi_2 is the pump phase, one scalar for
-    every pair.  phi_1 - phi_2 is 2 delta * delta_L, some thousands of
+    every pair.  phi_1 - phi_2 is 2 delta * delta_L, with no carrier to
+    reduce exactly since the pairs are degenerate: some thousands of
     radians, where plain float arithmetic is accurate to ~1e-11 rad.  So
     p_central comes back as a read-only broadcast of one value.
     """
