@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
 
+from . import engines
 from .detection import DetectorModel, TacConfig, acquire_histogram, gate_count
 from .engines import SourceRates
 from .errors import DomainError, FitError
@@ -133,18 +133,10 @@ def acquire_scan_corpus(
 
     # numpy releases the interpreter lock for the jitter draws, the sorts and
     # the TAC's binary search, about half of a point's time
-    workers = max(1, min(_usable_cpus(), offsets.size))
+    workers = max(1, min(engines._usable_cpus(), offsets.size))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(acquire_point, range(offsets.size)))  # raises a point's error
     return corpus
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on (``nproc``), or the machine's count
-    where the platform has no affinity mask."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def gate_scan(corpus: ScanCorpus, tac: TacConfig, window_width: float) -> FringeScan:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import re
@@ -285,6 +286,7 @@ def cmd_print_config(args) -> int:
     return 0
 
 
+@functools.cache  # built once: its help strings' gettext lookups cost ~0.5 ms
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="biphoton",

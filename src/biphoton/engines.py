@@ -24,13 +24,18 @@ narrow-window rate is R * p_central, (R/4)(1 - mu cos(k_p delta_L)) at
 T = 0.5, so R is the coincidence normalization R_c0 of the two-photon fringe.
 
 Both Monte Carlo columns of ``compare`` come from :func:`pair_monte_carlo`,
-one sine per pair by :func:`_sin_in_place`, which calls no libm; the
-single-column :func:`classical_monte_carlo` and :func:`sample_pair_outcomes`
-are its references.
+one sine per pair by :func:`_sin_in_place`, which calls no libm, in blocks
+that run on a thread pool and each reduce to a count and
+:func:`_block_moments`; the single-column :func:`classical_monte_carlo` and
+:func:`sample_pair_outcomes` are its references.
 """
 from __future__ import annotations
 
+import copy
 import math
+import os
+from collections.abc import Sequence
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,9 +51,11 @@ from .interferometer import (
 )
 from .spectral import SpectralProfile, SpectralShape, sample_signal
 
-#: pairs per block of :func:`pair_monte_carlo`'s pass over a row, whose
-#: temporaries stay in cache; only the draws and one row's sines are full length
-_BLOCK = 20_480
+#: pairs per block, the task of :func:`pair_monte_carlo`'s pool and the unit
+#: of :func:`_block_moments`: large enough that a thread's hand-offs of the
+#: interpreter lock are rare, and 25 bytes a pair under one row's 8 bytes a
+#: pair for 2 threads at ``compare``'s 200 000 pairs
+_BLOCK = 32_000
 
 #: pi in two parts (Cody & Waite, *Software Manual for the Elementary
 #: Functions*, 1980), the exact halves of a split of 2 pi: hi keeps 26 bits,
@@ -111,6 +118,36 @@ def _sin_in_place(x: np.ndarray, k: np.ndarray, prod: np.ndarray) -> None:
     z /= 6.0
     prod -= z
     x += prod
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (``nproc``), or the machine's count
+    where the platform has no affinity mask."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _block_moments(v: np.ndarray) -> tuple[int, float, float]:
+    """``(m, S, M2)`` of a block ``v`` of m values: its sum S and its centred
+    sum of squares M2 = sum (v - S/m)^2.  ``v`` is overwritten."""
+    s = float(np.sum(v))
+    v -= s / v.size
+    np.square(v, out=v)
+    return v.size, s, float(np.sum(v))
+
+
+def _mean_stderr(moments: Sequence[tuple[int, float, float]]) -> tuple[float, float]:
+    """Mean and standard error of the values whose blocks have
+    :func:`_block_moments` ``moments``, combined in order by the pairwise rule
+    of Chan, Golub & LeVeque (*Am. Stat.* 37, 242, 1983): with n = sum m_b,
+    mean = sum S_b / n and M2 = sum M2_b + sum m_b (S_b/m_b - mean)^2."""
+    n = sum(m for m, _, _ in moments)
+    mean = sum(s for _, s, _ in moments) / n
+    m2 = sum(m2_b for *_, m2_b in moments) + sum(
+        m * (s / m - mean) ** 2 for m, s, _ in moments
+    )
+    return mean, math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else 0.0
 
 
 @dataclass(frozen=True)
@@ -254,7 +291,10 @@ def classical_monte_carlo(
     since the pump phase phi_p is 2 phi_c.  The integrand
     (1 + cos phi_1)(1 - cos phi_2) is then exactly (sin phi_c - sin x)^2: one
     sine per deviation, by :func:`_sin_in_place`, all in one whole-array
-    pass.  T = 1/2 and mu = 1, as in :func:`classical_rate`.
+    pass.  Its mean and standard error combine the :func:`_block_moments` of
+    its ``_BLOCK`` slices by :func:`_mean_stderr`, as each row of
+    :func:`pair_monte_carlo` does.  T = 1/2 and mu = 1, as in
+    :func:`classical_rate`.
     """
     n = np.size(delta)
     if n < 1:
@@ -262,8 +302,9 @@ def classical_monte_carlo(
     s = np.multiply(delta, delta_L(geometry))
     _sin_in_place(s, np.empty(n), np.empty(n))
     vals = np.square(math.sin(fringe_phase(profile.k_center, geometry)) - s)
-    stderr = float(np.std(vals, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
-    return float(np.mean(vals)), stderr
+    return _mean_stderr(
+        [_block_moments(vals[i : i + _BLOCK]) for i in range(0, n, _BLOCK)]
+    )
 
 
 def sample_pair_outcomes(
@@ -293,35 +334,46 @@ def pair_monte_carlo(
 ) -> list[tuple[float, float, int]]:
     """Both Monte Carlo columns of ``compare`` from ``n`` pairs and one sine
     per pair: ``(classical_mean, classical_stderr, coincidences)`` for each
-    of ``geometries``, in order.
+    of ``geometries``, in order.  ``rng`` must be a PCG64 generator, as
+    ``np.random.default_rng`` gives.
 
     The deviations are drawn here, in one :func:`sample_signal` call of
     ``n``, and every row reads the same ones: common random numbers (Law &
     Kelton, *Simulation Modeling and Analysis*).  The rows are then
-    correlated, but each keeps its n, its law and its standard error.  A
-    row makes one pass over them in blocks, into one reusable buffer.  Each
-    block scales its deviations by the row's delta_L, x = delta * delta_L,
-    and takes their sines s = sin x in place, by :func:`_sin_in_place`.  It
-    draws the block's uniforms, fresh for every row, after the deviations
-    and the earlier rows' uniforms, as :func:`sample_pair_outcomes` draws
-    them, and counts those below the threshold of the last coincidence
-    class.  That threshold p_c + p_sl + p_ls is linear in cos 2x = 1 - 2 s^2
-    (no clamp acts for mu <= 1), so it is a + b s^2 with a and b from the
-    kernel at cos 2x = +1 and -1.  It differs from the reference's by
-    rounding alone, so a count can differ only where a uniform lies within
-    about 1e-16 of it.  Last, it turns the sines into the classical
-    integrand (sin phi_c - s)^2, whose mean and standard error are those of
-    :func:`classical_monte_carlo`, by the same float operations: at T = 1/2
-    and mu = 1 whatever a geometry holds, while the coincidences read both.
+    correlated, but each keeps its n, its law and its standard error.  Each
+    row is cut into blocks of ``_BLOCK`` pairs, and each (row, block) is a
+    task that reduces its block to three numbers.  It scales the block's
+    deviations by the row's delta_L, x = delta * delta_L, and takes their
+    sines s = sin x in place, by :func:`_sin_in_place`.  It draws the
+    block's uniforms, fresh for every row, at the place in the stream where
+    :func:`sample_pair_outcomes` would draw them, after the deviations and
+    the earlier rows' and blocks' uniforms, and counts those below the
+    threshold of the last coincidence class.  That threshold p_c + p_sl +
+    p_ls is linear in cos 2x = 1 - 2 s^2 (no clamp acts for mu <= 1), so it
+    is a + b s^2 with a and b from the kernel at cos 2x = +1 and -1.  It
+    differs from the reference's by rounding alone, so a count can differ
+    only where a uniform lies within about 1e-16 of it.  Last, it turns the
+    sines into the classical integrand (sin phi_c - s)^2 and keeps its
+    :func:`_block_moments`; each row combines its blocks' in block order by
+    :func:`_mean_stderr`, as :func:`classical_monte_carlo` does, so the
+    columns are that engine's to the bit: at T = 1/2 and mu = 1 whatever a
+    geometry holds, while the coincidences read both.
+
+    The tasks run on a pool of threads made for this call, one contiguous
+    range of tasks per thread: min(usable CPUs, tasks, 8n / (25 bytes *
+    block)) threads and at least one, so the threads' scratch blocks, three
+    float64 and one bool each, stay within one row's length.  A thread draws
+    from its own copy of the generator, advanced to its first block's offset
+    row * n + start, and afterwards ``rng`` is advanced past every row's
+    uniforms.  So the rows and ``rng``'s final state are the serial pass's
+    whatever the pool's size.  The row constants are computed here, before
+    the pool starts, and a task's exception is raised here, after the
+    running tasks have finished.
     """
     if n < 1:
         raise DomainError(f"need at least one pair, got n = {n}")
     delta = sample_signal(profile, rng, n)
-    vals = np.empty(n)
-    threshold = np.empty(min(n, _BLOCK))
-    uniforms = np.empty_like(threshold)
-    below = np.empty_like(threshold, dtype=bool)
-    rows = []
+    constants = []
     for geometry in geometries:
         sin_c = math.sin(fringe_phase(profile.k_center, geometry))
         cos_pump = np.cos(fringe_phase(profile.k_pump, geometry))
@@ -331,29 +383,49 @@ def pair_monte_carlo(
             float(sum(class_probabilities(cos_pump, cos_diff, geometry)))
             for cos_diff in (1.0, -1.0)
         )
-        b = a_plus_b - a
-        dl = delta_L(geometry)
-        coincidences = 0
-        for start in range(0, n, _BLOCK):
-            block = vals[start : start + _BLOCK]
-            np.multiply(delta[start : start + _BLOCK], dl, out=block)
-            m = block.size
-            thr, u, hit = threshold[:m], uniforms[:m], below[:m]
-            _sin_in_place(block, thr, u)
-            np.square(block, out=thr)
+        constants.append((sin_c, a, a_plus_b - a, delta_L(geometry)))
+    blocks = -(-n // _BLOCK)
+    tasks = len(constants) * blocks
+    size = min(n, _BLOCK)
+    workers = max(1, min(_usable_cpus(), tasks, 8 * n // (25 * size)))
+    state = rng.bit_generator.state
+    results = [None] * tasks
+
+    def run(first: int, stop: int) -> None:
+        vals, threshold, uniforms = np.empty(size), np.empty(size), np.empty(size)
+        below = np.empty(size, dtype=bool)
+        row, block = divmod(first, blocks)
+        bit_generator = copy.deepcopy(rng.bit_generator)
+        draws = np.random.Generator(bit_generator.advance(row * n + block * _BLOCK))
+        for task in range(first, stop):
+            row, block = divmod(task, blocks)
+            sin_c, a, b, dl = constants[row]
+            start = block * _BLOCK
+            m = min(n - start, _BLOCK)
+            x, thr, u, hit = vals[:m], threshold[:m], uniforms[:m], below[:m]
+            np.multiply(delta[start : start + m], dl, out=x)
+            _sin_in_place(x, thr, u)
+            np.square(x, out=thr)
             thr *= b
             thr += a
-            rng.random(out=u)
-            coincidences += int(np.count_nonzero(np.less(u, thr, out=hit)))
-            np.subtract(sin_c, block, out=block)
-            np.square(block, out=block)
-        mean = float(np.mean(vals))
-        stderr = 0.0
-        if n > 1:
-            vals -= mean
-            np.square(vals, out=vals)
-            stderr = math.sqrt(float(np.sum(vals)) / (n - 1)) / math.sqrt(n)
-        rows.append((mean, stderr, coincidences))
+            draws.random(out=u)
+            coincidences = int(np.count_nonzero(np.less(u, thr, out=hit)))
+            np.subtract(sin_c, x, out=x)
+            np.square(x, out=x)
+            results[task] = (coincidences, _block_moments(x))
+
+    bounds = [tasks * w // workers for w in range(workers + 1)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(run, bounds[:-1], bounds[1:]))  # raises a task's error
+    rng.bit_generator.advance(len(constants) * n)
+    # advance drops the buffered 32-bit half, which drawing doubles keeps
+    rng.bit_generator.state = rng.bit_generator.state | {
+        key: state[key] for key in ("has_uint32", "uinteger")
+    }
+    rows = []
+    for first in range(0, tasks, blocks):
+        counts, moments = zip(*results[first : first + blocks])
+        rows.append((*_mean_stderr(moments), sum(counts)))
     return rows
 
 

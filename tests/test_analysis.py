@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from biphoton import analysis
+from biphoton import analysis, engines
 from biphoton.analysis import (
     FringeScan,
     Regime,
@@ -500,7 +500,7 @@ class TestScanPipeline:
             threads.add(threading.get_ident())
             return acquire_histogram(*args)
 
-        monkeypatch.setattr(analysis, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(engines, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(analysis, "acquire_histogram", recorded)
         corpus = acquire_lossy(LOSSY_OFFSETS[:n_points])
         assert 1 <= len(threads) <= min(cpus, n_points)
@@ -511,7 +511,7 @@ class TestScanPipeline:
     def test_point_error_reaches_caller(self, monkeypatch):
         # a point's exception is raised in the caller, and the pool's threads
         # are gone when it is
-        monkeypatch.setattr(analysis, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(engines, "_usable_cpus", lambda: 2)
         failing = LOSSY_SETUP[1].with_offset(float(LOSSY_OFFSETS[5]))
 
         def fail_at_point_5(profile, geometry, *args):

@@ -1,11 +1,13 @@
 import copy
+import itertools
 import math
+import threading
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -20,6 +22,8 @@ from biphoton.detection import (
 from biphoton.engines import (
     EventStream,
     SourceRates,
+    _block_moments,
+    _mean_stderr,
     _sin_in_place,
     classical_monte_carlo,
     classical_rate,
@@ -285,11 +289,14 @@ class TestPairMonteCarlo:
             pair_monte_carlo(profile, [geometry], 0, rng)
         assert rng.bit_generator.state == state
 
-    def test_one_full_length_array(self, profile, geometry, rng):
-        # the shared deviations and one row's sines, which every row reuses,
-        # are the only arrays as long as the draws: the peak, measured at
-        # 2.22 times 8 bytes per pair, stays within a quarter of one array
-        # above 16 bytes per pair
+    @pytest.mark.parametrize("cpus", [1, 8])
+    def test_one_full_length_array(self, profile, geometry, rng, monkeypatch, cpus):
+        # the shared deviations are the only array as long as the draws, and
+        # the pool's scratch blocks, 25 bytes per pair of a block for each
+        # thread, stay within one row's length, 8 bytes per pair: the peak,
+        # measured at 1.51 times 8 bytes per pair on one thread and 2.02 on
+        # two, stays within a quarter of one array above 16 bytes per pair
+        monkeypatch.setattr(engines, "_usable_cpus", lambda: cpus)
         n = 200_000
         geoms = [geometry] * 9
         pair_monte_carlo(profile, geoms, n, rng)  # memoize the phases
@@ -300,6 +307,102 @@ class TestPairMonteCarlo:
         finally:
             tracemalloc.stop()
         assert peak < 2.25 * 8 * n
+
+    @pytest.mark.parametrize("n", BLOCK_SIZES + [200_000])
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    def test_pool_width_leaves_rows_unchanged(
+        self, profile, geometry, k_pump, monkeypatch, cpus, n
+    ):
+        # each thread draws from its own copy of the generator, advanced to
+        # its first block: at every pool width the rows and the caller's
+        # final state are one thread's, and at most min(cpus, the memory
+        # cap) threads run the blocks, which at n = 200 000 is 2
+        geoms = [phase_geometry(geometry, k_pump, i * 2.0 * math.pi / 8.0) for i in range(9)]
+        monkeypatch.setattr(engines, "_usable_cpus", lambda: 1)
+        ref_rng = np.random.default_rng(7)
+        ref_rows = pair_monte_carlo(profile, geoms, n, ref_rng)
+        threads = set()
+
+        def recorded(v):
+            threads.add(threading.get_ident())
+            return _block_moments(v)
+
+        monkeypatch.setattr(engines, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(engines, "_block_moments", recorded)
+        rng = np.random.default_rng(7)
+        assert pair_monte_carlo(profile, geoms, n, rng) == ref_rows
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert 1 <= len(threads) <= min(cpus, 2 if n == 200_000 else 1)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_caller_generator_ends_in_serial_state(
+        self, profile, geometry, k_pump, monkeypatch, cpus
+    ):
+        # the caller's generator arrives holding a buffered 32-bit half,
+        # which advancing it would drop and a serial pass of doubles keeps
+        monkeypatch.setattr(engines, "_usable_cpus", lambda: cpus)
+        geoms = [phase_geometry(geometry, k_pump, i * 2.0 * math.pi / 8.0) for i in range(9)]
+        rng = np.random.default_rng(100)
+        rng.integers(0, 2**32, dtype=np.uint32)
+        ref_rng = copy.deepcopy(rng)
+        pair_monte_carlo(profile, geoms, 200_000, rng)
+        pair_monte_carlo_oracle(profile, geoms, 200_000, ref_rng)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert rng.integers(0, 2**32, dtype=np.uint32) == ref_rng.integers(
+            0, 2**32, dtype=np.uint32
+        )
+
+    def test_block_error_reaches_caller(self, profile, geometry, monkeypatch):
+        # a block's exception is raised in the caller, and the pool's threads
+        # are gone when it is
+        monkeypatch.setattr(engines, "_usable_cpus", lambda: 2)
+        calls = itertools.count()
+
+        def fail_at_block_40(v):
+            if next(calls) == 40:
+                raise DomainError("block 40 fails")
+            return _block_moments(v)
+
+        monkeypatch.setattr(engines, "_block_moments", fail_at_block_40)
+        before = threading.active_count()
+        with pytest.raises(DomainError, match="block 40 fails"):
+            pair_monte_carlo(profile, [geometry] * 9, 200_000, np.random.default_rng(1))
+        assert threading.active_count() == before
+
+
+def assert_moments_match(x: np.ndarray) -> None:
+    blocks = [x[i : i + engines._BLOCK].copy() for i in range(0, x.size, engines._BLOCK)]
+    mean, stderr = _mean_stderr([_block_moments(v) for v in blocks])
+    assert mean == pytest.approx(float(np.mean(x)), rel=1e-15, abs=0.0)
+    if x.size > 1:
+        want = float(np.std(x, ddof=1)) / math.sqrt(x.size)
+        assert stderr == pytest.approx(want, rel=1e-15, abs=0.0)
+    else:
+        assert stderr == 0.0
+
+
+class TestMoments:
+    @given(
+        n=st.integers(min_value=1, max_value=3 * engines._BLOCK + 1),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=50, deadline=None)
+    @example(n=1, seed=0)
+    @example(n=3 * engines._BLOCK + 1, seed=0)
+    def test_blocks_match_whole_array_reduction(self, n, seed):
+        # uniform on [0, 4], the classical integrand's range: the blocks'
+        # moments, combined, give np.mean and np.std(ddof=1) / sqrt(n)
+        # within 1e-15, relative, the price of leaving numpy's whole-array
+        # reduction for one that needs no row buffer
+        assert_moments_match(np.random.default_rng(seed).uniform(0.0, 4.0, n))
+
+    @pytest.mark.parametrize("n", [2, engines._BLOCK + 1, 3 * engines._BLOCK + 1])
+    def test_offset_heavy_values(self, n):
+        # 1e6 with relative noise of 1e-3: the blocks are centred on their
+        # own means, so the offset cancels as it does in np.std
+        x = 1e6 * (1.0 + 1e-3 * np.random.default_rng(5).standard_normal(n))
+        assert_moments_match(x)
 
 
 class TestReducedSine:
