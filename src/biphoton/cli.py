@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import json
 import os
 import re
@@ -286,7 +285,6 @@ def cmd_print_config(args) -> int:
     return 0
 
 
-@functools.cache  # built once: its help strings' gettext lookups cost ~0.5 ms
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="biphoton",

@@ -335,7 +335,8 @@ def pair_monte_carlo(
     """Both Monte Carlo columns of ``compare`` from ``n`` pairs and one sine
     per pair: ``(classical_mean, classical_stderr, coincidences)`` for each
     of ``geometries``, in order.  ``rng`` must be a PCG64 generator, as
-    ``np.random.default_rng`` gives.
+    ``np.random.default_rng`` gives; any other bit generator raises
+    :class:`DomainError` before anything is drawn.
 
     The deviations are drawn here, in one :func:`sample_signal` call of
     ``n``, and every row reads the same ones: common random numbers (Law &
@@ -372,6 +373,8 @@ def pair_monte_carlo(
     """
     if n < 1:
         raise DomainError(f"need at least one pair, got n = {n}")
+    if not isinstance(rng.bit_generator, np.random.PCG64):
+        raise DomainError(f"need a PCG64 generator, got {type(rng.bit_generator).__name__}")
     delta = sample_signal(profile, rng, n)
     constants = []
     for geometry in geometries:

@@ -289,6 +289,17 @@ class TestPairMonteCarlo:
             pair_monte_carlo(profile, [geometry], 0, rng)
         assert rng.bit_generator.state == state
 
+    @pytest.mark.parametrize(
+        "bit_generator", [np.random.Philox, np.random.SFC64, np.random.MT19937]
+    )
+    def test_other_bit_generator_refused(self, profile, geometry, bit_generator):
+        # a thread's offset is a PCG64 advance: another bit generator would
+        # draw rows that change with the pool's width, or has no advance
+        rng = np.random.Generator(bit_generator(5))
+        with pytest.raises(DomainError, match="PCG64"):
+            pair_monte_carlo(profile, [geometry], 100, rng)
+        assert rng.random() == np.random.Generator(bit_generator(5)).random()
+
     @pytest.mark.parametrize("cpus", [1, 8])
     def test_one_full_length_array(self, profile, geometry, rng, monkeypatch, cpus):
         # the shared deviations are the only array as long as the draws, and
